@@ -111,7 +111,10 @@ def corollary_scheme(levels: int) -> BlockScheme:
 
     Offsets grow factorially (``J_k = (k+1)!/2``), so only ``levels <= 19``
     fits in 64-bit indices; larger requests raise
-    :class:`SchemeOverflowError`.
+    :class:`SchemeOverflowError`.  Weight sums stop at index
+    ``2**53`` (:data:`lorentzkit.weights.INDEX_LIMIT`), so norms and the
+    lemma-3-4/theorem-3-5 checks run for ``levels <= 17``; at 18 and 19 they
+    raise a ``ValueError`` that names the limit.
     """
     levels = _check_int("levels", levels, 1)
     lengths = [1]

@@ -348,8 +348,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"min slack     {report.min_slack:.6e}")
     if report.min_slack_instance is not None:
         print(f"at            {_py(report.min_slack_instance.params)}")
-    if report.approximate_instances:
-        print(f"approximate   {report.approximate_instances}")
     if res.get("timing", False):
         print(f"runtime_ms    {report.runtime_ms:.1f}")
     print(f"result        {verdict}")

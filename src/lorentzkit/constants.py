@@ -308,11 +308,14 @@ def select_block_counts(
 ) -> BlockCountSelection:
     """Smallest ``N_k`` with ``(N / W_N^(k))^(1/p) > k`` for ``k = 1..levels``.
 
-    The minimal values are clamped to be nondecreasing in ``k`` (for
-    power-law weights they come out strictly increasing already).  Raises
-    :class:`GrowthCutoffError` when a level's scan passes the configured
-    cutoff, which signals a weight sequence that is too close to summable for
-    this construction.
+    ``N * W_k / W_{Nk}`` increases with ``N`` (block averages of a decreasing
+    sequence decrease), so each level gallops ``N = 1, 2, 4, ...`` to a
+    bracket and bisects it: O(log N_k) partial sums per level.  The minimal
+    values are clamped to be nondecreasing in ``k`` (for power-law weights
+    they come out strictly increasing already).  Raises
+    :class:`GrowthCutoffError` when no section up to the configured cutoff
+    escapes, which signals a weight sequence that is too close to summable
+    for this construction.
     """
     cfg = config or SearchConfig()
     p = float(p)
@@ -324,23 +327,29 @@ def select_block_counts(
     for k in range(1, levels + 1):
         s_k = weights.partial_sum(k)
         target = float(k) ** p
-        n = 1
-        while True:
-            ratio_pow = n * s_k / weights.partial_sum(n * k)
-            if ratio_pow > target:
-                break
-            n += 1
-            if n > cfg.growth_cutoff:
+
+        def ratio_pow(n: int) -> float:
+            return n * s_k / weights.partial_sum(n * k)
+
+        low, n = 0, 1  # ratio_pow(low) <= target < ratio_pow(n) once bracketed
+        while not ratio_pow(n) > target:
+            if n >= cfg.growth_cutoff:
                 raise GrowthCutoffError(
                     f"level {k}: no section below the growth cutoff "
                     f"{cfg.growth_cutoff} escapes {k}-equivalence; the weights "
                     "decay too slowly for this selection"
                 )
+            low, n = n, min(2 * n, cfg.growth_cutoff)
+        while n - low > 1:
+            mid = (low + n) // 2
+            if ratio_pow(mid) > target:
+                n = mid
+            else:
+                low = mid
         if counts and n < counts[-1]:
             n = counts[-1]
-            ratio_pow = n * s_k / weights.partial_sum(n * k)
         counts.append(n)
-        ratios.append(ratio_pow ** (1.0 / p))
+        ratios.append(ratio_pow(n) ** (1.0 / p))
     return BlockCountSelection(
         counts=tuple(counts), ratios=tuple(ratios), p=p, proxy=(p != 1.0)
     )

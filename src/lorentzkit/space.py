@@ -261,38 +261,36 @@ def y_norm(y: YVector, params: SpaceParams) -> float:
 # -----------------------------------------------------------------------------
 
 
-def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams) -> float:
-    """p-th norm power of a vector that is constant on disjoint blocks.
+def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
+    """p-th norm power of vectors that are constant on disjoint blocks.
 
-    ``values[m]`` is the coefficient repeated on ``lengths[m]`` consecutive
-    indices (block placement is irrelevant: the norm only sees the multiset).
-    Sorting blocks instead of coefficients makes the cost proportional to the
-    number of blocks, not the total support size.
+    ``values[..., m]`` is the coefficient repeated on ``lengths[..., m]``
+    consecutive indices (block placement is irrelevant: the norm only sees
+    the multiset).  A 1-D ``values`` is one vector and gives a float; a
+    (rows x blocks) ``values`` is a batch of vectors and gives one norm power
+    per row, with ``lengths`` either per row or shared by all rows.  The cost
+    is one sort, one cumulative sum of lengths and one vectorized partial-sum
+    lookup for the whole batch, independent of the support size.
     """
-    vals = np.abs(np.asarray(values, dtype=np.float64).ravel())
-    lens = np.asarray(lengths, dtype=np.int64).ravel()
-    if vals.shape[0] != lens.shape[0]:
+    vals = np.abs(np.asarray(values, dtype=np.float64))
+    single = vals.ndim <= 1
+    vals = vals.reshape(1, -1) if single else vals
+    lens = np.asarray(lengths, dtype=np.int64)
+    if vals.ndim != 2 or lens.shape[-1:] != vals.shape[-1:] or lens.ndim > 2:
         raise ValueError("values and lengths must have equal length")
     if not np.all(np.isfinite(vals)):
         raise ValueError("block values must be finite")
     if lens.size and lens.min() < 1:
         raise ValueError("block lengths must be >= 1")
-    keep = vals > 0.0
-    vals = vals[keep]
-    lens = lens[keep]
-    if vals.shape[0] == 0:
-        return 0.0
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    lens = lens[order]
-    cuts = np.cumsum(lens)
-    w = params.weights
-    sums = np.empty(cuts.shape[0] + 1)
-    sums[0] = 0.0
-    for m, c in enumerate(cuts):
-        sums[m + 1] = w.partial_sum(int(c))
-    masses = np.diff(sums)
-    return float(np.sum(vals ** params.p * masses))
+    lens = np.broadcast_to(lens, vals.shape)
+    order = np.argsort(-vals, axis=1, kind="stable")
+    vals = np.take_along_axis(vals, order, axis=1)
+    # zero blocks sort last; giving them no length keeps them out of the cuts
+    lens = np.where(vals > 0.0, np.take_along_axis(lens, order, axis=1), 0)
+    sums = params.weights.partial_sums_at(np.cumsum(lens, axis=1))
+    masses = np.diff(sums, axis=1, prepend=0.0)
+    out = np.sum(vals ** params.p * masses, axis=1)
+    return float(out[0]) if single else out
 
 
 def lorentz_norm_runlength(values, lengths, params: SpaceParams) -> float:

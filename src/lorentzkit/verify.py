@@ -97,8 +97,10 @@ class InequalityInstance:
 
     ``lhs <= mid <= rhs`` is the general shape; statements without a third
     side leave the unused field as None.  ``slack`` is the smallest margin,
-    negative on violation.  ``approximate`` marks instances whose window sums
-    were only available as integral brackets (slack then conservative).
+    negative on violation.  Every weight sum is evaluated to near full
+    precision (see :mod:`lorentzkit.weights`), so ``approximate`` is always
+    False; the field, like the report's ``approximate_instances`` (always 0),
+    stays in the schema for stability.
     """
 
     name: str
@@ -258,30 +260,16 @@ def check_lemma_3_1(theta: float, j: int, k: int) -> InequalityInstance:
     k = _check_int("k", k, 1)
     w = WeightSequence(theta)
     e = 1.0 - w.theta
-    lo, hi, num_exact = w.window_sum_bounds(j, k)
-    den_lo, den_hi, den_exact = w.window_sum_bounds(0, k)
+    mid = w.window_sum(j, k) / w.partial_sum(k)
     lhs = _power_gap((j + 1.0) / k, e)
     rhs = _power_gap(j / float(k), e) / (2.0 ** e - 1.0)
-    exact = num_exact and den_exact
-    if exact:
-        mid = lo / den_lo
-        slack = min(mid - lhs, rhs - mid)
-    else:
-        mid_lo = lo / den_hi
-        mid_hi = hi / den_lo
-        mid = 0.5 * (mid_lo + mid_hi)
-        slack = min(mid_lo - lhs, rhs - mid_hi)
-    params = {"theta": w.theta, "j": j, "k": k}
-    if not exact:
-        params["ratio_bracket"] = [lo / den_hi, hi / den_lo]
     return InequalityInstance(
         name="lemma-3-1",
-        params=params,
+        params={"theta": w.theta, "j": j, "k": k},
         lhs=float(lhs),
         mid=float(mid),
         rhs=float(rhs),
-        slack=float(slack),
-        approximate=not exact,
+        slack=float(min(mid - lhs, rhs - mid)),
     )
 
 
@@ -364,18 +352,11 @@ def check_lemma_3_4_conditions(
         j_k = scheme.lengths[k - 1]
         base = scheme.offsets[k - 1]
         c_k = scheme.counts[k - 1]
-        sums = weights.partial_sums(base + c_k * j_k)
-        w_jk = sums[j_k]
+        w_jk = weights.partial_sum(j_k)
         i = np.arange(1, c_k + 1, dtype=np.int64)
         w_i = weights.weight_values(c_k)
-        if j_k == 1:
-            plain = w_i.copy()
-            shifted = weights._window_values(base, c_k)
-        else:
-            plain = sums[i * j_k] - sums[(i - 1) * j_k]
-            shifted = sums[base + i * j_k] - sums[base + (i - 1) * j_k]
-        avg_plain = plain / w_jk
-        avg_shifted = shifted / w_jk
+        avg_plain = weights.window_sums((i - 1) * j_k, j_k) / w_jk
+        avg_shifted = weights.window_sums(base + (i - 1) * j_k, j_k) / w_jk
         for pos in range(c_k):
             instances.append(
                 InequalityInstance(
@@ -621,6 +602,49 @@ def _run_lemma_3_4(grid: Dict, tolerance: float):
 _TRIAL_DISTRIBUTIONS = ("uniform", "geometric", "spike")
 
 
+#: theorem-3-5 trials are drawn and evaluated in chunks of about this many
+#: coefficients, so memory stays bounded however many trials are asked for
+_TRIAL_CHUNK_ENTRIES = 1 << 18
+
+
+def _draw_trial_coefficients(rng, counts, first: int, stop: int) -> np.ndarray:
+    """Coefficients of trials ``first, ..., stop - 1``: one row per trial,
+    level blocks side by side.
+
+    Trial ``t`` follows ``_TRIAL_DISTRIBUTIONS[t % 3]``: uniform draws,
+    a geometric decay ``amp * r**i`` per level, or ``1e-3``-scale noise with a
+    single unit spike.  Draws come off ``rng`` trial by trial in a fixed order
+    (per level: ``r`` then ``amp`` for the geometric shape), so a seed pins
+    every coefficient, and consecutive chunks drawn from one generator give
+    the same rows as one call for all trials.
+    """
+    levels = len(counts)
+    total = sum(counts)
+    starts = np.cumsum((0,) + tuple(counts[:-1]))
+    coeffs = np.empty((stop - first, total))
+    geometric, draws = [], []
+    for row, t in enumerate(range(first, stop)):
+        dist = _TRIAL_DISTRIBUTIONS[t % 3]
+        if dist == "uniform":
+            coeffs[row] = rng.random(total)
+        elif dist == "geometric":
+            geometric.append(row)
+            draws.append(rng.random(2 * levels))
+        else:
+            k_star = int(rng.integers(0, levels))
+            i_star = int(rng.integers(0, counts[k_star]))
+            coeffs[row] = 1e-3 * rng.random(total)
+            coeffs[row, starts[k_star] + i_star] = 1.0
+    if geometric:
+        draws = np.array(draws)
+        level_of = np.repeat(np.arange(levels), counts)
+        position = np.arange(total) - starts[level_of]
+        ratio = 0.3 + 0.6 * draws[:, 0::2]
+        amplitude = 0.5 + draws[:, 1::2]
+        coeffs[geometric] = amplitude[:, level_of] * ratio[:, level_of] ** position
+    return coeffs
+
+
 def check_theorem_3_5(
     scheme: BlockScheme,
     weights: WeightSequence,
@@ -636,8 +660,9 @@ def check_theorem_3_5(
     the lemma-3-4 conditions, and then stress-tests the two-sided norm bound
     ``B * ||y||^p <= ||expand(y)||^p <= A^p * ||y||^p`` on ``trials`` random
     coefficient families (cycling uniform, geometric-decay and single-spike
-    shapes).  The expanded norm is evaluated through the run-length path, so
-    factorial schemes stay cheap.
+    shapes).  The expanded norms are evaluated through the run-length path,
+    a chunk of trials at a time, so factorial schemes stay cheap and memory
+    does not grow with ``trials``.
     """
     start = time.perf_counter()
     p = float(p)
@@ -664,61 +689,45 @@ def check_theorem_3_5(
     params = SpaceParams(p=p, weights=weights)
     lengths = scheme.lengths[:levels]
     counts = scheme.counts[:levels]
-    scales = np.array(
-        [weights.partial_sum(j) ** (-1.0 / p) for j in lengths]
-    )
+    edges = np.cumsum((0,) + counts)
     level_weights = [weights.weight_values(c) for c in counts]
+    scales = np.repeat([weights.partial_sum(j) ** (-1.0 / p) for j in lengths], counts)
+    block_lengths = np.repeat(np.array(lengths, dtype=np.int64), counts)
     a_pow = a ** p
-
     rng = np.random.default_rng([seed])
-    for t in range(trials):
-        dist = _TRIAL_DISTRIBUTIONS[t % 3]
-        if dist == "spike":
-            k_star = int(rng.integers(0, levels))
-            i_star = int(rng.integers(0, counts[k_star]))
-        coeffs = []
-        for k in range(levels):
-            c = counts[k]
-            if dist == "uniform":
-                arr = rng.random(c)
-            elif dist == "geometric":
-                r = 0.3 + 0.6 * rng.random()
-                arr = (0.5 + rng.random()) * r ** np.arange(c)
-            else:
-                arr = 1e-3 * rng.random(c)
-                if k == k_star:
-                    arr[i_star] = 1.0
-            coeffs.append(arr)
-        y_pow = 0.0
-        for k in range(levels):
-            desc_vals = np.ascontiguousarray(np.sort(coeffs[k])[::-1])
-            y_pow += float(
-                _kernels.weighted_pow_sum(desc_vals, level_weights[k], p)
+    chunk = max(1, _TRIAL_CHUNK_ENTRIES // int(edges[-1]))
+    for first in range(0, trials, chunk):
+        coeffs = _draw_trial_coefficients(rng, counts, first, min(first + chunk, trials))
+        y_pow = sum(
+            _kernels.batch_sorted_pow_sums(
+                np.ascontiguousarray(coeffs[:, edges[k] : edges[k + 1]]),
+                level_weights[k],
+                p,
             )
-        block_values = np.concatenate(
-            [coeffs[k] * scales[k] for k in range(levels)]
+            for k in range(levels)
         )
-        block_lengths = np.concatenate(
-            [np.full(counts[k], lengths[k], dtype=np.int64) for k in range(levels)]
-        )
-        x_pow = lorentz_pnorm_pow_runlength(block_values, block_lengths, params)
+        x_pow = lorentz_pnorm_pow_runlength(coeffs * scales, block_lengths, params)
         lhs = b * y_pow
         rhs = a_pow * y_pow
-        slack = min(x_pow - lhs, rhs - x_pow)
-        count += 1
-        inst = InequalityInstance(
-            name="theorem-3-5",
-            params={"trial": t, "distribution": dist},
-            lhs=float(lhs),
-            mid=float(x_pow),
-            rhs=float(rhs),
-            slack=float(slack),
-        )
-        if slack < -tolerance:
-            violations.append(inst)
-        if slack < min_slack:
-            min_slack = slack
-            min_inst = inst
+        slack = np.minimum(x_pow - lhs, rhs - x_pow)
+
+        def build(row):
+            t = first + int(row)
+            return InequalityInstance(
+                name="theorem-3-5",
+                params={"trial": t, "distribution": _TRIAL_DISTRIBUTIONS[t % 3]},
+                lhs=float(lhs[row]),
+                mid=float(x_pow[row]),
+                rhs=float(rhs[row]),
+                slack=float(slack[row]),
+            )
+
+        violations.extend(build(row) for row in np.flatnonzero(slack < -tolerance))
+        row_min = int(np.argmin(slack))
+        if slack[row_min] < min_slack:
+            min_slack = float(slack[row_min])
+            min_inst = build(row_min)
+    count += trials
 
     desc = {
         "theta": theta,

@@ -119,3 +119,32 @@ def lp_over_lorentz_batch(theta: float, p: float) -> Callable[[np.ndarray], np.n
         return (num / den) ** (1.0 / p)
 
     return ratio
+
+
+def theorem_3_5_trial_coefficients(counts: Sequence[int], trials: int, seed: int) -> np.ndarray:
+    """Theorem-3-5 trial coefficients drawn level by level, one trial at a time.
+
+    Trial ``t`` cycles uniform, geometric-decay and single-spike shapes; the
+    draws come off one generator in exactly this order.
+    """
+    rng = np.random.default_rng([seed])
+    rows = []
+    for t in range(trials):
+        shape = t % 3
+        if shape == 2:
+            k_star = int(rng.integers(0, len(counts)))
+            i_star = int(rng.integers(0, counts[k_star]))
+        levels = []
+        for k, c in enumerate(counts):
+            if shape == 0:
+                arr = rng.random(c)
+            elif shape == 1:
+                r = 0.3 + 0.6 * rng.random()
+                arr = (0.5 + rng.random()) * r ** np.arange(c)
+            else:
+                arr = 1e-3 * rng.random(c)
+                if k == k_star:
+                    arr[i_star] = 1.0
+            levels.append(arr)
+        rows.append(np.concatenate(levels))
+    return np.array(rows)

@@ -66,6 +66,18 @@ class TestVerifyCommand:
         assert "FAIL" in capsys.readouterr().out
         assert csv_path.read_text().count("\n") > 1
 
+    def test_theorem_3_5_up_to_index_limit(self, capsys):
+        # J_17 = 18!/2 < 2**53 still evaluates; J_18 = 19!/2 does not
+        assert run("verify", "theorem-3-5", "--corollary-K", "17", "--trials", "3") == 0
+        assert "result        PASS" in capsys.readouterr().out
+        assert run("verify", "theorem-3-5", "--corollary-K", "18", "--trials", "3") == 2
+        assert "2**53 = 9007199254740992" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["1", "2"])
+    def test_theorem_3_5_short_corollary(self, k, capsys):
+        assert run("verify", "theorem-3-5", "--corollary-K", k, "--trials", "6") == 0
+        assert "result        PASS" in capsys.readouterr().out
+
     def test_unknown_statement_exit_two(self, capsys):
         assert run("verify", "lemma-0-0") == 2
 

@@ -233,6 +233,25 @@ class TestRunLengthNorm:
         )
         want = 2.0 * half.partial_sum(2)
         assert got == pytest.approx(want, rel=1e-14)
+        # a zero block takes no index range, however long it is
+        huge = lorentz_pnorm_pow_runlength(
+            np.array([0.0, 2.0]), np.array([2**60, 2]), params
+        )
+        assert huge == got
+
+    def test_batch_rows_match_single_calls(self, half):
+        params = SpaceParams(p=1.5, weights=half)
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((7, 5))
+        values[2, 1:] = 0.0
+        values[4] = 0.0
+        lengths = np.array([1, 70, 3, 10**9, 64])
+        got = lorentz_pnorm_pow_runlength(values, lengths, params)
+        want = [lorentz_pnorm_pow_runlength(row, lengths, params) for row in values]
+        assert got.shape == (7,)
+        assert got.tolist() == want
+        per_row = lorentz_pnorm_pow_runlength(values, np.tile(lengths, (7, 1)), params)
+        assert per_row.tolist() == want
 
     def test_negative_values_use_magnitude(self, half):
         params = SpaceParams(p=1.0, weights=half)

@@ -1,12 +1,14 @@
 import csv
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
 from lorentzkit.blocks import BlockScheme, corollary_scheme
-from lorentzkit.space import FiniteVector, SpaceParams
+from lorentzkit.space import FiniteVector, SpaceParams, lorentz_pnorm_pow_runlength
 from lorentzkit.verify import (
+    _draw_trial_coefficients,
     DEFAULT_TOLERANCE,
     STATEMENT_IDS,
     check_lemma_3_1,
@@ -44,12 +46,18 @@ class TestLemma31Pointwise:
         # single-term window: mid = w_10 / W_1 = 10^{-1/2}
         assert inst.mid == 10.0**-0.5
 
-    def test_approximate_beyond_direct_limit(self):
+    def test_exact_beyond_former_cache(self):
         j = PREFIX_CACHE_LIMIT + 5
-        inst = check_lemma_3_1(0.5, j, 2_000_000)
-        assert inst.approximate
-        assert inst.slack > 0  # bracket is tight enough to stay positive
-        assert "ratio_bracket" in inst.params
+        k = 2_000_000
+        inst = check_lemma_3_1(0.5, j, k)
+        assert inst.approximate is False
+        assert "ratio_bracket" not in inst.params
+        with mpmath.workdps(40):
+            want = (mpmath.zeta(0.5, j + 1) - mpmath.zeta(0.5, j + k + 1)) / (
+                mpmath.zeta(0.5, 1) - mpmath.zeta(0.5, k + 1)
+            )
+        assert inst.mid == pytest.approx(float(want), rel=1e-14)
+        assert inst.slack > 0
 
     @pytest.mark.parametrize("theta", [0.05, 0.37, 0.95])
     @pytest.mark.parametrize("j,k", [(0, 1), (1, 1), (7, 3), (100, 41)])
@@ -299,3 +307,110 @@ class TestReportSerialization:
         assert len(rows) == len(rep.violations)
         assert rows[0]["statement"] == "lemma-3-4"
         assert float(rows[0]["slack"]) < 0
+
+
+class TestTheorem35Batched:
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_trial_norms_match_dense_oracle(self, p):
+        theta, trials, seed = 0.5, 30, 11
+        scheme = corollary_scheme(6)
+        counts, lengths = scheme.counts, np.array(scheme.lengths)
+        coeffs = _draw_trial_coefficients(np.random.default_rng([seed]), counts, 0, trials)
+        scales = [oracle.partial_sum(int(j), theta) ** (-1.0 / p) for j in lengths]
+        values = coeffs * np.repeat(scales, counts)
+        block_lengths = np.repeat(lengths, counts)
+        mids = lorentz_pnorm_pow_runlength(
+            values, block_lengths, SpaceParams(p, WeightSequence(theta))
+        )
+        a, b = theorem_constants(theta, scheme.stagger_ratio())
+        edges = np.cumsum((0,) + counts)
+        slacks = []
+        for t in range(trials):
+            dense = np.repeat(values[t], block_lengths)
+            assert dense.size == scheme.total_support == 2520
+            want = oracle.lorentz_norm(dense, theta, p) ** p
+            assert mids[t] == pytest.approx(want, rel=1e-12)
+            y_pow = sum(
+                oracle.lorentz_norm(coeffs[t, lo:hi], theta, p) ** p
+                for lo, hi in zip(edges[:-1], edges[1:])
+            )
+            slacks.append(min(want - b * y_pow, a**p * y_pow - want))
+        report = check_theorem_3_5(scheme, WeightSequence(theta), p, trials, seed)
+        assert report.passed
+        assert report.instances == 2 * sum(counts) + trials
+        assert report.min_slack <= min(slacks) + 1e-12
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(1,), (1, 2), (1, 1, 1), corollary_scheme(6).counts, (40, 3)],
+    )
+    @pytest.mark.parametrize("chunk", [1, 4, 30])
+    def test_chunked_draw_keeps_level_by_level_order(self, counts, chunk):
+        # geometric trials draw 2 numbers per level, more than sum(counts)
+        # when levels are short
+        trials, seed = 30, 3
+        rng = np.random.default_rng([seed])
+        coeffs = np.vstack(
+            [
+                _draw_trial_coefficients(rng, counts, first, min(first + chunk, trials))
+                for first in range(0, trials, chunk)
+            ]
+        )
+        want = oracle.theorem_3_5_trial_coefficients(counts, trials, seed)
+        assert np.array_equal(coeffs, want)
+
+    @pytest.mark.parametrize(
+        "scheme,levels",
+        [
+            (corollary_scheme(1), None),
+            (corollary_scheme(2), None),
+            (corollary_scheme(5), 1),
+            (corollary_scheme(5), 2),
+            (BlockScheme((1, 2, 4), (1, 1, 1)), None),
+        ],
+    )
+    def test_short_levels_pass(self, scheme, levels):
+        rep = check_theorem_3_5(scheme, WeightSequence(0.5), 2.0, trials=7, levels=levels)
+        assert rep.passed
+        used = scheme.counts[: levels or scheme.levels]
+        assert rep.instances == 2 * sum(used) + 7
+
+    def test_chunks_do_not_change_the_report(self, monkeypatch):
+        import lorentzkit.verify as verify
+
+        # a tolerance of -1e300 lists every instance as a violation, so the
+        # report pins each trial's number and values
+        args = (corollary_scheme(3), WeightSequence(0.25), 4.0, 60, 4, None, -1e300)
+        whole = check_theorem_3_5(*args)
+        assert len(whole.violations) == whole.instances
+        assert whole.min_slack_instance.params == {"trial": 54, "distribution": "uniform"}
+        monkeypatch.setattr(verify, "_TRIAL_CHUNK_ENTRIES", 1)  # one trial per chunk
+        chunked = check_theorem_3_5(*args)
+        for rep in (whole, chunked):
+            slacks = [inst.slack for inst in rep.violations]
+            assert rep.min_slack == min(slacks)
+            assert rep.min_slack_instance == rep.violations[slacks.index(min(slacks))]
+        assert chunked.instances == whole.instances
+        # the y-norm's matrix-vector product may round differently per shape
+        assert chunked.min_slack == pytest.approx(whole.min_slack, rel=1e-14)
+        for got, want in zip(chunked.violations, whole.violations, strict=True):
+            assert (got.name, got.params) == (want.name, want.params)
+            for field in ("lhs", "mid", "rhs", "slack"):
+                assert getattr(got, field) == pytest.approx(getattr(want, field), rel=1e-14)
+
+    def test_lemma_3_4_mid_matches_hurwitz_zeta(self):
+        theta = 0.5
+        scheme = corollary_scheme(10)
+        j_k, base = scheme.lengths[9], scheme.offsets[9]
+        mids = {
+            inst.params["condition"]: inst.mid
+            for inst in check_lemma_3_4_conditions(scheme, WeightSequence(theta))
+            if inst.params["k"] == 10 and inst.params["i"] == 10
+        }
+        with mpmath.workdps(50):
+            zeta = lambda n: mpmath.zeta(theta, n)  # noqa: E731
+            w_jk = zeta(1) - zeta(j_k + 1)
+            plain = (zeta(9 * j_k + 1) - zeta(10 * j_k + 1)) / w_jk
+            shifted = (zeta(base + 9 * j_k + 1) - zeta(base + 10 * j_k + 1)) / w_jk
+        assert mids["averaged-upper"] == pytest.approx(float(plain), rel=1e-14)
+        assert mids["staggered-lower"] == pytest.approx(float(shifted), rel=1e-14)

@@ -1,16 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from lorentzkit.weights import (
-    DIRECT_WINDOW_LIMIT,
+    INDEX_LIMIT,
     PREFIX_CACHE_LIMIT,
     THETA_MAX,
     THETA_MIN,
     WeightSequence,
-    WindowBoundsOnly,
 )
 
 import _oracles as oracle
@@ -148,32 +148,6 @@ class TestWindowSums:
         want = oracle.window_sum(j, 50, 0.5)
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_window_bounds_only_when_huge(self):
-        w = WeightSequence(0.5)
-        with pytest.raises(WindowBoundsOnly):
-            w.window_sum(PREFIX_CACHE_LIMIT + 1, DIRECT_WINDOW_LIMIT + 1)
-
-    def test_bounds_exact_flag_inside_cache(self):
-        w = WeightSequence(0.5)
-        lo, hi, exact = w.window_sum_bounds(4, 4)
-        assert exact
-        assert lo == hi == w.window_sum(4, 4)
-
-    def test_bounds_bracket_true_value(self):
-        w = WeightSequence(0.8)
-        j = PREFIX_CACHE_LIMIT + 7
-        k = DIRECT_WINDOW_LIMIT * 4
-        lo, hi, exact = w.window_sum_bounds(j, k)
-        assert not exact
-        assert lo < hi
-        # integral bracketing: w(j+1) + integral >= sum >= integral shifted
-        e = 1.0 - 0.8
-        lo_true = ((j + k + 1) ** e - (j + 1) ** e) / e
-        hi_true = (j + 1) ** (-0.8) + ((j + k) ** e - (j + 1) ** e) / e
-        assert lo == pytest.approx(lo_true, rel=1e-12)
-        assert hi == pytest.approx(hi_true, rel=1e-12)
-        assert hi / lo - 1.0 < 1e-4  # tight bracket for wide windows
-
     def test_averaged_weight_matches_oracle(self):
         w = WeightSequence(0.5)
         assert w.averaged_weight(2, 2) == pytest.approx(0.631097176264978, rel=1e-14)
@@ -224,3 +198,107 @@ class TestCacheBehaviour:
         lo = ((n + 1) ** e - 1.0) / e
         hi = 1.0 + (n**e - 1.0) / e
         assert lo <= got <= hi
+
+
+def hurwitz_window(theta, j, k, scale=1.0):
+    """``scale * sum_{n=j+1}^{j+k} n**-theta`` from mpmath's Hurwitz zeta."""
+    with mpmath.workdps(60):
+        exact = mpmath.zeta(theta, j + 1) - mpmath.zeta(theta, j + k + 1)
+        return mpmath.mpf(scale) * exact
+
+
+def rel_err(got, want):
+    with mpmath.workdps(60):
+        return float(abs((mpmath.mpf(got) - want) / want))
+
+
+class TestEulerMaclaurin:
+    THETAS = (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99)
+    STARTS = (0, 3, 63, 64, 100, 10**4, 10**7, 10**12, 10**15)
+    LENGTHS = (1, 2, 10, 10**3, 10**6, 10**9, 10**15)
+
+    def test_window_sum_matches_hurwitz_zeta(self):
+        worst = 0.0
+        for theta in self.THETAS:
+            w = WeightSequence(theta)
+            for k in self.LENGTHS:
+                want = hurwitz_window(theta, 0, k)
+                worst = max(worst, rel_err(w.partial_sum(k), want))
+                for j in self.STARTS:
+                    want = hurwitz_window(theta, j, k)
+                    worst = max(worst, rel_err(w.window_sum(j, k), want))
+        # a few units of 2**-52; the expm1 integral alone reaches 3.3e-15 on
+        # windows of 1e15 terms
+        assert worst <= 2e-15
+
+    def test_beyond_former_cache_matches_hurwitz_zeta(self):
+        theta = 0.8
+        w = WeightSequence(theta)
+        j = PREFIX_CACHE_LIMIT + 7
+        k = 4 * 10**6
+        got = w.window_sum(j, k)
+        assert rel_err(got, hurwitz_window(theta, j, k)) <= 5e-15
+        # and inside the integral bracket of a decreasing summand
+        e = 1.0 - theta
+        assert ((j + k + 1) ** e - (j + 1) ** e) / e <= got
+        assert got <= (j + 1) ** -theta + ((j + k) ** e - (j + 1) ** e) / e
+
+    def test_scalar_and_vector_bit_identical(self):
+        rng = np.random.default_rng(7)
+        starts = np.concatenate(
+            [np.repeat(self.STARTS, len(self.LENGTHS)), rng.integers(0, 2**52, 500)]
+        )
+        lengths = np.concatenate(
+            [np.tile(self.LENGTHS, len(self.STARTS)), rng.integers(0, 2**52, 500)]
+        )
+        for w in (WeightSequence(0.37), WeightSequence(0.8, prefix=[1.0, 0.6, 0.55])):
+            vec = w.window_sums(starts, lengths)
+            scalar = [w.window_sum(int(j), int(k)) for j, k in zip(starts, lengths)]
+            assert vec.tobytes() == np.array(scalar).tobytes()
+            ns = np.concatenate([np.arange(200), lengths])
+            scalar = [w.partial_sum(int(n)) for n in ns]
+            assert w.partial_sums_at(ns).tobytes() == np.array(scalar).tobytes()
+
+    def test_prefix_tail_matches_hurwitz_zeta(self):
+        for prefix in ([1.0, 0.8, 0.7, 0.5], np.linspace(1.0, 0.3, 100)):
+            theta = 0.4
+            w = WeightSequence(theta, prefix=prefix)
+            m = len(prefix)
+            scale = float(prefix[-1]) * (m + 1) ** theta
+            head = math.fsum(prefix)
+            for k in (1, 2, 10, 10**3, 10**9, 10**15):
+                # windows past the head are the scaled power law
+                for j in (m, 64, 150, 10**6, 10**12):
+                    if j >= max(m, 64):
+                        want = hurwitz_window(theta, j, k, scale)
+                        assert rel_err(w.window_sum(j, k), want) <= 5e-15
+                # partial sums: the prefix, then the glued tail
+                want = hurwitz_window(theta, m, k, scale) + head
+                assert rel_err(w.partial_sum(m + k), want) <= 5e-15
+
+    def test_partial_sums_head_matches_dense_array(self):
+        for w in (WeightSequence(0.5), WeightSequence(0.5, prefix=[1.0, 0.25])):
+            dense = w.partial_sums(1000)
+            for k in range(65):
+                assert dense[k] == w.partial_sum(k)
+            assert dense[1000] == pytest.approx(w.partial_sum(1000), rel=1e-14)
+
+    def test_index_limit(self):
+        w = WeightSequence(0.5)
+        assert w.partial_sum(INDEX_LIMIT) > 0
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            w.partial_sum(INDEX_LIMIT + 1)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            w.window_sum(INDEX_LIMIT, 2)
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            w.partial_sums_at([5, INDEX_LIMIT + 1])
+        with pytest.raises(ValueError, match=r"2\*\*53"):
+            w.window_sums([INDEX_LIMIT - 1], [2])
+
+    def test_vector_inputs_validated(self):
+        w = WeightSequence(0.5)
+        with pytest.raises(TypeError):
+            w.partial_sums_at([1.5])
+        with pytest.raises(ValueError):
+            w.window_sums([-1], [3])
+        assert w.window_sums([], []).shape == (0,)
