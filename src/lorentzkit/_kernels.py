@@ -1,6 +1,8 @@
-"""Numerical kernels, each with a numba-compiled and a pure-numpy implementation.
+"""Numerical kernels, most with a numba-compiled and a pure-numpy implementation.
 
-Paths are selected at import time, per kernel: compiled loops where the
+``ratio_scan`` is a single numpy pass with no compiled twin.  ``ascent``
+(coordinate ascent on the decreasing cone) is no longer called by the
+library, whose domination constants are closed form.  Paths are selected at import time, per kernel: compiled loops where the
 work is sequential, vectorized numpy where BLAS wins (``_PREFER_NUMBA``
 records the choices).  Setting the environment variable
 ``LORENTZKIT_DISABLE_NUMBA=1`` (before the first import) forces the
@@ -63,35 +65,6 @@ def _batch_sorted_pow_sums_loop(mat, weights, p):
             acc += v ** p * weights[i]
         out[t] = acc
     return out
-
-
-def _lex_less_loop(a, b):
-    for i in range(a.shape[0]):
-        if a[i] < b[i]:
-            return True
-        if a[i] > b[i]:
-            return False
-    return False
-
-
-def _ratio_scan_loop(cands, u_num, p_num, u_den, p_den):
-    n_cands, dim = cands.shape
-    best_idx = 0
-    best_ratio = -1.0
-    for s in range(n_cands):
-        num = 0.0
-        den = 0.0
-        for i in range(dim):
-            v = cands[s, i]
-            num += v ** p_num * u_num[i]
-            den += v ** p_den * u_den[i]
-        ratio = num ** (1.0 / p_num) / den ** (1.0 / p_den)
-        if ratio > best_ratio:
-            best_ratio = ratio
-            best_idx = s
-        elif ratio == best_ratio and _lex_less_loop(cands[s], cands[best_idx]):
-            best_idx = s
-    return best_idx, best_ratio
 
 
 def _ascent_loop(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps):
@@ -176,20 +149,6 @@ def batch_sorted_pow_sums_numpy(mat, weights, p):
     return (desc ** p) @ weights[: mat.shape[1]]
 
 
-def ratio_scan_numpy(cands, u_num, p_num, u_den, p_den):
-    num = (cands ** p_num) @ u_num
-    den = (cands ** p_den) @ u_den
-    ratios = num ** (1.0 / p_num) / den ** (1.0 / p_den)
-    top = float(ratios.max())
-    where = np.flatnonzero(ratios == top)
-    if where.size > 1:
-        rows = cands[where]
-        # lexicographically smallest witness among the tied maxima
-        order = np.lexsort(rows.T[::-1])
-        return int(where[order[0]]), top
-    return int(where[0]), top
-
-
 def ascent_numpy(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps):
     # Same algorithm as the compiled loop; the incremental update keeps the
     # pure-python sweep cheap enough without vectorisation tricks.
@@ -200,6 +159,18 @@ def kahan_cumsum_numpy(x):
     return _kahan_cumsum_loop(x)
 
 
+def ratio_scan(num_sums, den_sums):
+    """First index of the largest ``num_sums / den_sums`` and that ratio.
+
+    The arguments are the prefix sums ``U_1..U_N`` and ``V_1..V_N`` of two
+    weight profiles, so index ``m`` stands for the step vector with ``m + 1``
+    leading ones; the first maximum is the one with the fewest.
+    """
+    ratios = num_sums / den_sums
+    m = int(np.argmax(ratios))
+    return m, float(ratios[m])
+
+
 # ---------------------------------------------------------------------------
 # Path selection.
 # ---------------------------------------------------------------------------
@@ -207,34 +178,11 @@ def kahan_cumsum_numpy(x):
 if NUMBA_IMPORTABLE:
     weighted_pow_sum_numba = _njit(cache=True)(_weighted_pow_sum_loop)
     batch_sorted_pow_sums_numba = _njit(cache=True)(_batch_sorted_pow_sums_loop)
-    _lex_less_numba = _njit(cache=True)(_lex_less_loop)
-
-    def _ratio_scan_src(cands, u_num, p_num, u_den, p_den):
-        n_cands, dim = cands.shape
-        best_idx = 0
-        best_ratio = -1.0
-        for s in range(n_cands):
-            num = 0.0
-            den = 0.0
-            for i in range(dim):
-                v = cands[s, i]
-                num += v ** p_num * u_num[i]
-                den += v ** p_den * u_den[i]
-            ratio = num ** (1.0 / p_num) / den ** (1.0 / p_den)
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_idx = s
-            elif ratio == best_ratio and _lex_less_numba(cands[s], cands[best_idx]):
-                best_idx = s
-        return best_idx, best_ratio
-
-    ratio_scan_numba = _njit(cache=True)(_ratio_scan_src)
     ascent_numba = _njit(cache=True)(_ascent_loop)
     kahan_cumsum_numba = _njit(cache=True)(_kahan_cumsum_loop)
 else:  # pragma: no cover - depends on environment
     weighted_pow_sum_numba = None
     batch_sorted_pow_sums_numba = None
-    ratio_scan_numba = None
     ascent_numba = None
     kahan_cumsum_numba = None
 
@@ -247,7 +195,6 @@ USING_NUMBA = NUMBA_IMPORTABLE
 _PREFER_NUMBA = {
     "weighted_pow_sum": True,
     "batch_sorted_pow_sums": False,
-    "ratio_scan": False,
     "ascent": True,
     "kahan_cumsum": True,
 }
@@ -255,13 +202,11 @@ _PREFER_NUMBA = {
 if USING_NUMBA:
     weighted_pow_sum = weighted_pow_sum_numba
     batch_sorted_pow_sums = batch_sorted_pow_sums_numpy
-    ratio_scan = ratio_scan_numpy
     ascent = ascent_numba
     kahan_cumsum = kahan_cumsum_numba
 else:
     weighted_pow_sum = weighted_pow_sum_numpy
     batch_sorted_pow_sums = batch_sorted_pow_sums_numpy
-    ratio_scan = ratio_scan_numpy
     ascent = ascent_numpy
     kahan_cumsum = kahan_cumsum_numpy
 
@@ -270,7 +215,7 @@ else:
 VARIANTS = {
     "weighted_pow_sum": (weighted_pow_sum_numpy, weighted_pow_sum_numba),
     "batch_sorted_pow_sums": (batch_sorted_pow_sums_numpy, batch_sorted_pow_sums_numba),
-    "ratio_scan": (ratio_scan_numpy, ratio_scan_numba),
     "ascent": (ascent_numpy, ascent_numba),
     "kahan_cumsum": (kahan_cumsum_numpy, kahan_cumsum_numba),
 }
+

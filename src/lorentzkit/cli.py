@@ -5,7 +5,7 @@ Four subcommands:
 * ``norm`` — evaluate the Lorentz and plain ``l_p`` norms of one vector.
 * ``verify`` — run a statement's verification grid and report violations.
 * ``construct`` — print block schemes or selected per-level section sizes.
-* ``equiv`` — search the decreasing cone for a norm-domination constant.
+* ``equiv`` — the exact norm-domination constant between two norms.
 
 Option values resolve as: command-line flag, then ``key=value`` line in the
 ``--config`` file, then built-in default.  ``LORENTZKIT_OUT_DIR`` supplies a
@@ -26,7 +26,6 @@ import numpy as np
 
 from .constants import (
     GrowthCutoffError,
-    SearchConfig,
     averaged_norm_descriptor,
     domination_constant,
     equiv_to_lp_exact,
@@ -320,13 +319,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     res = _Resolver(args, _VERIFY_CONVERTERS)
     mapping = _VERIFY_GRID_KEYS[statement]
     single_theta = statement in _THETA_GRID_STATEMENTS
-    # flags that belong to other statements are a usage error, not noise
+    # flags or config keys that belong to other statements are a usage
+    # error, not noise
     for dest in _VERIFY_CONVERTERS:
         if dest in _VERIFY_COMMON or dest in mapping:
             continue
         if dest == "theta" and single_theta:
             continue
-        if getattr(args, dest, None) is not None:
+        if getattr(args, dest, None) is not None or dest in res.file_entries:
             raise UsageError(f"--{dest.replace('_', '-')} does not apply to {statement}")
     grid = {}
     for dest, key in mapping.items():
@@ -388,11 +388,10 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if theta is None:
             raise UsageError("--select-counts requires --theta")
         p = res.get("p", 1.0)
-        cfg = SearchConfig()
-        cutoff = res.get("growth_cutoff")
-        if cutoff is not None:
-            cfg = SearchConfig(growth_cutoff=cutoff)
-        selection = select_block_counts(WeightSequence(theta), p, select_levels, cfg)
+        selection = select_block_counts(
+            WeightSequence(theta), p, select_levels,
+            growth_cutoff=res.get("growth_cutoff"),
+        )
         print(f"{'k':>4}  {'N_k':>10}  {'ratio':>18}")
         for k, (n, ratio) in enumerate(zip(selection.counts, selection.ratios), 1):
             print(f"{k:>4}  {n:>10}  {ratio:>18.12f}")
@@ -452,9 +451,6 @@ _EQUIV_CONVERTERS = {
     "dimension": int,
     "k": int,
     "seed": int,
-    "samples": int,
-    "sweeps": int,
-    "grid_points": int,
     "out": str,
 }
 
@@ -484,14 +480,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
             raise UsageError("dk-vs-d requires --k (averaging window)")
         norm_a = averaged_norm_descriptor(weights, p, k)
         norm_b = lorentz_norm_descriptor(weights, p)
-    defaults = SearchConfig()
-    cfg = SearchConfig(
-        seed=res.get("seed", defaults.seed),
-        samples=res.get("samples", defaults.samples),
-        sweeps=res.get("sweeps", defaults.sweeps),
-        grid_points=res.get("grid_points", defaults.grid_points),
-    )
-    estimate = domination_constant(norm_a, norm_b, dimension, cfg)
+    estimate = domination_constant(norm_a, norm_b, dimension)
     print(f"pair          {pair}  (A={norm_a.label}, B={norm_b.label})")
     print(f"dimension     {dimension}")
     print(f"estimate      {estimate.estimate!r}")
@@ -508,10 +497,8 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
             "p": p,
             "dimension": dimension,
             "k": res.get("k"),
-            "seed": cfg.seed,
-            "samples": cfg.samples,
-            "sweeps": cfg.sweeps,
-            "grid_points": cfg.grid_points,
+            # accepted and echoed for old scripts; the closed form draws nothing
+            "seed": res.get("seed"),
         },
         "estimate": estimate.estimate,
         "lower": estimate.lower,
@@ -607,17 +594,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_construct.set_defaults(func=_cmd_construct)
 
     p_equiv = sub.add_parser(
-        "equiv", help="estimate a norm-domination constant on the decreasing cone"
+        "equiv",
+        help="exact norm-domination constant: the best of the N step vectors",
     )
     p_equiv.add_argument("--pair", choices=_EQUIV_PAIRS)
     p_equiv.add_argument("--theta", type=float)
     p_equiv.add_argument("--p", type=float)
     p_equiv.add_argument("--dimension", "-N", "--N", dest="dimension", type=int)
     p_equiv.add_argument("--k", type=int, help="averaging window for dk-vs-d")
-    p_equiv.add_argument("--seed", type=int)
-    p_equiv.add_argument("--samples", type=int)
-    p_equiv.add_argument("--sweeps", type=int)
-    p_equiv.add_argument("--grid-points", dest="grid_points", type=int)
+    p_equiv.add_argument(
+        "--seed", type=int, help="echoed in the report; changes nothing"
+    )
     p_equiv.add_argument("--out", type=str)
     p_equiv.add_argument("--config", type=str)
     p_equiv.set_defaults(func=_cmd_equiv)

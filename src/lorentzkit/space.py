@@ -183,21 +183,39 @@ def lorentz_pnorm_pow(x: Union[FiniteVector, Sequence[float]], params: SpacePara
     return _pnorm_pow_of_values(decreasing_rearrangement(x), params)
 
 
+def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float) -> float:
+    """``(sum_n a_n^p w_n)^(1/p)`` for nonempty positive ``a`` sorted decreasing.
+
+    Evaluated on ``a / 2^e`` with ``2^(e-1) <= a_1 < 2^e`` and rescaled by
+    ``2^e`` afterwards (Blue 1978, as in LAPACK's ``dnrm2``), so ``a_n^p``
+    can neither overflow nor underflow to zero unless the norm itself is out
+    of range.  Scaling by a power of two is exact: wherever the unscaled sum
+    stays in range the result is the same for ``p`` = 1 and 2, and within a
+    few ulps otherwise.
+    """
+    _, e = np.frexp(values_desc[0])
+    power = float(_kernels.weighted_pow_sum(np.ldexp(values_desc, -e), weights, p))
+    return float(np.ldexp(power ** (1.0 / p), e))
+
+
 def lorentz_norm(x: Union[FiniteVector, Sequence[float]], params: SpaceParams) -> float:
-    """Weighted decreasing-rearrangement norm ``||x||_{w,p}``."""
-    return lorentz_pnorm_pow(x, params) ** (1.0 / params.p)
+    """Weighted decreasing-rearrangement norm ``||x||_{w,p}``, scaled."""
+    vals = decreasing_rearrangement(x)
+    if vals.shape[0] == 0:
+        return 0.0
+    weights = params.weights.weight_values(vals.shape[0])
+    return _weighted_norm(vals, weights, params.p)
 
 
 def lp_norm(x: Union[FiniteVector, Sequence[float]], p: float) -> float:
-    """Plain ``l_p`` norm, accumulated largest term first."""
+    """Plain ``l_p`` norm, accumulated largest term first, scaled."""
     p = float(p)
     if not np.isfinite(p) or p < 1.0:
         raise ValueError(f"p must be a finite real >= 1, got {p}")
     vals = decreasing_rearrangement(x)
     if vals.shape[0] == 0:
         return 0.0
-    ones = np.ones(vals.shape[0])
-    return float(_kernels.weighted_pow_sum(vals, ones, p)) ** (1.0 / p)
+    return _weighted_norm(vals, np.ones(vals.shape[0]), p)
 
 
 # -----------------------------------------------------------------------------

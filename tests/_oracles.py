@@ -65,6 +65,55 @@ def equivalence_constant(n: int, theta: float, p: float) -> float:
     return (n / partial_sum(n, theta)) ** (1.0 / p)
 
 
+def running_fsums(terms: Iterable[float]) -> list:
+    """Correctly rounded prefix sums: ``math.fsum(terms[:m])`` for every m.
+
+    Keeps Shewchuk's exact partials (the algorithm behind ``math.fsum``)
+    across the prefixes, so the whole list costs one pass.
+    """
+    partials: list = []
+    out = []
+    for x in terms:
+        i = 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x]
+        out.append(math.fsum(partials))
+    return out
+
+
+def step_vector_constant(
+    pair: str, n: int, theta: float, p: float, k: int = 1
+) -> Tuple[float, int]:
+    """``max_m (U_m / V_m)^(1/p)`` and the first maximising ``m`` (0-based).
+
+    ``U`` and ``V`` are the fsum prefix sums of the numerator and the
+    denominator weight profiles of ``pair``: ``d-vs-lp`` (ones over
+    ``n^-theta``), ``d-vs-d`` (``n^-theta`` over itself) or ``dk-vs-d``
+    (``W_{mk} / W_k`` over ``W_m``).
+    """
+    w = running_fsums(weight(j, theta) for j in range(1, k * n + 1))
+    den = w[:n]
+    if pair == "d-vs-lp":
+        num = [float(m) for m in range(1, n + 1)]
+    elif pair == "d-vs-d":
+        num = den
+    elif pair == "dk-vs-d":
+        num = [w[m * k - 1] / w[k - 1] for m in range(1, n + 1)]
+    else:
+        raise ValueError(pair)
+    ratios = [a / b for a, b in zip(num, den)]
+    best = max(range(n), key=ratios.__getitem__)
+    return ratios[best] ** (1.0 / p), best
+
+
 def factorial_scheme(levels: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Lengths and cumulative supports of the inductive scheme: j_1 = 1 and
     each later length equals everything placed before it."""

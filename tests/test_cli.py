@@ -29,6 +29,20 @@ class TestNormCommand:
     def test_requires_theta(self):
         assert run("norm", "--dense", "1,2") == 2
 
+    def test_extreme_magnitudes_stay_finite(self, tmp_path):
+        big = tmp_path / "big.json"
+        assert run("norm", "--theta", "0.5", "--p", "2", "--dense", "1e200,1e200",
+                   "--out", str(big)) == 0
+        doc = json.loads(big.read_text())
+        assert doc["lorentz_norm"] == pytest.approx(1e200 * (1 + 0.5**0.5) ** 0.5, rel=1e-15)
+        assert doc["lp_norm"] == pytest.approx(1e200 * 2**0.5, rel=1e-15)
+        small = tmp_path / "small.json"
+        assert run("norm", "--theta", "0.5", "--p", "3", "--dense", "1e-120,1e-120",
+                   "--out", str(small)) == 0
+        doc = json.loads(small.read_text())
+        assert doc["lorentz_norm"] == pytest.approx(1e-120 * (1 + 0.5**0.5) ** (1 / 3), rel=1e-15)
+        assert doc["lp_norm"] == pytest.approx(1e-120 * 2 ** (1 / 3), rel=1e-15)
+
     def test_bad_literal(self, capsys):
         assert run("norm", "--theta", "0.5", "--dense", "1,x") == 2
 
@@ -83,6 +97,16 @@ class TestVerifyCommand:
 
     def test_flag_for_wrong_statement_exit_two(self, capsys):
         assert run("verify", "remark-3-3", "--j-max", "5") == 2
+
+    def test_config_key_for_wrong_statement_like_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("j_max = 5\n")
+        flag_code = run("verify", "lemma-3-2", "--j-max", "5")
+        flag_err = capsys.readouterr().err
+        file_code = run("verify", "lemma-3-2", "--config", str(cfg))
+        file_err = capsys.readouterr().err
+        assert flag_code == file_code == 2
+        assert flag_err == file_err == "error: --j-max does not apply to lemma-3-2\n"
 
     def test_theta_and_grid_conflict(self, capsys):
         assert (
@@ -164,6 +188,14 @@ class TestConstructCommand:
         assert doc["proxy"] is False
         assert all(r > k for k, r in enumerate(doc["ratios"], start=1))
 
+    def test_select_counts_default_cutoff(self, capsys):
+        # N_6 = 2526568 needs a cutoff above 10**6
+        assert run("construct", "--select-counts-K", "6", "--theta", "0.25", "--p", "2") == 0
+        assert "   6     2526568" in capsys.readouterr().out
+        assert run("construct", "--select-counts-K", "6", "--theta", "0.25", "--p", "2",
+                   "--growth-cutoff", "1000000") == 2
+        assert "growth cutoff 1000000" in capsys.readouterr().err
+
     def test_select_counts_proxy_note(self, capsys):
         assert run("construct", "--select-counts-K", "2", "--theta", "0.5", "--p", "2") == 0
         assert "proxy" in capsys.readouterr().out
@@ -209,6 +241,25 @@ class TestEquivCommand:
         assert run(*args, "--out", str(a)) == 0
         assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_seed_accepted_and_echoed(self, tmp_path):
+        docs = []
+        for seed in ("21", "22"):
+            out = tmp_path / f"seed{seed}.json"
+            assert run("equiv", "--pair", "dk-vs-d", "--theta", "0.5", "--N", "6",
+                       "--k", "3", "--seed", seed, "--out", str(out)) == 0
+            docs.append(json.loads(out.read_text()))
+        assert [d["config"]["seed"] for d in docs] == [21, 22]
+        for doc in docs:
+            del doc["config"]["seed"]
+        assert docs[0] == docs[1]
+        assert set(docs[0]["config"]) == {"theta", "p", "dimension", "k"}
+        assert docs[0]["iterations"] == 6
+
+    def test_search_flags_removed(self):
+        for flag in ("--samples", "--sweeps", "--grid-points"):
+            assert run("equiv", "--pair", "d-vs-d", "--theta", "0.5", "--N", "3",
+                       flag, "10") == 2
 
     def test_required_flags(self):
         assert run("equiv", "--pair", "d-vs-lp", "--theta", "0.5") == 2

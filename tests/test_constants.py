@@ -1,10 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
 from lorentzkit.constants import (
     GrowthCutoffError,
     NonFiniteNormError,
-    SearchConfig,
     averaged_norm_descriptor,
     domination_constant,
     equiv_to_lp_exact,
@@ -39,6 +39,13 @@ class TestDescriptors:
         want = half.averaged_weight(1, 2) + half.averaged_weight(2, 2)
         assert got == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_evaluate_is_scaled(self, half, scale):
+        values = np.array([3.0, 1.0, 2.0])
+        for d in (lp_norm_descriptor(3.0), averaged_norm_descriptor(half, 2.0, 2)):
+            got = d.evaluate(values * scale)
+            assert got == pytest.approx(scale * d.evaluate(values), rel=1e-14)
+
     def test_weight_vector_shapes(self, half):
         assert lp_norm_descriptor(1.0).weight_vector(5).tolist() == [1.0] * 5
         wv = lorentz_norm_descriptor(half, 1.0).weight_vector(4)
@@ -71,7 +78,7 @@ class TestExactEquivalence:
 
 class TestDominationConstant:
     def test_lp_pair_hits_closed_form_exactly(self, half):
-        # the constant vector is a grid candidate, so no search error at all
+        # the constant vector is the last step vector
         for n in [1, 2, 3, 4]:
             est = domination_constant(
                 lp_norm_descriptor(1.0), lorentz_norm_descriptor(half, 1.0), n
@@ -91,15 +98,23 @@ class TestDominationConstant:
         est = domination_constant(d, d, 5)
         assert est.estimate == pytest.approx(1.0, abs=1e-14)
 
-    def test_larger_dimension_uses_samples(self, half):
-        # beyond the exhaustive-grid dimension the sampled search still
-        # certifies at least the step-vector value
-        est = domination_constant(
-            lp_norm_descriptor(1.0), lorentz_norm_descriptor(half, 1.0), 16
-        )
-        want = equiv_to_lp_exact(half, 1.0, 16)
-        assert est.lower >= want - 1e-12
-        assert est.estimate >= est.lower
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 0.9])
+    def test_matches_fsum_closed_form(self, theta, p):
+        w = WeightSequence(theta)
+        pairs = [
+            ("d-vs-lp", 1, lp_norm_descriptor(p), lorentz_norm_descriptor(w, p)),
+            ("d-vs-d", 1, lorentz_norm_descriptor(w, p), lorentz_norm_descriptor(w, p)),
+            ("dk-vs-d", 2, averaged_norm_descriptor(w, p, 2), lorentz_norm_descriptor(w, p)),
+            ("dk-vs-d", 5, averaged_norm_descriptor(w, p, 5), lorentz_norm_descriptor(w, p)),
+        ]
+        for pair, k, norm_a, norm_b in pairs:
+            for n in [1, 3, 8, 64, 500, 4096]:
+                want, m = oracle.step_vector_constant(pair, n, theta, p, k)
+                est = domination_constant(norm_a, norm_b, n)
+                assert abs(est.estimate - want) <= 1e-15 * want, (pair, k, n)
+                assert est.iterations == n
+                assert int(est.witness.sum()) == m + 1, (pair, k, n)
 
     def test_deterministic(self, half):
         a = domination_constant(
@@ -121,23 +136,48 @@ class TestDominationConstant:
         assert np.all(np.diff(wit) <= 1e-12)
         assert np.all(wit >= -1e-15)
 
-    def test_dimension_cutoff(self, half):
-        cfg = SearchConfig(max_dimension=8)
-        with pytest.raises(ValueError):
+    def test_mixed_exponents_rejected(self, half):
+        with pytest.raises(ValueError, match="different exponents"):
             domination_constant(
-                lp_norm_descriptor(1.0), lorentz_norm_descriptor(half, 1.0), 9, cfg
+                lp_norm_descriptor(2.0), lorentz_norm_descriptor(half, 1.0), 4
             )
 
-    def test_seed_changes_samples_not_certificate(self, half):
-        # different seeds may explore differently but the certified lower
-        # bound never drops below the step-vector value
-        want = equiv_to_lp_exact(half, 1.0, 12)
-        for seed in [1, 2, 3]:
-            cfg = SearchConfig(seed=seed, samples=100, sweeps=20)
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_matches_cone_grid_oracle(self, p):
+        # brute force over an 11-level grid of the decreasing cone; the step
+        # vectors lie on the grid, so the two maxima coincide
+        theta, k = 0.5, 3
+        grid = np.linspace(0.0, 1.0, 11)
+        for n in range(1, 7):
+            u_num = np.array([oracle.averaged_weight(i, k, theta) for i in range(1, n + 1)])
+            u_den = np.array([oracle.weight(i, theta) for i in range(1, n + 1)])
+
+            def ratio(block):
+                powed = block**p
+                return ((powed @ u_num) / (powed @ u_den)) ** (1.0 / p)
+
+            brute, _ = oracle.cone_grid_max(n, ratio, grid)
+            w = WeightSequence(theta)
             est = domination_constant(
-                lp_norm_descriptor(1.0), lorentz_norm_descriptor(half, 1.0), 12, cfg
+                averaged_norm_descriptor(w, p, k), lorentz_norm_descriptor(w, p), n
             )
-            assert est.lower >= want - 1e-12
+            assert est.estimate == pytest.approx(brute, rel=1e-14)
+            assert est.lower == pytest.approx(brute, rel=1e-14)
+
+    def test_witness_is_first_maximising_step_vector(self, half):
+        # equal norms tie on every step vector: the first one, the spike, wins
+        d = lorentz_norm_descriptor(half, 2.0)
+        assert domination_constant(d, d, 6).witness.tolist() == [1.0] + [0.0] * 5
+        # a flat head of three weights puts the maximum inside the range
+        flat = WeightSequence(0.5, prefix=[1.0, 1.0, 1.0, 0.1])
+        est = domination_constant(
+            lorentz_norm_descriptor(flat, 1.0), lorentz_norm_descriptor(half, 1.0), 8
+        )
+        u = np.cumsum([1.0, 1.0, 1.0, 0.1] + [flat.weight(i) for i in range(5, 9)])
+        v = np.cumsum([half.weight(i) for i in range(1, 9)])
+        assert int(np.argmax(u / v)) == 2
+        assert est.witness.tolist() == [1.0] * 3 + [0.0] * 5
+        assert est.estimate == pytest.approx(3.0 / v[2], rel=1e-15)
 
     def test_dk_vs_d_within_band(self, half):
         lo_c, hi_c = oracle.band_constants(0.5)
@@ -187,6 +227,23 @@ class TestSelectBlockCounts:
         assert all(r > k for k, r in enumerate(sel.ratios, start=1))
 
     def test_growth_cutoff(self, half):
-        cfg = SearchConfig(growth_cutoff=10)
         with pytest.raises(GrowthCutoffError):
-            select_block_counts(half, 1.0, 4, cfg)
+            select_block_counts(half, 1.0, 4, growth_cutoff=10)
+
+    def test_default_cutoff_reaches_level_six(self):
+        # the default cutoff is the index limit, so K = 6 at theta = 1/4,
+        # p = 2 escapes near 2.5e6; check minimality with Hurwitz zeta sums
+        theta, p, levels = 0.25, 2.0, 6
+        sel = select_block_counts(WeightSequence(theta), p, levels)
+        n = sel.counts[-1]
+        assert n == 2526568
+
+        def ratio_pow(m):
+            with mpmath.workdps(40):
+                zeta = mpmath.zeta(theta)
+                w_k = zeta - mpmath.zeta(theta, levels + 1)
+                w_mk = zeta - mpmath.zeta(theta, m * levels + 1)
+                return m * w_k / w_mk
+
+        assert ratio_pow(n) > levels**p
+        assert ratio_pow(n - 1) <= levels**p

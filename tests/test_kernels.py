@@ -66,31 +66,20 @@ class TestBatchSortedPowSums:
 
 class TestRatioScan:
     def test_picks_max_ratio(self):
-        cands = np.array([[1.0, 0.0], [1.0, 1.0]])
-        u_num = np.ones(2)
-        u_den = np.array([1.0, 0.5])
-        idx, ratio = _kernels.ratio_scan_numpy(cands, u_num, 1.0, u_den, 1.0)
+        # prefix sums of the profiles (1, 1, 0) and (1, 0.5, 0.5)
+        num = np.array([1.0, 2.0, 2.0])
+        den = np.array([1.0, 1.5, 2.0])
+        idx, ratio = _kernels.ratio_scan(num, den)
         assert idx == 1
-        assert ratio == pytest.approx(2.0 / 1.5)
+        assert ratio == 2.0 / 1.5
 
     def test_tie_breaks_to_lexicographically_smaller(self):
-        # both rows give ratio 1 when norms coincide
-        cands = np.array([[1.0, 0.5], [1.0, 0.0]])
-        u = np.ones(2)
-        idx, _ = _kernels.ratio_scan_numpy(cands, u, 1.0, u, 1.0)
-        assert idx == 1  # (1, 0) < (1, 0.5)
-
-    def test_paths_agree(self, rng):
-        if not _kernels.NUMBA_IMPORTABLE:
-            pytest.skip("numba unavailable")
-        cands = np.abs(rng.standard_normal((128, 6)))
-        cands[:, ::-1].sort(axis=1)
-        u_num = np.ones(6)
-        u_den = np.linspace(1.0, 0.3, 6)
-        a_idx, a_ratio = _kernels.ratio_scan_numpy(cands, u_num, 2.0, u_den, 2.0)
-        b_idx, b_ratio = _kernels.ratio_scan_numba(cands, u_num, 2.0, u_den, 2.0)
-        assert a_idx == b_idx
-        assert b_ratio == pytest.approx(a_ratio, rel=1e-13)
+        # every step vector ties when the profiles coincide; the first index,
+        # the step vector with the fewest ones, is the smallest of them
+        sums = np.cumsum(np.linspace(1.0, 0.2, 5))
+        idx, ratio = _kernels.ratio_scan(sums, sums)
+        assert idx == 0
+        assert ratio == 1.0
 
 
 class TestAscent:
@@ -166,7 +155,6 @@ class TestDispatch:
         assert set(_kernels.VARIANTS) == {
             "weighted_pow_sum",
             "batch_sorted_pow_sums",
-            "ratio_scan",
             "ascent",
             "kahan_cumsum",
         }

@@ -210,6 +210,27 @@ class TestNormProperties:
             abs(scale) * lorentz_norm(v, params), rel=1e-12, abs=0.0
         )
 
+    @given(
+        values=st.lists(
+            st.floats(1e-6, 10, allow_nan=False), min_size=1, max_size=16
+        ),
+        exponent=st.integers(-300, 300),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_scale_invariance_at_extreme_magnitudes(self, values, exponent, p):
+        # at 1e+-300 the p-th powers leave the float range, the norms do not
+        params = SpaceParams(p=p, weights=WeightSequence(0.5))
+        v = FiniteVector.from_dense(values)
+        scale = 10.0**exponent
+        for norm in (lambda x: lorentz_norm(x, params), lambda x: lp_norm(x, p)):
+            got = norm(v * scale)
+            assert 0.0 < got < math.inf
+            assert got == pytest.approx(scale * norm(v), rel=1e-13)
+            # a power of two scales exactly
+            two = 2.0 ** round(exponent * math.log2(10.0))
+            assert norm(v * two) == two * norm(v)
+
 
 class TestRunLengthNorm:
     def test_matches_materialized(self, half):
