@@ -1,77 +1,44 @@
-"""Numerical kernels, most with a numba-compiled and a pure-numpy implementation.
+"""Numerical kernels, in numpy.
 
-``ratio_scan`` is a single numpy pass with no compiled twin.  ``ascent``
-(coordinate ascent on the decreasing cone) is no longer called by the
-library, whose domination constants are closed form.  Paths are selected at import time, per kernel: compiled loops where the
-work is sequential, vectorized numpy where BLAS wins (``_PREFER_NUMBA``
-records the choices).  Setting the environment variable
-``LORENTZKIT_DISABLE_NUMBA=1`` (before the first import) forces the
-pure-numpy fallbacks everywhere; the same happens automatically when numba
-is not installed.  Both paths implement identical math and agree to ~1e-15
-relative; they are *not* guaranteed bit-identical to each other because the
-summation orders differ.  Within one path every kernel is deterministic.
-
-``benchmarks/bench_kernels.py`` times the two paths side by side.
+``weighted_pow_sum`` and ``batch_sorted_pow_sums`` evaluate p-th powers of
+Lorentz norms, one vector or a batch of rows; ``ratio_scan`` is the
+step-vector scan behind the closed-form domination constants.  Every kernel
+is deterministic, which the byte-reproducible reports rely on.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-DISABLE_ENV_VAR = "LORENTZKIT_DISABLE_NUMBA"
+# The benchmark's provenance and tracing (perfbench/run.py, perfbench/tracing.py)
+# look up USING_NUMBA and ``ascent`` by name; both stay until it drops them.
+USING_NUMBA = False
 
 
-def _env_disabled() -> bool:
-    return os.environ.get(DISABLE_ENV_VAR, "").strip().lower() in {"1", "true", "yes"}
+def weighted_pow_sum(values, weights, p):
+    """``sum_i values[i]**p * weights[i]`` over nonnegative ``values``."""
+    if values.shape[0] == 0:
+        return 0.0
+    return float(np.sum(values ** p * weights[: values.shape[0]]))
 
 
-NUMBA_IMPORTABLE = False
-_njit = None
-if not _env_disabled():
-    try:
-        from numba import njit as _njit  # type: ignore
-
-        NUMBA_IMPORTABLE = True
-    except ImportError:  # pragma: no cover - exercised via subprocess test
-        NUMBA_IMPORTABLE = False
+def batch_sorted_pow_sums(mat, weights, p):
+    """:func:`weighted_pow_sum` of each row of ``mat`` sorted in decreasing order."""
+    if mat.shape[0] == 0:
+        return np.empty(0)
+    desc = np.sort(mat, axis=1)[:, ::-1]
+    return (desc ** p) @ weights[: mat.shape[1]]
 
 
-# ---------------------------------------------------------------------------
-# Loop implementations (numba-compilable source).
-# ---------------------------------------------------------------------------
+def ascent(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps):
+    """Coordinate ascent of a norm ratio over the decreasing cone; no longer
+    called by the library, whose domination constants are closed form.
 
-
-def _weighted_pow_sum_loop(values, weights, p):
-    # values assumed nonnegative, sorted in decreasing order; accumulating
-    # left to right therefore adds the largest terms first.
-    acc = 0.0
-    for i in range(values.shape[0]):
-        acc += values[i] ** p * weights[i]
-    return acc
-
-
-def _batch_sorted_pow_sums_loop(mat, weights, p):
-    n_rows, width = mat.shape
-    out = np.empty(n_rows)
-    for t in range(n_rows):
-        row = np.sort(mat[t])  # ascending; walk it backwards
-        acc = 0.0
-        for i in range(width):
-            v = row[width - 1 - i]
-            if v == 0.0:
-                break
-            acc += v ** p * weights[i]
-        out[t] = acc
-    return out
-
-
-def _ascent_loop(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps):
-    # Coordinate ascent over the decreasing cone {1 = v[0] >= ... >= v[-1] >= 0}
-    # maximising the norm ratio.  Coordinate 0 stays pinned at 1, every other
-    # coordinate is line-searched over n_points equispaced values between its
-    # neighbours, so monotonicity is preserved by construction.
+    Works over ``{1 = v[0] >= ... >= v[-1] >= 0}``: coordinate 0 stays pinned
+    at 1, every other coordinate is line-searched over ``n_points``
+    equispaced values between its neighbours, so monotonicity is preserved by
+    construction.  Returns ``(v, ratio, sweeps_used)``.
+    """
     v = v0.copy()
     dim = v.shape[0]
     sweeps_used = 0
@@ -118,47 +85,6 @@ def _ascent_loop(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps):
     return v, ratio, sweeps_used
 
 
-def _kahan_cumsum_loop(x):
-    out = np.empty(x.shape[0])
-    s = 0.0
-    c = 0.0
-    for i in range(x.shape[0]):
-        y = x[i] - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[i] = s
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Pure-numpy fallbacks (vectorised where it pays off).
-# ---------------------------------------------------------------------------
-
-
-def weighted_pow_sum_numpy(values, weights, p):
-    if values.shape[0] == 0:
-        return 0.0
-    return float(np.sum(values ** p * weights[: values.shape[0]]))
-
-
-def batch_sorted_pow_sums_numpy(mat, weights, p):
-    if mat.shape[0] == 0:
-        return np.empty(0)
-    desc = np.sort(mat, axis=1)[:, ::-1]
-    return (desc ** p) @ weights[: mat.shape[1]]
-
-
-def ascent_numpy(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps):
-    # Same algorithm as the compiled loop; the incremental update keeps the
-    # pure-python sweep cheap enough without vectorisation tricks.
-    return _ascent_loop(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps)
-
-
-def kahan_cumsum_numpy(x):
-    return _kahan_cumsum_loop(x)
-
-
 def ratio_scan(num_sums, den_sums):
     """First index of the largest ``num_sums / den_sums`` and that ratio.
 
@@ -169,53 +95,3 @@ def ratio_scan(num_sums, den_sums):
     ratios = num_sums / den_sums
     m = int(np.argmax(ratios))
     return m, float(ratios[m])
-
-
-# ---------------------------------------------------------------------------
-# Path selection.
-# ---------------------------------------------------------------------------
-
-if NUMBA_IMPORTABLE:
-    weighted_pow_sum_numba = _njit(cache=True)(_weighted_pow_sum_loop)
-    batch_sorted_pow_sums_numba = _njit(cache=True)(_batch_sorted_pow_sums_loop)
-    ascent_numba = _njit(cache=True)(_ascent_loop)
-    kahan_cumsum_numba = _njit(cache=True)(_kahan_cumsum_loop)
-else:  # pragma: no cover - depends on environment
-    weighted_pow_sum_numba = None
-    batch_sorted_pow_sums_numba = None
-    ascent_numba = None
-    kahan_cumsum_numba = None
-
-USING_NUMBA = NUMBA_IMPORTABLE
-
-# Compiled loops win where the work is inherently sequential (compensated
-# summation, coordinate ascent); vectorized numpy wins where BLAS and the
-# C sort dominate (see benchmarks/bench_kernels.py).  The env flag still
-# forces everything onto the numpy path.
-_PREFER_NUMBA = {
-    "weighted_pow_sum": True,
-    "batch_sorted_pow_sums": False,
-    "ascent": True,
-    "kahan_cumsum": True,
-}
-
-if USING_NUMBA:
-    weighted_pow_sum = weighted_pow_sum_numba
-    batch_sorted_pow_sums = batch_sorted_pow_sums_numpy
-    ascent = ascent_numba
-    kahan_cumsum = kahan_cumsum_numba
-else:
-    weighted_pow_sum = weighted_pow_sum_numpy
-    batch_sorted_pow_sums = batch_sorted_pow_sums_numpy
-    ascent = ascent_numpy
-    kahan_cumsum = kahan_cumsum_numpy
-
-#: name -> (numpy implementation, numba implementation or None); used by the
-#: benchmark script and the cross-path agreement tests.
-VARIANTS = {
-    "weighted_pow_sum": (weighted_pow_sum_numpy, weighted_pow_sum_numba),
-    "batch_sorted_pow_sums": (batch_sorted_pow_sums_numpy, batch_sorted_pow_sums_numba),
-    "ascent": (ascent_numpy, ascent_numba),
-    "kahan_cumsum": (kahan_cumsum_numpy, kahan_cumsum_numba),
-}
-

@@ -33,6 +33,18 @@ theta``, and ``w_i^(k)`` is the block-averaged weight
     every coefficient family obeys the two-sided norm bound
     ``B * ||y||^p <= ||expand(y)||^p <= A^p * ||y||^p``.
 
+:data:`STATEMENTS` is the one description of each statement: an evaluator
+and the grid keys it takes, each with its default and the command-line
+:class:`~lorentzkit.options.Option` that sets it (the CLI generates its
+``verify`` flags and config keys from these records).  An evaluator checks
+its grid and yields the instances as column chunks (params, lhs, mid, rhs,
+slack); one aggregator turns the chunks of any statement into the instance
+count, the violations in grid order and the first minimum-slack instance.
+The lemma-3-1 and lemma-3-2 grids read dense prefix-sum arrays, while the
+pointwise ``check_*`` helpers use the Euler–Maclaurin sums of
+:mod:`lorentzkit.weights`; theorem-3-5 draws and evaluates its trials a
+chunk at a time.
+
 Reports are plain dataclasses with canonical JSON output: keys sorted, grid
 aggregation in grid order, and no wall-clock fields unless explicitly
 requested, so a fixed seed yields byte-identical files run after run.
@@ -44,12 +56,13 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from . import _kernels
 from .blocks import BlockScheme, corollary_scheme
+from .options import Option, _parse_float_list, _parse_grid, _parse_int_list
 from .space import (
     FiniteVector,
     SpaceParams,
@@ -59,14 +72,6 @@ from .space import (
     lorentz_pnorm_pow_runlength,
 )
 from .weights import WeightSequence, _check_int
-
-STATEMENT_IDS = (
-    "lemma-3-1",
-    "lemma-3-2",
-    "remark-3-3",
-    "lemma-3-4",
-    "theorem-3-5",
-)
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -317,6 +322,256 @@ def check_remark_3_3(
     )
 
 
+# ---------------------------------------------------------------------------
+# Chunks and their aggregation.
+# ---------------------------------------------------------------------------
+
+
+class Chunk(NamedTuple):
+    """Columns of a block of instances; grid order is the C order of ``slack``.
+
+    Each ``params`` value is a scalar or an array that broadcasts to
+    ``slack``'s shape, and so is each side.  A side is None when the
+    statement lacks it and NaN where one instance lacks it.
+    """
+
+    name: str
+    params: Dict
+    lhs: Optional[np.ndarray]
+    mid: Optional[np.ndarray]
+    rhs: Optional[np.ndarray]
+    slack: np.ndarray
+
+
+def _instance(chunk: Chunk, flat: int) -> InequalityInstance:
+    """The instance at C-order position ``flat`` of ``chunk``."""
+    shape = chunk.slack.shape
+    at = np.unravel_index(flat, shape)
+
+    def value(column):
+        if not isinstance(column, np.ndarray):
+            return column
+        return np.broadcast_to(column, shape)[at].item()
+
+    def side(column):
+        v = value(column)
+        return None if v is None or math.isnan(v) else float(v)
+
+    return InequalityInstance(
+        name=chunk.name,
+        params={key: value(col) for key, col in chunk.params.items()},
+        lhs=side(chunk.lhs),
+        mid=side(chunk.mid),
+        rhs=side(chunk.rhs),
+        slack=float(chunk.slack[at]),
+    )
+
+
+def _instances(chunks: Iterable[Chunk]) -> List[InequalityInstance]:
+    return [_instance(chunk, flat) for chunk in chunks for flat in range(chunk.slack.size)]
+
+
+def _aggregate(chunks: Iterable[Chunk], tolerance: float):
+    """Instance count, violations in grid order, and the first minimum-slack
+    instance (None if no slack is below infinity).
+
+    A later chunk takes over the minimum only on a strictly smaller slack.
+    """
+    count, violations = 0, []
+    min_slack, min_inst = math.inf, None
+    for chunk in chunks:
+        slack = chunk.slack
+        count += slack.size
+        violations.extend(
+            _instance(chunk, flat) for flat in np.flatnonzero(slack < -tolerance)
+        )
+        flat = int(np.argmin(slack))
+        if slack.flat[flat] < min_slack:
+            min_slack = float(slack.flat[flat])
+            min_inst = _instance(chunk, flat)
+        # the evaluator may free this chunk's arrays while it builds the next
+        del chunk, slack
+    return count, violations, min_inst
+
+
+def _report(statement: str, tolerance, start: float, desc: Dict, seed, chunks):
+    """Aggregate one statement's chunks into its report."""
+    count, violations, min_inst = _aggregate(chunks, tolerance)
+    return VerificationReport(
+        statement=statement,
+        grid=desc,
+        tolerance=tolerance,
+        seed=seed,
+        instances=count,
+        violations=violations,
+        min_slack=math.inf if min_inst is None else min_inst.slack,
+        min_slack_instance=min_inst,
+        runtime_ms=(time.perf_counter() - start) * 1e3,
+        config={"statement": statement, "tolerance": tolerance, **_py(desc)},
+    )
+
+
+# ---------------------------------------------------------------------------
+# Statement evaluators: each checks its grid and returns the report's grid
+# description, its seed and a generator of chunks.
+# ---------------------------------------------------------------------------
+
+
+def _lemma_3_1(grid: Dict):
+    thetas = [float(t) for t in grid["theta_values"]]
+    j_max = _check_int("j_max", grid["j_max"], 0)
+    k_max = _check_int("k_max", grid["k_max"], 1)
+    k_values = _log_sampled_ints(k_max, int(grid["k_samples"]))
+    j = np.arange(0, j_max + 1, dtype=np.int64)
+
+    def chunks():
+        for theta in thetas:
+            w = WeightSequence(theta)
+            e = 1.0 - theta
+            sums = w.partial_sums(j_max + k_max)
+            num = sums[j[:, None] + k_values[None, :]] - sums[j[:, None]]
+            ones = k_values == 1
+            if np.any(ones):
+                w_vals = w.weight_values(j_max + 1)
+                num[:, ones] = w_vals[j][:, None]
+            ratio = num / sums[k_values][None, :]
+            lhs = _power_gap((j[:, None] + 1.0) / k_values[None, :], e)
+            rhs = _power_gap(j[:, None] / k_values[None, :].astype(np.float64), e) / (
+                2.0 ** e - 1.0
+            )
+            slack = np.minimum(ratio - lhs, rhs - ratio)
+            params = {"theta": theta, "j": j[:, None], "k": k_values[None, :]}
+            yield Chunk("lemma-3-1", params, lhs, ratio, rhs, slack)
+
+    desc = {
+        "theta_values": thetas,
+        "j_max": j_max,
+        "k_values": [int(v) for v in k_values],
+    }
+    return desc, None, chunks()
+
+
+def _lemma_3_2(grid: Dict):
+    thetas = [float(t) for t in grid["theta_values"]]
+    i_max = _check_int("i_max", grid["i_max"], 1)
+    k_max = _check_int("k_max", grid["k_max"], 1)
+    i = np.arange(1, i_max + 1, dtype=np.int64)
+    k = np.arange(1, k_max + 1, dtype=np.int64)
+
+    def chunks():
+        for theta in thetas:
+            w = WeightSequence(theta)
+            lower_c, upper_c = _band_constants(theta)
+            sums = w.partial_sums(i_max * k_max)
+            w_i = w.weight_values(i_max)
+            ik = i[:, None] * k[None, :]
+            averaged = (sums[ik] - sums[ik - k[None, :]]) / sums[k][None, :]
+            averaged[:, 0] = w_i / sums[1]  # k = 1 windows are single exact terms
+            lhs = lower_c * w_i[:, None]
+            rhs = upper_c * w_i[:, None]
+            slack = np.minimum(averaged - lhs, rhs - averaged)
+            params = {"theta": theta, "i": i[:, None], "k": k[None, :]}
+            yield Chunk("lemma-3-2", params, lhs, averaged, rhs, slack)
+
+    return {"theta_values": thetas, "i_max": i_max, "k_max": k_max}, None, chunks()
+
+
+def _remark_3_3(grid: Dict):
+    thetas = [float(t) for t in grid["theta_values"]]
+    ps = [float(p) for p in grid["p_values"]]
+    trials = _check_int("trials", grid["trials"], 1)
+    seed = _check_int("seed", grid["seed"], 0)
+    max_support = _check_int("max_support", grid["max_support"], 1)
+    cols = np.arange(max_support)
+
+    def chunks():
+        for ti, theta in enumerate(thetas):
+            w_vals = WeightSequence(theta).weight_values(2 * max_support)
+            for pi, p in enumerate(ps):
+                rng = np.random.default_rng([seed, ti, pi])
+                size_x = rng.integers(1, max_support + 1, size=trials)
+                size_y = rng.integers(1, max_support + 1, size=trials)
+                x = np.abs(rng.standard_normal((trials, max_support)))
+                y = np.abs(rng.standard_normal((trials, max_support)))
+                x *= cols[None, :] < size_x[:, None]
+                y *= cols[None, :] < size_y[:, None]
+                union = np.ascontiguousarray(np.concatenate([x, y], axis=1))
+                pow_x = _kernels.batch_sorted_pow_sums(np.ascontiguousarray(x), w_vals, p)
+                pow_y = _kernels.batch_sorted_pow_sums(np.ascontiguousarray(y), w_vals, p)
+                pow_u = _kernels.batch_sorted_pow_sums(union, w_vals, p)
+                params = {
+                    "theta": theta,
+                    "p": p,
+                    "trial": np.arange(trials),
+                    "support_x": size_x,
+                    "support_y": size_y,
+                }
+                yield Chunk("remark-3-3", params, pow_u, None, pow_x + pow_y,
+                            pow_x + pow_y - pow_u)
+
+    desc = {
+        "theta_values": thetas,
+        "p_values": ps,
+        "trials": trials,
+        "max_support": max_support,
+    }
+    return desc, seed, chunks()
+
+
+def _scheme_from_grid(grid: Dict) -> BlockScheme:
+    if grid.get("lengths") is not None:
+        return BlockScheme(grid["lengths"], grid.get("counts"))
+    return corollary_scheme(_check_int("corollary_levels", grid["corollary_levels"], 1))
+
+
+def _stagger(scheme: BlockScheme) -> float:
+    """The stagger ratio ``M`` clamped to at least 1 (1 for a single level)."""
+    stagger = scheme.stagger_ratio()
+    return 1.0 if stagger is None else max(1.0, stagger)
+
+
+def _check_levels(scheme: BlockScheme, levels: Optional[int]) -> int:
+    levels = _check_int("levels", scheme.levels if levels is None else levels, 1)
+    if levels > scheme.levels:
+        raise ValueError(f"levels={levels} exceeds the scheme's {scheme.levels}")
+    return levels
+
+
+_CONDITIONS = np.array(["averaged-upper", "staggered-lower"])
+
+
+def _lemma_3_4_bounds(scheme, weights, bound_upper, bound_lower) -> Tuple[float, float]:
+    """``(A, B)``, each defaulting to the scheme's band constant."""
+    default_a, default_b = theorem_constants(weights.theta, scheme.stagger_ratio())
+    a = float(default_a if bound_upper is None else bound_upper)
+    b = float(default_b if bound_lower is None else bound_lower)
+    if not (np.isfinite(a) and np.isfinite(b)) or a <= 0.0 or b <= 0.0:
+        raise ValueError("bounds must be finite and positive")
+    return a, b
+
+
+def _lemma_3_4_chunks(scheme, weights, a: float, b: float, levels: int):
+    """One chunk per level: rows are blocks ``i``, columns the two conditions."""
+    for k in range(1, levels + 1):
+        j_k = scheme.lengths[k - 1]
+        base = scheme.offsets[k - 1]
+        c_k = scheme.counts[k - 1]
+        w_jk = weights.partial_sum(j_k)
+        i = np.arange(1, c_k + 1, dtype=np.int64)
+        w_i = weights.weight_values(c_k)
+        avg_plain = weights.window_sums((i - 1) * j_k, j_k) / w_jk
+        avg_shifted = weights.window_sums(base + (i - 1) * j_k, j_k) / w_jk
+        absent = np.full(c_k, np.nan)
+        yield Chunk(
+            "lemma-3-4",
+            {"k": k, "i": i[:, None], "condition": _CONDITIONS},
+            np.stack([absent, b * w_i], axis=1),
+            np.stack([avg_plain, avg_shifted], axis=1),
+            np.stack([a * w_i, absent], axis=1),
+            np.stack([a * w_i - avg_plain, avg_shifted - b * w_i], axis=1),
+        )
+
+
 def check_lemma_3_4_conditions(
     scheme: BlockScheme,
     weights: WeightSequence,
@@ -332,271 +587,26 @@ def check_lemma_3_4_conditions(
     Omitted bounds default to the scheme's own band constants (see
     :func:`theorem_constants`).
     """
-    if levels is None:
-        levels = scheme.levels
-    levels = _check_int("levels", levels, 1)
-    if levels > scheme.levels:
-        raise ValueError(f"levels={levels} exceeds the scheme's {scheme.levels}")
-    if bound_upper is None or bound_lower is None:
-        default_a, default_b = theorem_constants(
-            weights.theta, scheme.stagger_ratio()
-        )
-        bound_upper = default_a if bound_upper is None else bound_upper
-        bound_lower = default_b if bound_lower is None else bound_lower
-    a = float(bound_upper)
-    b = float(bound_lower)
-    if not (np.isfinite(a) and np.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise ValueError("bounds must be finite and positive")
-    instances: List[InequalityInstance] = []
-    for k in range(1, levels + 1):
-        j_k = scheme.lengths[k - 1]
-        base = scheme.offsets[k - 1]
-        c_k = scheme.counts[k - 1]
-        w_jk = weights.partial_sum(j_k)
-        i = np.arange(1, c_k + 1, dtype=np.int64)
-        w_i = weights.weight_values(c_k)
-        avg_plain = weights.window_sums((i - 1) * j_k, j_k) / w_jk
-        avg_shifted = weights.window_sums(base + (i - 1) * j_k, j_k) / w_jk
-        for pos in range(c_k):
-            instances.append(
-                InequalityInstance(
-                    name="lemma-3-4",
-                    params={
-                        "k": k,
-                        "i": int(i[pos]),
-                        "condition": "averaged-upper",
-                    },
-                    lhs=None,
-                    mid=float(avg_plain[pos]),
-                    rhs=float(a * w_i[pos]),
-                    slack=float(a * w_i[pos] - avg_plain[pos]),
-                )
-            )
-            instances.append(
-                InequalityInstance(
-                    name="lemma-3-4",
-                    params={
-                        "k": k,
-                        "i": int(i[pos]),
-                        "condition": "staggered-lower",
-                    },
-                    lhs=float(b * w_i[pos]),
-                    mid=float(avg_shifted[pos]),
-                    rhs=None,
-                    slack=float(avg_shifted[pos] - b * w_i[pos]),
-                )
-            )
-    return instances
+    levels = _check_levels(scheme, levels)
+    a, b = _lemma_3_4_bounds(scheme, weights, bound_upper, bound_lower)
+    return _instances(_lemma_3_4_chunks(scheme, weights, a, b, levels))
 
 
-# ---------------------------------------------------------------------------
-# Grid runners.
-# ---------------------------------------------------------------------------
-
-
-def _run_lemma_3_1(grid: Dict, tolerance: float):
-    thetas = [float(t) for t in grid["theta_values"]]
-    j_max = _check_int("j_max", grid["j_max"], 0)
-    k_max = _check_int("k_max", grid["k_max"], 1)
-    k_values = _log_sampled_ints(k_max, int(grid["k_samples"]))
-    j = np.arange(0, j_max + 1, dtype=np.int64)
-    violations: List[InequalityInstance] = []
-    min_slack = math.inf
-    min_inst: Optional[InequalityInstance] = None
-
-    def build(theta, jj, kk, lhs, mid, rhs, slack):
-        return InequalityInstance(
-            name="lemma-3-1",
-            params={"theta": theta, "j": int(jj), "k": int(kk)},
-            lhs=float(lhs),
-            mid=float(mid),
-            rhs=float(rhs),
-            slack=float(slack),
-        )
-
-    for theta in thetas:
-        w = WeightSequence(theta)
-        e = 1.0 - theta
-        sums = w.partial_sums(j_max + k_max)
-        num = sums[j[:, None] + k_values[None, :]] - sums[j[:, None]]
-        ones = k_values == 1
-        if np.any(ones):
-            w_vals = w.weight_values(j_max + 1)
-            num[:, ones] = w_vals[j][:, None]
-        ratio = num / sums[k_values][None, :]
-        lhs = _power_gap((j[:, None] + 1.0) / k_values[None, :], e)
-        rhs = _power_gap(j[:, None] / k_values[None, :].astype(np.float64), e) / (
-            2.0 ** e - 1.0
-        )
-        slack = np.minimum(ratio - lhs, rhs - ratio)
-        flat = int(np.argmin(slack))
-        r, c = np.unravel_index(flat, slack.shape)
-        if slack[r, c] < min_slack:
-            min_slack = float(slack[r, c])
-            min_inst = build(
-                theta, j[r], k_values[c], lhs[r, c], ratio[r, c], rhs[r, c], slack[r, c]
-            )
-        bad = np.argwhere(slack < -tolerance)
-        for r, c in bad:
-            violations.append(
-                build(
-                    theta,
-                    j[r],
-                    k_values[c],
-                    lhs[r, c],
-                    ratio[r, c],
-                    rhs[r, c],
-                    slack[r, c],
-                )
-            )
-    desc = {
-        "theta_values": thetas,
-        "j_max": j_max,
-        "k_values": [int(v) for v in k_values],
-    }
-    count = len(thetas) * (j_max + 1) * int(k_values.size)
-    return desc, count, violations, min_slack, min_inst, 0, None
-
-
-def _run_lemma_3_2(grid: Dict, tolerance: float):
-    thetas = [float(t) for t in grid["theta_values"]]
-    i_max = _check_int("i_max", grid["i_max"], 1)
-    k_max = _check_int("k_max", grid["k_max"], 1)
-    i = np.arange(1, i_max + 1, dtype=np.int64)
-    k = np.arange(1, k_max + 1, dtype=np.int64)
-    violations: List[InequalityInstance] = []
-    min_slack = math.inf
-    min_inst: Optional[InequalityInstance] = None
-
-    def build(theta, ii, kk, lhs, mid, rhs, slack):
-        return InequalityInstance(
-            name="lemma-3-2",
-            params={"theta": theta, "i": int(ii), "k": int(kk)},
-            lhs=float(lhs),
-            mid=float(mid),
-            rhs=float(rhs),
-            slack=float(slack),
-        )
-
-    for theta in thetas:
-        w = WeightSequence(theta)
-        lower_c, upper_c = _band_constants(theta)
-        sums = w.partial_sums(i_max * k_max)
-        w_i = w.weight_values(i_max)
-        ik = i[:, None] * k[None, :]
-        averaged = (sums[ik] - sums[ik - k[None, :]]) / sums[k][None, :]
-        averaged[:, 0] = w_i / sums[1]  # k = 1 windows are single exact terms
-        lhs = lower_c * w_i[:, None]
-        rhs = upper_c * w_i[:, None]
-        slack = np.minimum(averaged - lhs, rhs - averaged)
-        flat = int(np.argmin(slack))
-        r, c = np.unravel_index(flat, slack.shape)
-        if slack[r, c] < min_slack:
-            min_slack = float(slack[r, c])
-            min_inst = build(
-                theta, i[r], k[c], lhs[r, 0], averaged[r, c], rhs[r, 0], slack[r, c]
-            )
-        bad = np.argwhere(slack < -tolerance)
-        for r, c in bad:
-            violations.append(
-                build(
-                    theta, i[r], k[c], lhs[r, 0], averaged[r, c], rhs[r, 0], slack[r, c]
-                )
-            )
-    desc = {"theta_values": thetas, "i_max": i_max, "k_max": k_max}
-    count = len(thetas) * i_max * k_max
-    return desc, count, violations, min_slack, min_inst, 0, None
-
-
-def _run_remark_3_3(grid: Dict, tolerance: float):
-    thetas = [float(t) for t in grid["theta_values"]]
-    ps = [float(p) for p in grid["p_values"]]
-    trials = _check_int("trials", grid["trials"], 1)
-    seed = _check_int("seed", grid["seed"], 0)
-    max_support = _check_int("max_support", grid["max_support"], 1)
-    violations: List[InequalityInstance] = []
-    min_slack = math.inf
-    min_inst: Optional[InequalityInstance] = None
-    cols = np.arange(max_support)
-
-    for ti, theta in enumerate(thetas):
-        w = WeightSequence(theta)
-        w_vals = w.weight_values(2 * max_support)
-        for pi, p in enumerate(ps):
-            rng = np.random.default_rng([seed, ti, pi])
-            size_x = rng.integers(1, max_support + 1, size=trials)
-            size_y = rng.integers(1, max_support + 1, size=trials)
-            x = np.abs(rng.standard_normal((trials, max_support)))
-            y = np.abs(rng.standard_normal((trials, max_support)))
-            x *= cols[None, :] < size_x[:, None]
-            y *= cols[None, :] < size_y[:, None]
-            union = np.ascontiguousarray(np.concatenate([x, y], axis=1))
-            pow_x = _kernels.batch_sorted_pow_sums(np.ascontiguousarray(x), w_vals, p)
-            pow_y = _kernels.batch_sorted_pow_sums(np.ascontiguousarray(y), w_vals, p)
-            pow_u = _kernels.batch_sorted_pow_sums(union, w_vals, p)
-            slack = pow_x + pow_y - pow_u
-
-            def build(t):
-                return InequalityInstance(
-                    name="remark-3-3",
-                    params={
-                        "theta": theta,
-                        "p": p,
-                        "trial": int(t),
-                        "support_x": int(size_x[t]),
-                        "support_y": int(size_y[t]),
-                    },
-                    lhs=float(pow_u[t]),
-                    mid=None,
-                    rhs=float(pow_x[t] + pow_y[t]),
-                    slack=float(slack[t]),
-                )
-
-            t_min = int(np.argmin(slack))
-            if slack[t_min] < min_slack:
-                min_slack = float(slack[t_min])
-                min_inst = build(t_min)
-            for t in np.flatnonzero(slack < -tolerance):
-                violations.append(build(t))
-    desc = {
-        "theta_values": thetas,
-        "p_values": ps,
-        "trials": trials,
-        "max_support": max_support,
-    }
-    count = len(thetas) * len(ps) * trials
-    return desc, count, violations, min_slack, min_inst, 0, seed
-
-
-def _scheme_from_grid(grid: Dict) -> BlockScheme:
-    if grid.get("lengths") is not None:
-        return BlockScheme(grid["lengths"], grid.get("counts"))
-    return corollary_scheme(_check_int("corollary_levels", grid["corollary_levels"], 1))
-
-
-def _run_lemma_3_4(grid: Dict, tolerance: float):
+def _lemma_3_4(grid: Dict):
     scheme = _scheme_from_grid(grid)
-    theta = float(grid["theta"])
-    w = WeightSequence(theta)
-    stagger = scheme.stagger_ratio()
-    stagger = 1.0 if stagger is None else max(1.0, stagger)
-    a_default, b_default = theorem_constants(theta, stagger)
-    a = float(grid["A"]) if grid.get("A") is not None else a_default
-    b = float(grid["B"]) if grid.get("B") is not None else b_default
-    levels = grid.get("levels")
-    instances = check_lemma_3_4_conditions(scheme, w, a, b, levels)
-    violations = [inst for inst in instances if inst.slack < -tolerance]
-    min_inst = min(instances, key=lambda inst: inst.slack)
+    weights = WeightSequence(float(grid["theta"]))
+    levels = _check_levels(scheme, grid["levels"])
+    a, b = _lemma_3_4_bounds(scheme, weights, grid["A"], grid["B"])
     desc = {
-        "theta": theta,
-        "levels": levels if levels is not None else scheme.levels,
+        "theta": weights.theta,
+        "levels": levels,
         "lengths": list(scheme.lengths),
         "counts": list(scheme.counts),
-        "stagger_ratio": stagger,
+        "stagger_ratio": _stagger(scheme),
         "A": a,
         "B": b,
     }
-    return desc, len(instances), violations, min_inst.slack, min_inst, 0, None
+    return desc, None, _lemma_3_4_chunks(scheme, weights, a, b, levels)
 
 
 _TRIAL_DISTRIBUTIONS = ("uniform", "geometric", "spike")
@@ -645,6 +655,68 @@ def _draw_trial_coefficients(rng, counts, first: int, stop: int) -> np.ndarray:
     return coeffs
 
 
+def _theorem_3_5(scheme, weights, p, trials, seed, levels):
+    p = float(p)
+    if not np.isfinite(p) or p < 1.0:
+        raise ValueError(f"p must be a finite real >= 1, got {p}")
+    trials = _check_int("trials", trials, 1)
+    seed = _check_int("seed", seed, 0)
+    levels = _check_levels(scheme, levels)
+    stagger = _stagger(scheme)
+    a, b = theorem_constants(weights.theta, stagger)
+    lengths = scheme.lengths[:levels]
+    counts = scheme.counts[:levels]
+
+    def trial_chunks():
+        space = SpaceParams(p=p, weights=weights)
+        edges = np.cumsum((0,) + counts)
+        level_weights = [weights.weight_values(c) for c in counts]
+        scales = np.repeat([weights.partial_sum(j) ** (-1.0 / p) for j in lengths], counts)
+        block_lengths = np.repeat(np.array(lengths, dtype=np.int64), counts)
+        a_pow = a ** p
+        rng = np.random.default_rng([seed])
+        chunk = max(1, _TRIAL_CHUNK_ENTRIES // int(edges[-1]))
+        for first in range(0, trials, chunk):
+            stop = min(first + chunk, trials)
+            coeffs = _draw_trial_coefficients(rng, counts, first, stop)
+            y_pow = sum(
+                _kernels.batch_sorted_pow_sums(
+                    np.ascontiguousarray(coeffs[:, edges[k] : edges[k + 1]]),
+                    level_weights[k],
+                    p,
+                )
+                for k in range(levels)
+            )
+            x_pow = lorentz_pnorm_pow_runlength(coeffs * scales, block_lengths, space)
+            lhs = b * y_pow
+            rhs = a_pow * y_pow
+            trial = np.arange(first, stop)
+            params = {
+                "trial": trial,
+                "distribution": np.array(_TRIAL_DISTRIBUTIONS)[trial % 3],
+            }
+            yield Chunk("theorem-3-5", params, lhs, x_pow, rhs,
+                        np.minimum(x_pow - lhs, rhs - x_pow))
+
+    def chunks():
+        yield from _lemma_3_4_chunks(scheme, weights, a, b, levels)
+        yield from trial_chunks()
+
+    desc = {
+        "theta": weights.theta,
+        "p": p,
+        "levels": levels,
+        "lengths": list(lengths),
+        "counts": list(counts),
+        "stagger_ratio": stagger,
+        "A": a,
+        "B": b,
+        "trials": trials,
+        "distributions": list(_TRIAL_DISTRIBUTIONS),
+    }
+    return desc, seed, chunks()
+
+
 def check_theorem_3_5(
     scheme: BlockScheme,
     weights: WeightSequence,
@@ -665,177 +737,115 @@ def check_theorem_3_5(
     does not grow with ``trials``.
     """
     start = time.perf_counter()
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"p must be a finite real >= 1, got {p}")
-    trials = _check_int("trials", trials, 1)
-    seed = _check_int("seed", seed, 0)
-    if levels is None:
-        levels = scheme.levels
-    levels = _check_int("levels", levels, 1)
-    if levels > scheme.levels:
-        raise ValueError(f"levels={levels} exceeds the scheme's {scheme.levels}")
-
-    theta = weights.theta
-    stagger = scheme.stagger_ratio()
-    stagger = 1.0 if stagger is None else max(1.0, stagger)
-    a, b = theorem_constants(theta, stagger)
-    instances = check_lemma_3_4_conditions(scheme, weights, a, b, levels)
-    violations = [inst for inst in instances if inst.slack < -tolerance]
-    min_inst = min(instances, key=lambda inst: inst.slack)
-    min_slack = min_inst.slack
-    count = len(instances)
-
-    params = SpaceParams(p=p, weights=weights)
-    lengths = scheme.lengths[:levels]
-    counts = scheme.counts[:levels]
-    edges = np.cumsum((0,) + counts)
-    level_weights = [weights.weight_values(c) for c in counts]
-    scales = np.repeat([weights.partial_sum(j) ** (-1.0 / p) for j in lengths], counts)
-    block_lengths = np.repeat(np.array(lengths, dtype=np.int64), counts)
-    a_pow = a ** p
-    rng = np.random.default_rng([seed])
-    chunk = max(1, _TRIAL_CHUNK_ENTRIES // int(edges[-1]))
-    for first in range(0, trials, chunk):
-        coeffs = _draw_trial_coefficients(rng, counts, first, min(first + chunk, trials))
-        y_pow = sum(
-            _kernels.batch_sorted_pow_sums(
-                np.ascontiguousarray(coeffs[:, edges[k] : edges[k + 1]]),
-                level_weights[k],
-                p,
-            )
-            for k in range(levels)
-        )
-        x_pow = lorentz_pnorm_pow_runlength(coeffs * scales, block_lengths, params)
-        lhs = b * y_pow
-        rhs = a_pow * y_pow
-        slack = np.minimum(x_pow - lhs, rhs - x_pow)
-
-        def build(row):
-            t = first + int(row)
-            return InequalityInstance(
-                name="theorem-3-5",
-                params={"trial": t, "distribution": _TRIAL_DISTRIBUTIONS[t % 3]},
-                lhs=float(lhs[row]),
-                mid=float(x_pow[row]),
-                rhs=float(rhs[row]),
-                slack=float(slack[row]),
-            )
-
-        violations.extend(build(row) for row in np.flatnonzero(slack < -tolerance))
-        row_min = int(np.argmin(slack))
-        if slack[row_min] < min_slack:
-            min_slack = float(slack[row_min])
-            min_inst = build(row_min)
-    count += trials
-
-    desc = {
-        "theta": theta,
-        "p": p,
-        "levels": levels,
-        "lengths": list(lengths),
-        "counts": list(counts),
-        "stagger_ratio": stagger,
-        "A": a,
-        "B": b,
-        "trials": trials,
-        "distributions": list(_TRIAL_DISTRIBUTIONS),
-    }
-    runtime = (time.perf_counter() - start) * 1e3
-    return VerificationReport(
-        statement="theorem-3-5",
-        grid=desc,
-        tolerance=tolerance,
-        seed=seed,
-        instances=count,
-        violations=violations,
-        min_slack=float(min_slack),
-        min_slack_instance=min_inst,
-        approximate_instances=0,
-        runtime_ms=runtime,
-        config={"statement": "theorem-3-5", "tolerance": tolerance, **_py(desc)},
-    )
-
-
-def _run_theorem_3_5(grid: Dict, tolerance: float):
-    scheme = _scheme_from_grid(grid)
-    w = WeightSequence(float(grid["theta"]))
-    report = check_theorem_3_5(
-        scheme,
-        w,
-        float(grid["p"]),
-        trials=grid["trials"],
-        seed=grid["seed"],
-        levels=grid.get("levels"),
-        tolerance=tolerance,
-    )
-    return (
-        report.grid,
-        report.instances,
-        report.violations,
-        report.min_slack,
-        report.min_slack_instance,
-        report.approximate_instances,
-        report.seed,
+    return _report(
+        "theorem-3-5", tolerance, start,
+        *_theorem_3_5(scheme, weights, p, trials, seed, levels),
     )
 
 
 # ---------------------------------------------------------------------------
-# Dispatch.
+# The statement table.
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Param:
+    """One grid key of a statement: its default and the option that sets it.
+
+    ``point``, if given, is a second option that sets the key to a
+    one-element list (``--theta`` for ``theta_values``).
+    """
+
+    key: str
+    default: object
+    option: Option
+    point: Optional[Option] = None
+
+    @property
+    def options(self) -> Tuple[Option, ...]:
+        return (self.option,) if self.point is None else (self.point, self.option)
+
+
+@dataclass(frozen=True)
+class Statement:
+    """How to evaluate a statement, and the grid keys it takes."""
+
+    evaluate: Callable[[Dict], Tuple[Dict, Optional[int], Iterator[Chunk]]]
+    params: Tuple[Param, ...]
+
+
+THETA = Option(("--theta",), float)
+P = Option(("--p",), float)
+TRIALS = Option(("--trials",), int)
+SEED = Option(("--seed",), int)
+COROLLARY_LEVELS = Option(
+    ("--corollary-levels", "--corollary-K"), int,
+    help="use the inductive scheme with this many levels",
+)
+LENGTHS = Option(("--lengths",), _parse_int_list)
+COUNTS = Option(("--counts",), _parse_int_list)
+_K_MAX = Option(("--k-max",), int)
+_LEVELS = Option(("--levels",), int)
 
 _DEFAULT_THETAS = [round(0.05 * i, 2) for i in range(1, 20)]
 
+
+def _theta_values(default) -> Param:
+    return Param("theta_values", default, Option(("--theta-grid",), _parse_grid), point=THETA)
+
+
+def _scheme_params(*rest: Param) -> Tuple[Param, ...]:
+    return (
+        Param("corollary_levels", 8, COROLLARY_LEVELS),
+        Param("lengths", None, LENGTHS),
+        Param("counts", None, COUNTS),
+        Param("theta", 0.5, THETA),
+        *rest,
+    )
+
+
+def _theorem_3_5_grid(grid: Dict):
+    return _theorem_3_5(
+        _scheme_from_grid(grid), WeightSequence(float(grid["theta"])),
+        float(grid["p"]), grid["trials"], grid["seed"], grid["levels"],
+    )
+
+
 STATEMENTS = {
-    "lemma-3-1": {
-        "runner": _run_lemma_3_1,
-        "defaults": {
-            "theta_values": _DEFAULT_THETAS,
-            "j_max": 1000,
-            "k_max": 1000,
-            "k_samples": 60,
-        },
-    },
-    "lemma-3-2": {
-        "runner": _run_lemma_3_2,
-        "defaults": {"theta_values": _DEFAULT_THETAS, "i_max": 1000, "k_max": 1000},
-    },
-    "remark-3-3": {
-        "runner": _run_remark_3_3,
-        "defaults": {
-            "theta_values": [0.25, 0.5, 0.75],
-            "p_values": [1.0, 1.5, 2.0, 3.0],
-            "trials": 10000,
-            "seed": 42,
-            "max_support": 40,
-        },
-    },
-    "lemma-3-4": {
-        "runner": _run_lemma_3_4,
-        "defaults": {
-            "corollary_levels": 8,
-            "lengths": None,
-            "counts": None,
-            "theta": 0.5,
-            "A": None,
-            "B": None,
-            "levels": None,
-        },
-    },
-    "theorem-3-5": {
-        "runner": _run_theorem_3_5,
-        "defaults": {
-            "corollary_levels": 8,
-            "lengths": None,
-            "counts": None,
-            "theta": 0.5,
-            "p": 1.0,
-            "trials": 1000,
-            "seed": 42,
-            "levels": None,
-        },
-    },
+    "lemma-3-1": Statement(_lemma_3_1, (
+        _theta_values(_DEFAULT_THETAS),
+        Param("j_max", 1000, Option(("--j-max",), int)),
+        Param("k_max", 1000, _K_MAX),
+        Param("k_samples", 60, Option(("--k-samples",), int)),
+    )),
+    "lemma-3-2": Statement(_lemma_3_2, (
+        _theta_values(_DEFAULT_THETAS),
+        Param("i_max", 1000, Option(("--i-max",), int)),
+        Param("k_max", 1000, _K_MAX),
+    )),
+    "remark-3-3": Statement(_remark_3_3, (
+        _theta_values([0.25, 0.5, 0.75]),
+        Param("p_values", [1.0, 1.5, 2.0, 3.0], Option(("--p-grid",), _parse_float_list)),
+        Param("trials", 10000, TRIALS),
+        Param("seed", 42, SEED),
+        Param("max_support", 40, Option(("--max-support",), int)),
+    )),
+    "lemma-3-4": Statement(_lemma_3_4, _scheme_params(
+        Param("A", None, Option(("--bound-upper",), float,
+                                help="override the upper band constant")),
+        Param("B", None, Option(("--bound-lower",), float,
+                                help="override the lower band constant")),
+        Param("levels", None, _LEVELS),
+    )),
+    "theorem-3-5": Statement(_theorem_3_5_grid, _scheme_params(
+        Param("p", 1.0, P),
+        Param("trials", 1000, TRIALS),
+        Param("seed", 42, SEED),
+        Param("levels", None, _LEVELS),
+    )),
 }
+
+STATEMENT_IDS = tuple(STATEMENTS)
 
 
 def run_grid(
@@ -857,27 +867,11 @@ def run_grid(
     if not np.isfinite(tolerance) or tolerance < 0.0:
         raise ValueError(f"tolerance must be a finite nonnegative real: {tolerance}")
     spec = STATEMENTS[statement]
-    resolved = dict(spec["defaults"])
+    resolved = {param.key: param.default for param in spec.params}
     for key, value in (grid or {}).items():
         if key not in resolved:
             raise ValueError(f"unknown grid key {key!r} for {statement}")
         if value is not None:
             resolved[key] = value
     start = time.perf_counter()
-    desc, count, violations, min_slack, min_inst, approx, seed = spec["runner"](
-        resolved, tolerance
-    )
-    runtime = (time.perf_counter() - start) * 1e3
-    return VerificationReport(
-        statement=statement,
-        grid=desc,
-        tolerance=tolerance,
-        seed=seed,
-        instances=count,
-        violations=violations,
-        min_slack=float(min_slack),
-        min_slack_instance=min_inst,
-        approximate_instances=approx,
-        runtime_ms=runtime,
-        config={"statement": statement, "tolerance": tolerance, **_py(desc)},
-    )
+    return _report(statement, tolerance, start, *spec.evaluate(resolved))

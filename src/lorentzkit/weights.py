@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
 
 THETA_MIN = 0.01
 THETA_MAX = 0.99
@@ -89,20 +88,15 @@ class WeightSequence:
         strictly positive.  The tail continues as
         ``prefix[-1] * ((m+1)/n)**theta`` for ``n > m = len(prefix)``, which
         joins the prefix without ever rising above its last entry.
-    compensated : bool, optional
-        Use Kahan (compensated) summation for the head table and the dense
-        :meth:`partial_sums` arrays.  Only worth switching on for dense
-        arrays far beyond 1e6 terms.
     """
 
-    def __init__(self, theta: float, prefix=None, compensated: bool = False):
+    def __init__(self, theta: float, prefix=None):
         theta = float(theta)
         if not (THETA_MIN <= theta <= THETA_MAX):
             raise ValueError(
                 f"theta must lie in [{THETA_MIN}, {THETA_MAX}], got {theta}"
             )
         self.theta = theta
-        self.compensated = bool(compensated)
         if prefix is None:
             self.prefix = None
             self._scale = 1.0
@@ -124,7 +118,7 @@ class WeightSequence:
             self._scale = float(arr[-1]) * (arr.size + 1) ** theta
         self._head = HEAD if self.prefix is None else max(HEAD, self.prefix.size)
         self._head_weights = self.weight_values(self._head)
-        self._head_sums = np.concatenate(([0.0], self._cumsum(self._head_weights)))
+        self._head_sums = np.concatenate(([0.0], np.cumsum(self._head_weights)))
         # B_2i/(2i)! times the constant of f^(2i-1)(x) = c * x**(-theta-2i+1)
         self._em_terms = []
         c = -theta
@@ -133,8 +127,8 @@ class WeightSequence:
             c *= (-theta - m) * (-theta - m - 1)
 
     @classmethod
-    def power_law(cls, theta: float, compensated: bool = False) -> "WeightSequence":
-        return cls(theta, prefix=None, compensated=compensated)
+    def power_law(cls, theta: float) -> "WeightSequence":
+        return cls(theta, prefix=None)
 
     # -- element access -----------------------------------------------------
 
@@ -159,9 +153,6 @@ class WeightSequence:
         return self._weights_at(np.arange(1, n_max + 1, dtype=np.float64))
 
     # -- sums -------------------------------------------------------------------
-
-    def _cumsum(self, w: np.ndarray) -> np.ndarray:
-        return _kernels.kahan_cumsum(w) if self.compensated else np.cumsum(w)
 
     def _em(self, a, k):
         """``sum_{n=a}^{a+k-1} n**-theta`` for ``a > HEAD``, elementwise in floats."""
@@ -206,7 +197,7 @@ class WeightSequence:
         out = np.where(j == 0, self._head_sums[head_end], 0.0)
         for s in set(j[(j > 0) & (j < head_end)].tolist()):
             # summed left to right from w_{s+1}, not as a difference of W's
-            row_sums = np.concatenate(([0.0], self._cumsum(self._head_weights[s:])))
+            row_sums = np.concatenate(([0.0], np.cumsum(self._head_weights[s:])))
             row = j == s
             out[row] = row_sums[head_end[row] - s]
         start = np.maximum(j, self._head).ravel()
@@ -242,7 +233,7 @@ class WeightSequence:
             )
         sums = np.empty(n_max + 1)
         sums[0] = 0.0
-        sums[1:] = self._cumsum(self.weight_values(n_max))
+        sums[1:] = np.cumsum(self.weight_values(n_max))
         sums.setflags(write=False)
         return sums
 

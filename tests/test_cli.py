@@ -114,6 +114,48 @@ class TestVerifyCommand:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "flags,lines,code,instances",
+        [
+            (["--theta", "0.5"], "theta_grid = 0.4,0.5\n", 0, 4),  # the flag wins
+            (["--theta-grid", "0.4,0.5"], "theta = 0.5\n", 0, 8),
+            (["--theta", "0.5", "--theta-grid", "0.4,0.5"], "", 2, None),
+            ([], "theta = 0.5\ntheta_grid = 0.4,0.5\n", 2, None),
+        ],
+    )
+    def test_theta_shorthand_flag_beats_file(self, tmp_path, capsys, flags, lines, code, instances):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        args = ["verify", "lemma-3-2", "--i-max", "2", "--k-max", "2", *flags]
+        assert run(*args, "--config", str(cfg)) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert f"instances     {instances}\n" in out
+        else:
+            assert err == "error: give either --theta or --theta-grid, not both\n"
+
+    @pytest.mark.parametrize(
+        "statement,line,flag",
+        [
+            ("lemma-3-2", "i_max = x", "--i-max"),  # int
+            ("lemma-3-2", "theta = x", "--theta"),  # float
+            ("lemma-3-4", "lengths = 1,x", "--lengths"),  # int list
+            ("remark-3-3", "p_grid = 1,x", "--p-grid"),  # float list
+            ("lemma-3-1", "theta_grid = 0.1:0.9", "--theta-grid"),  # grid
+            ("lemma-3-2", "timing = maybe", "--timing"),  # bool
+        ],
+    )
+    def test_config_parse_error_names_option(self, tmp_path, capsys, statement, line, flag):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert run("verify", statement, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} (config key ")
+        key, value = (part.strip() for part in line.split("="))
+        if flag != "--timing":  # a switch on the command line
+            assert run("verify", statement, flag, value) == 2
+            assert f"argument {flag}: invalid" in capsys.readouterr().err
+
     def test_byte_identical_reports(self, tmp_path):
         args = [
             "verify", "remark-3-3",
@@ -196,6 +238,31 @@ class TestConstructCommand:
                    "--growth-cutoff", "1000000") == 2
         assert "growth cutoff 1000000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,flag,mode",
+        [
+            (("--corollary-levels", "3", "--p", "2", "--theta", "0.3", "--growth-cutoff", "5"),
+             "--theta", "--corollary-levels"),
+            (("--corollary-K", "3", "--counts", "1,1,1"), "--counts", "--corollary-levels"),
+            (("--lengths", "1,2", "--theta", "0.5"), "--theta", "--lengths"),
+            (("--select-counts-K", "2", "--theta", "0.5", "--counts", "1,2"),
+             "--counts", "--select-counts"),
+        ],
+    )
+    def test_options_of_other_modes_rejected(self, tmp_path, capsys, args, flag, mode):
+        message = f"error: {flag} does not apply to construct {mode}\n"
+        assert run("construct", *args) == 2
+        assert capsys.readouterr().err == message
+        # the same option from the config file
+        at = args.index(flag)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} = {args[at + 1]}\n")
+        assert run("construct", *args[:at], *args[at + 2 :], "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == message
+
+    def test_benchmark_select_counts_call_accepted(self, capsys):
+        assert run("construct", "--select-counts-K", "5", "--theta", "0.25", "--p", "2") == 0
+
     def test_select_counts_proxy_note(self, capsys):
         assert run("construct", "--select-counts-K", "2", "--theta", "0.5", "--p", "2") == 0
         assert "proxy" in capsys.readouterr().out
@@ -230,6 +297,17 @@ class TestEquivCommand:
             run("equiv", "--pair", "dk-vs-d", "--theta", "0.5", "--N", "4", "--k", "2")
             == 0
         )
+
+    @pytest.mark.parametrize("pair", ["d-vs-lp", "d-vs-d"])
+    def test_k_rejected_for_pairs_without_window(self, tmp_path, capsys, pair):
+        message = f"error: --k does not apply to {pair}\n"
+        args = ("equiv", "--pair", pair, "--theta", "0.5", "--N", "3")
+        assert run(*args, "--k", "7") == 2
+        assert capsys.readouterr().err == message
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("k = 7\n")
+        assert run(*args, "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == message
 
     def test_byte_identical_reports(self, tmp_path):
         args = [
@@ -301,3 +379,70 @@ class TestUsage:
 
     def test_unknown_flag(self):
         assert run("norm", "--bogus", "1") == 2
+
+
+#: every subcommand's flags (with aliases) and config keys, as they were
+#: when the parser was written by hand; the generated parser must match
+SURFACE = {
+    "norm": (
+        {("--theta",), ("--p",), ("--dense",), ("--sparse",), ("--out",), ("--config",)},
+        {"dense", "out", "p", "sparse", "theta"},
+    ),
+    "verify": (
+        {
+            ("--theta-grid",), ("--p-grid",), ("--j-max",), ("--k-max",), ("--k-samples",),
+            ("--i-max",), ("--trials",), ("--seed",), ("--max-support",),
+            ("--corollary-levels", "--corollary-K"), ("--lengths",), ("--counts",),
+            ("--theta",), ("--p",), ("--bound-upper",), ("--bound-lower",), ("--levels",),
+            ("--tol",), ("--out",), ("--csv",), ("--timing",), ("--config",),
+        },
+        {
+            "bound_lower", "bound_upper", "corollary_levels", "counts", "csv", "i_max",
+            "j_max", "k_max", "k_samples", "lengths", "levels", "max_support", "out", "p",
+            "p_grid", "seed", "theta", "theta_grid", "timing", "tol", "trials",
+        },
+    ),
+    "construct": (
+        {
+            ("--corollary-levels", "--corollary-K"), ("--lengths",), ("--counts",),
+            ("--select-counts", "--select-counts-K"), ("--theta",), ("--p",),
+            ("--growth-cutoff",), ("--out",), ("--config",),
+        },
+        {"corollary_levels", "counts", "growth_cutoff", "lengths", "out", "p",
+         "select_counts", "theta"},
+    ),
+    "equiv": (
+        {
+            ("--pair",), ("--theta",), ("--p",), ("--dimension", "-N", "--N"), ("--k",),
+            ("--seed",), ("--out",), ("--config",),
+        },
+        {"dimension", "k", "out", "p", "pair", "seed", "theta"},
+    ),
+}
+
+
+class TestCliSurface:
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_flags_and_aliases(self, command):
+        from lorentzkit.cli import _build_parser
+
+        subparsers = _build_parser()._subparsers._group_actions[0].choices
+        actions = subparsers[command]._actions
+        flags = {tuple(a.option_strings) for a in actions if a.option_strings}
+        assert flags - {("-h", "--help")} == SURFACE[command][0]
+        positional = [a.dest for a in actions if not a.option_strings]
+        assert positional == (["statement"] if command == "verify" else [])
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_config_keys(self, tmp_path, capsys, command):
+        argv = [command] + (["lemma-3-2"] if command == "verify" else [])
+        keys = SURFACE[command][1]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = 1\n" for key in sorted(keys)))
+        run(*argv, "--config", str(cfg))
+        assert "unknown config keys" not in capsys.readouterr().err
+        others = set().union(*(k for _, k in SURFACE.values())) - keys
+        for key in sorted(others | {"config", "statement", "command"}):
+            cfg.write_text(f"{key} = 1\n")
+            assert run(*argv, "--config", str(cfg)) == 2
+            assert capsys.readouterr().err == f"error: unknown config keys: {key}\n"

@@ -180,14 +180,21 @@ class TestCacheBehaviour:
         assert a.partial_sum(12_345) == b.partial_sum(12_345)
         assert a.window_sum(100, 300) == b.window_sum(100, 300)
 
-    def test_compensated_agrees_with_plain(self):
-        plain = WeightSequence(0.5)
-        comp = WeightSequence(0.5, compensated=True)
-        got = comp.partial_sum(100_000)
-        assert got == pytest.approx(plain.partial_sum(100_000), rel=1e-13)
-        # the compensated path should be at least as close to fsum
-        want = oracle.partial_sum(100_000, 0.5)
-        assert abs(got - want) <= abs(plain.partial_sum(100_000) - want) + 1e-12
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 0.99])
+    def test_dense_partial_sums_match_fsum(self, theta):
+        w = WeightSequence(theta)
+        sums = w.partial_sums(100_000)
+        vals = w.weight_values(100_000)
+        for n in [1, 2, 999, 99_999, 100_000]:
+            assert sums[n] == pytest.approx(math.fsum(vals[:n]), rel=1e-12)
+
+    @pytest.mark.parametrize("theta", [0.1, 0.5, 0.99])
+    def test_em_sum_at_least_as_accurate_as_cumsum(self, theta):
+        # the pointwise sums need no compensated cumulative sum
+        w = WeightSequence(theta)
+        n = 100_000
+        want = math.fsum(w.weight_values(n))
+        assert abs(w.partial_sum(n) - want) <= abs(w.partial_sums(n)[n] - want)
 
     def test_huge_partial_sum_streams(self):
         w = WeightSequence(0.99)
