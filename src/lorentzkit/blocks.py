@@ -21,7 +21,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .space import FiniteVector, YVector
-from .weights import WeightSequence, _check_int
+from .weights import WeightSequence, _check_int, _check_p
 
 _INT64_MAX = (1 << 63) - 1
 
@@ -137,9 +137,7 @@ def block_vector(
     Coefficient ``W_k**(-1/p)`` on indices ``offset+(i-1)k+1 .. offset+ik``;
     unit Lorentz norm regardless of the offset.
     """
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"p must be a finite real >= 1, got {p}")
+    p = _check_p(p)
     i = _check_int("i", i, 1)
     k = _check_int("k", k, 1)
     offset = _check_int("offset", offset, 0)
@@ -171,12 +169,31 @@ def staggered_family(
     return family
 
 
-def _validated_level_coeffs(y: YVector, scheme: BlockScheme) -> List[np.ndarray]:
+def block_scales(
+    scheme: BlockScheme, weights: WeightSequence, p: float, levels: Optional[int] = None
+):
+    """Per-block scale ``W_{j_k}**(-1/p)`` and length ``j_k``: ``(scales, lengths)``.
+
+    One entry per block of the first ``levels`` levels (all by default),
+    level by level, so consecutive entries tile ``1..J_levels``.
+    """
+    p = _check_p(p)
+    levels = scheme.levels if levels is None else levels
+    lengths = np.array(scheme.lengths[:levels], dtype=np.int64)
+    counts = scheme.counts[:levels]
+    scales = [float(w) ** (-1.0 / p) for w in weights.partial_sums_at(lengths)]
+    return np.repeat(scales, counts), np.repeat(lengths, counts)
+
+
+def _block_coefficients(y: YVector, scheme: BlockScheme) -> np.ndarray:
+    """``y``'s coefficient per block of its ``len(y)`` levels, level by level;
+    zero for the blocks a component leaves out."""
     if len(y) > scheme.levels:
         raise ValueError(
             f"y has {len(y)} components but the scheme has {scheme.levels} levels"
         )
-    out = []
+    out = np.zeros(sum(scheme.counts[: len(y)]))
+    first = 0
     for k, (dim, coeffs) in enumerate(y, start=1):
         cap = scheme.counts[k - 1]
         if dim > cap or coeffs.shape[0] > cap:
@@ -184,7 +201,8 @@ def _validated_level_coeffs(y: YVector, scheme: BlockScheme) -> List[np.ndarray]
                 f"component {k} carries {max(dim, coeffs.shape[0])} slots but "
                 f"level {k} has only {cap} blocks"
             )
-        out.append(coeffs)
+        out[first : first + coeffs.shape[0]] = coeffs
+        first += cap
     return out
 
 
@@ -196,25 +214,15 @@ def expand(
     Materialises every coefficient; fine for small schemes, but for factorial
     schemes prefer :func:`expand_runlength` plus the run-length norm path.
     """
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"p must be a finite real >= 1, got {p}")
-    level_coeffs = _validated_level_coeffs(y, scheme)
-    index_parts = []
-    value_parts = []
-    for k, coeffs in enumerate(level_coeffs, start=1):
-        j_k = scheme.lengths[k - 1]
-        base = scheme.offsets[k - 1]
-        scale = weights.partial_sum(j_k) ** (-1.0 / p)
-        for i, a in enumerate(coeffs, start=1):
-            if a == 0.0:
-                continue
-            start = base + (i - 1) * j_k + 1
-            index_parts.append(np.arange(start, start + j_k, dtype=np.int64))
-            value_parts.append(np.full(j_k, a * scale))
-    if not index_parts:
+    scales, lengths = block_scales(scheme, weights, p, len(y))
+    coeffs = _block_coefficients(y, scheme)
+    ends = np.cumsum(lengths)
+    blocks = np.flatnonzero(coeffs)
+    if blocks.size == 0:
         return FiniteVector.empty()
-    return FiniteVector(np.concatenate(index_parts), np.concatenate(value_parts))
+    indices = np.concatenate([np.arange(end - length, end) + 1
+                              for end, length in zip(ends[blocks], lengths[blocks])])
+    return FiniteVector(indices, np.repeat(coeffs[blocks] * scales[blocks], lengths[blocks]))
 
 
 def expand_runlength(
@@ -226,18 +234,7 @@ def expand_runlength(
     :func:`lorentzkit.space.lorentz_pnorm_pow_runlength` to evaluate the norm
     without materialising the support.
     """
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"p must be a finite real >= 1, got {p}")
-    level_coeffs = _validated_level_coeffs(y, scheme)
-    values = []
-    lengths = []
-    for k, coeffs in enumerate(level_coeffs, start=1):
-        j_k = scheme.lengths[k - 1]
-        scale = weights.partial_sum(j_k) ** (-1.0 / p)
-        for a in coeffs:
-            if a == 0.0:
-                continue
-            values.append(a * scale)
-            lengths.append(j_k)
-    return np.asarray(values, dtype=np.float64), np.asarray(lengths, dtype=np.int64)
+    scales, lengths = block_scales(scheme, weights, p, len(y))
+    coeffs = _block_coefficients(y, scheme)
+    blocks = np.flatnonzero(coeffs)
+    return coeffs[blocks] * scales[blocks], lengths[blocks]

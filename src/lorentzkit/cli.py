@@ -183,13 +183,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 _SELECT_COUNTS = Option(("--select-counts", "--select-counts-K"), int, metavar="LEVELS")
-_GROWTH_CUTOFF = Option(("--growth-cutoff",), int)
 #: the modes, each named by its first option, which selects it, and listing
 #: every option it takes
 _CONSTRUCT_MODES = (
     (COROLLARY_LEVELS,),
     (LENGTHS, COUNTS),
-    (_SELECT_COUNTS, THETA, P, _GROWTH_CUTOFF),
+    (_SELECT_COUNTS, THETA, P),
 )
 _CONSTRUCT_OPTIONS = sum(_CONSTRUCT_MODES, ()) + (OUT,)
 
@@ -209,10 +208,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         if theta is None:
             raise UsageError("--select-counts requires --theta")
         p = res.get(P, 1.0)
-        selection = select_block_counts(
-            WeightSequence(theta), p, res.get(_SELECT_COUNTS),
-            growth_cutoff=res.get(_GROWTH_CUTOFF),
-        )
+        selection = select_block_counts(WeightSequence(theta), p, res.get(_SELECT_COUNTS))
         print(f"{'k':>4}  {'N_k':>10}  {'ratio':>18}")
         for k, (n, ratio) in enumerate(zip(selection.counts, selection.ratios), 1):
             print(f"{k:>4}  {n:>10}  {ratio:>18.12f}")

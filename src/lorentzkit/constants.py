@@ -34,12 +34,12 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .space import _weighted_norm
-from .weights import INDEX_LIMIT, WeightSequence, _check_int
+from .space import _weighted_norm, decreasing_rearrangement
+from .weights import INDEX_LIMIT, WeightSequence, _check_int, _check_p
 
 
 class GrowthCutoffError(RuntimeError):
-    """Block-count selection exceeded the configured growth cutoff."""
+    """No section up to the index limit escapes in block-count selection."""
 
 
 class NonFiniteNormError(FloatingPointError):
@@ -69,10 +69,7 @@ class NormDescriptor:
     def __post_init__(self):
         if self.kind not in ("lp", "lorentz", "averaged"):
             raise ValueError(f"unknown norm kind {self.kind!r}")
-        p = float(self.p)
-        if not np.isfinite(p) or p < 1.0:
-            raise ValueError(f"p must be a finite real >= 1, got {self.p}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _check_p(self.p))
         if self.kind != "lp" and not isinstance(self.weights, WeightSequence):
             raise TypeError(f"{self.kind} norm needs a WeightSequence")
         if self.kind == "averaged":
@@ -103,8 +100,7 @@ class NormDescriptor:
 
     def evaluate(self, values) -> float:
         """Norm of the value multiset ``values``."""
-        vals = np.sort(np.abs(np.asarray(values, dtype=np.float64).ravel()))[::-1]
-        vals = np.ascontiguousarray(vals[vals > 0.0])
+        vals = decreasing_rearrangement(values)
         if vals.shape[0] == 0:
             return 0.0
         return _weighted_norm(vals, self.weight_vector(vals.shape[0]), self.p)
@@ -142,9 +138,7 @@ def averaged_norm_descriptor(
 
 def equiv_to_lp_exact(weights: WeightSequence, p: float, n: int) -> float:
     """Exact equivalence constant ``(N / W_N)^(1/p)`` on ``N`` coordinates."""
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"p must be a finite real >= 1, got {p}")
+    p = _check_p(p)
     n = _check_int("n", n, 1)
     return (n / weights.partial_sum(n)) ** (1.0 / p)
 
@@ -243,11 +237,7 @@ def section_ratio(weights: WeightSequence, p: float, k: int, n: int) -> float:
 
 
 def select_block_counts(
-    weights: WeightSequence,
-    p: float,
-    levels: int,
-    *,
-    growth_cutoff: Optional[int] = None,
+    weights: WeightSequence, p: float, levels: int
 ) -> BlockCountSelection:
     """Smallest ``N_k`` with ``(N / W_N^(k))^(1/p) > k`` for ``k = 1..levels``.
 
@@ -257,25 +247,19 @@ def select_block_counts(
     values are clamped to be nondecreasing in ``k`` (for power-law weights
     they come out strictly increasing already).  Level ``k`` searches up to
     ``INDEX_LIMIT // k``, the largest ``N`` whose ``W_{Nk}`` is still
-    evaluated, or up to ``growth_cutoff`` when that is smaller.  Raises
-    :class:`GrowthCutoffError` when no section up to the cutoff escapes,
-    which signals a weight sequence that is too close to summable for this
-    construction.
+    evaluated.  Raises :class:`GrowthCutoffError` when no section up to that
+    cutoff escapes, which signals a weight sequence that is too close to
+    summable for this construction (``theta = 0.01`` at ``p = 1`` fails on
+    level 2).
     """
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"p must be a finite real >= 1, got {p}")
+    p = _check_p(p)
     levels = _check_int("levels", levels, 1)
-    if growth_cutoff is not None:
-        growth_cutoff = _check_int("growth_cutoff", growth_cutoff, 1)
     counts: List[int] = []
     ratios: List[float] = []
     for k in range(1, levels + 1):
         s_k = weights.partial_sum(k)
         target = float(k) ** p
         cutoff = INDEX_LIMIT // k
-        if growth_cutoff is not None:
-            cutoff = min(cutoff, growth_cutoff)
 
         def ratio_pow(n: int) -> float:
             return n * s_k / weights.partial_sum(n * k)

@@ -19,13 +19,19 @@ import numpy as np
 from .space import FiniteVector
 
 
-class UsageError(ValueError):
-    """Bad flag/config input; reported on stderr with exit code 2."""
+class UsageError(ValueError, argparse.ArgumentTypeError):
+    """Bad flag/config input; reported on stderr with exit code 2.
+
+    As an ``ArgumentTypeError`` it makes argparse print a flag parser's own
+    reason (``argument --theta-grid: grid literal must be ...``), the same
+    reason a config line gets.
+    """
 
 
 # ---------------------------------------------------------------------------
-# Literal parsers.  argparse names a parser in its messages ("invalid
-# _parse_grid value"), so these names are part of the command line's output.
+# Literal parsers.  Each reports bad input as a UsageError; any other
+# ValueError shows as argparse's "invalid <parser name> value", so these
+# names are part of the command line's output.
 # ---------------------------------------------------------------------------
 
 

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from . import _kernels
-from .weights import WeightSequence, _check_int
+from .weights import WeightSequence, _check_int, _check_p
 
 
 @dataclass(frozen=True)
@@ -31,10 +31,7 @@ class SpaceParams:
     weights: WeightSequence
 
     def __post_init__(self):
-        p = float(self.p)
-        if not np.isfinite(p) or p < 1.0:
-            raise ValueError(f"p must be a finite real >= 1, got {self.p}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _check_p(self.p))
         if not isinstance(self.weights, WeightSequence):
             raise TypeError("weights must be a WeightSequence")
 
@@ -209,9 +206,7 @@ def lorentz_norm(x: Union[FiniteVector, Sequence[float]], params: SpaceParams) -
 
 def lp_norm(x: Union[FiniteVector, Sequence[float]], p: float) -> float:
     """Plain ``l_p`` norm, accumulated largest term first, scaled."""
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"p must be a finite real >= 1, got {p}")
+    p = _check_p(p)
     vals = decreasing_rearrangement(x)
     if vals.shape[0] == 0:
         return 0.0

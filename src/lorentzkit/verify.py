@@ -36,14 +36,15 @@ theta``, and ``w_i^(k)`` is the block-averaged weight
 :data:`STATEMENTS` is the one description of each statement: an evaluator
 and the grid keys it takes, each with its default and the command-line
 :class:`~lorentzkit.options.Option` that sets it (the CLI generates its
-``verify`` flags and config keys from these records).  An evaluator checks
-its grid and yields the instances as column chunks (params, lhs, mid, rhs,
-slack); one aggregator turns the chunks of any statement into the instance
-count, the violations in grid order and the first minimum-slack instance.
-The lemma-3-1 and lemma-3-2 grids read dense prefix-sum arrays, while the
-pointwise ``check_*`` helpers use the Euler–Maclaurin sums of
-:mod:`lorentzkit.weights`; theorem-3-5 draws and evaluates its trials a
-chunk at a time.
+``verify`` flags and config keys from these records).  One chunk builder
+per statement turns sums or norm powers into column chunks (params, lhs,
+mid, rhs, slack); the evaluator feeds it the whole grid, the ``check_*``
+helper one point.  One aggregator turns the chunks of any statement into the
+instance count, the violations in grid order and the first minimum-slack
+instance.  The lemma-3-1 and lemma-3-2 grids take their windows from a dense
+prefix-sum array, far cheaper on a large grid, and the ``check_*`` helpers
+from the Euler–Maclaurin sums of :mod:`lorentzkit.weights`; theorem-3-5
+draws and evaluates its trials a chunk at a time.
 
 Reports are plain dataclasses with canonical JSON output: keys sorted, grid
 aggregation in grid order, and no wall-clock fields unless explicitly
@@ -61,7 +62,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optiona
 import numpy as np
 
 from . import _kernels
-from .blocks import BlockScheme, corollary_scheme
+from .blocks import BlockScheme, block_scales, corollary_scheme
 from .options import Option, _parse_float_list, _parse_grid, _parse_int_list
 from .space import (
     FiniteVector,
@@ -71,7 +72,7 @@ from .space import (
     lorentz_pnorm_pow,
     lorentz_pnorm_pow_runlength,
 )
-from .weights import WeightSequence, _check_int
+from .weights import WeightSequence, _check_int, _check_p
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -233,9 +234,13 @@ def theorem_constants(
     ``B = (1-theta)/2 * (M+1)^(-theta)``; ``M`` is clamped to at least 1,
     and ``None`` (single-level schemes) is treated as 1.
     """
-    m = 1.0 if stagger is None else max(1.0, float(stagger))
     _, upper = _band_constants(theta)
-    return upper, (1.0 - theta) / 2.0 * (m + 1.0) ** (-theta)
+    return upper, (1.0 - theta) / 2.0 * (_stagger(stagger) + 1.0) ** (-theta)
+
+
+def _stagger(ratio: Optional[float]) -> float:
+    """The stagger ratio ``M`` clamped to at least 1 (1 for a single level)."""
+    return 1.0 if ratio is None else max(1.0, float(ratio))
 
 
 def _log_sampled_ints(k_max: int, minimum: int) -> np.ndarray:
@@ -252,74 +257,6 @@ def _log_sampled_ints(k_max: int, minimum: int) -> np.ndarray:
         if vals.size >= minimum:
             return vals
         num = int(math.ceil(num * 1.3)) + 1
-
-
-# ---------------------------------------------------------------------------
-# Scalar checkers.
-# ---------------------------------------------------------------------------
-
-
-def check_lemma_3_1(theta: float, j: int, k: int) -> InequalityInstance:
-    """Check the shifted power-sum ratio sandwich at one ``(theta, j, k)``."""
-    j = _check_int("j", j, 0)
-    k = _check_int("k", k, 1)
-    w = WeightSequence(theta)
-    e = 1.0 - w.theta
-    mid = w.window_sum(j, k) / w.partial_sum(k)
-    lhs = _power_gap((j + 1.0) / k, e)
-    rhs = _power_gap(j / float(k), e) / (2.0 ** e - 1.0)
-    return InequalityInstance(
-        name="lemma-3-1",
-        params={"theta": w.theta, "j": j, "k": k},
-        lhs=float(lhs),
-        mid=float(mid),
-        rhs=float(rhs),
-        slack=float(min(mid - lhs, rhs - mid)),
-    )
-
-
-def check_lemma_3_2(theta: float, i: int, k: int) -> InequalityInstance:
-    """Check the averaged-weight band at one ``(theta, i, k)``."""
-    i = _check_int("i", i, 1)
-    k = _check_int("k", k, 1)
-    w = WeightSequence(theta)
-    lower_c, upper_c = _band_constants(w.theta)
-    w_i = w.weight(i)
-    mid = w.averaged_weight(i, k)
-    lhs = lower_c * w_i
-    rhs = upper_c * w_i
-    return InequalityInstance(
-        name="lemma-3-2",
-        params={"theta": w.theta, "i": i, "k": k},
-        lhs=float(lhs),
-        mid=float(mid),
-        rhs=float(rhs),
-        slack=float(min(mid - lhs, rhs - mid)),
-    )
-
-
-def check_remark_3_3(
-    x: FiniteVector, y: FiniteVector, params: SpaceParams
-) -> InequalityInstance:
-    """Check ``||x+y||^p <= ||x||^p + ||y||^p`` for disjointly supported x, y."""
-    if not disjoint_supports(x, y):
-        raise ValueError("x and y must have disjoint supports")
-    p_x = lorentz_pnorm_pow(x, params)
-    p_y = lorentz_pnorm_pow(y, params)
-    p_xy = lorentz_pnorm_pow(x + y, params)
-    return InequalityInstance(
-        name="remark-3-3",
-        params={
-            "p": params.p,
-            "theta": params.weights.theta,
-            "support_x": len(x),
-            "support_y": len(y),
-        },
-        lhs=float(p_xy),
-        mid=None,
-        rhs=float(p_x + p_y),
-        slack=float(p_x + p_y - p_xy),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +282,7 @@ class Chunk(NamedTuple):
 
 def _instance(chunk: Chunk, flat: int) -> InequalityInstance:
     """The instance at C-order position ``flat`` of ``chunk``."""
-    shape = chunk.slack.shape
+    shape = np.shape(chunk.slack)
     at = np.unravel_index(flat, shape)
 
     def value(column):
@@ -363,7 +300,7 @@ def _instance(chunk: Chunk, flat: int) -> InequalityInstance:
         lhs=side(chunk.lhs),
         mid=side(chunk.mid),
         rhs=side(chunk.rhs),
-        slack=float(chunk.slack[at]),
+        slack=float(np.asarray(chunk.slack)[at]),
     )
 
 
@@ -412,9 +349,31 @@ def _report(statement: str, tolerance, start: float, desc: Dict, seed, chunks):
 
 
 # ---------------------------------------------------------------------------
-# Statement evaluators: each checks its grid and returns the report's grid
-# description, its seed and a generator of chunks.
+# Statements: chunk builders, pointwise checks, and evaluators that check a
+# grid and return the report's grid description, its seed and a generator
+# of chunks.
 # ---------------------------------------------------------------------------
+
+
+def _lemma_3_1_chunk(theta: float, j, k, ratio) -> Chunk:
+    """Instances at window starts ``j`` and lengths ``k`` (broadcast together)
+    from their ratios ``(w_{j+1} + ... + w_{j+k}) / W_k``."""
+    e = 1.0 - theta
+    lhs = _power_gap((j + 1.0) / k, e)
+    rhs = _power_gap(j / k, e) / (2.0 ** e - 1.0)
+    params = {"theta": theta, "j": j, "k": k}
+    slack = np.asarray(ratio - lhs)  # 0-d at one point, so ``out=`` works
+    np.minimum(slack, rhs - ratio, out=slack)
+    return Chunk("lemma-3-1", params, lhs, ratio, rhs, slack)
+
+
+def check_lemma_3_1(theta: float, j: int, k: int) -> InequalityInstance:
+    """Check the shifted power-sum ratio sandwich at one ``(theta, j, k)``."""
+    j = _check_int("j", j, 0)
+    k = _check_int("k", k, 1)
+    w = WeightSequence(theta)
+    ratio = w.window_sums(j, k) / w.window_sums(0, k)
+    return _instance(_lemma_3_1_chunk(w.theta, j, k, ratio), 0)
 
 
 def _lemma_3_1(grid: Dict):
@@ -427,21 +386,17 @@ def _lemma_3_1(grid: Dict):
     def chunks():
         for theta in thetas:
             w = WeightSequence(theta)
-            e = 1.0 - theta
             sums = w.partial_sums(j_max + k_max)
-            num = sums[j[:, None] + k_values[None, :]] - sums[j[:, None]]
+            ratio = sums[j[:, None] + k_values[None, :]] - sums[j[:, None]]
             ones = k_values == 1
             if np.any(ones):
                 w_vals = w.weight_values(j_max + 1)
-                num[:, ones] = w_vals[j][:, None]
-            ratio = num / sums[k_values][None, :]
-            lhs = _power_gap((j[:, None] + 1.0) / k_values[None, :], e)
-            rhs = _power_gap(j[:, None] / k_values[None, :].astype(np.float64), e) / (
-                2.0 ** e - 1.0
-            )
-            slack = np.minimum(ratio - lhs, rhs - ratio)
-            params = {"theta": theta, "j": j[:, None], "k": k_values[None, :]}
-            yield Chunk("lemma-3-1", params, lhs, ratio, rhs, slack)
+                ratio[:, ones] = w_vals[j][:, None]
+            ratio /= sums[k_values][None, :]
+            # held until the next chunk is built: freed any earlier, its pages go
+            # back to the system and the next chunk faults them in again
+            chunk = _lemma_3_1_chunk(theta, j[:, None], k_values[None, :], ratio)
+            yield chunk
 
     desc = {
         "theta_values": thetas,
@@ -449,6 +404,27 @@ def _lemma_3_1(grid: Dict):
         "k_values": [int(v) for v in k_values],
     }
     return desc, None, chunks()
+
+
+def _lemma_3_2_chunk(theta: float, i, k, averaged, w_i) -> Chunk:
+    """Instances at blocks ``i`` and lengths ``k`` (broadcast together) from
+    the averaged weights ``w_i^(k)`` and the weights ``w_i``."""
+    lower_c, upper_c = _band_constants(theta)
+    lhs = lower_c * w_i
+    rhs = upper_c * w_i
+    params = {"theta": theta, "i": i, "k": k}
+    slack = np.asarray(averaged - lhs)
+    np.minimum(slack, rhs - averaged, out=slack)
+    return Chunk("lemma-3-2", params, lhs, averaged, rhs, slack)
+
+
+def check_lemma_3_2(theta: float, i: int, k: int) -> InequalityInstance:
+    """Check the averaged-weight band at one ``(theta, i, k)``."""
+    i = _check_int("i", i, 1)
+    k = _check_int("k", k, 1)
+    w = WeightSequence(theta)
+    averaged = w.averaged_weight(i, k)
+    return _instance(_lemma_3_2_chunk(w.theta, i, k, averaged, w.weight(i)), 0)
 
 
 def _lemma_3_2(grid: Dict):
@@ -459,21 +435,44 @@ def _lemma_3_2(grid: Dict):
     k = np.arange(1, k_max + 1, dtype=np.int64)
 
     def chunks():
+        ik = i[:, None] * k[None, :]
         for theta in thetas:
             w = WeightSequence(theta)
-            lower_c, upper_c = _band_constants(theta)
             sums = w.partial_sums(i_max * k_max)
             w_i = w.weight_values(i_max)
-            ik = i[:, None] * k[None, :]
-            averaged = (sums[ik] - sums[ik - k[None, :]]) / sums[k][None, :]
-            averaged[:, 0] = w_i / sums[1]  # k = 1 windows are single exact terms
-            lhs = lower_c * w_i[:, None]
-            rhs = upper_c * w_i[:, None]
-            slack = np.minimum(averaged - lhs, rhs - averaged)
-            params = {"theta": theta, "i": i[:, None], "k": k[None, :]}
-            yield Chunk("lemma-3-2", params, lhs, averaged, rhs, slack)
+            averaged = sums[ik] - sums[ik - k[None, :]]
+            averaged[:, 0] = w_i  # k = 1 windows are single exact terms
+            averaged /= sums[k][None, :]
+            # held until the next chunk is built, as in lemma-3-1
+            chunk = _lemma_3_2_chunk(theta, i[:, None], k[None, :], averaged, w_i[:, None])
+            yield chunk
 
     return {"theta_values": thetas, "i_max": i_max, "k_max": k_max}, None, chunks()
+
+
+def _remark_3_3_chunk(params: Dict, pow_x, pow_y, pow_union) -> Chunk:
+    """Instances from the norm powers ``||x||^p``, ``||y||^p``, ``||x+y||^p``."""
+    bound = pow_x + pow_y
+    return Chunk("remark-3-3", params, pow_union, None, bound, bound - pow_union)
+
+
+def check_remark_3_3(
+    x: FiniteVector, y: FiniteVector, params: SpaceParams
+) -> InequalityInstance:
+    """Check ``||x+y||^p <= ||x||^p + ||y||^p`` for disjointly supported x, y."""
+    if not disjoint_supports(x, y):
+        raise ValueError("x and y must have disjoint supports")
+    point = {
+        "p": params.p,
+        "theta": params.weights.theta,
+        "support_x": len(x),
+        "support_y": len(y),
+    }
+    chunk = _remark_3_3_chunk(
+        point, lorentz_pnorm_pow(x, params), lorentz_pnorm_pow(y, params),
+        lorentz_pnorm_pow(x + y, params),
+    )
+    return _instance(chunk, 0)
 
 
 def _remark_3_3(grid: Dict):
@@ -506,8 +505,7 @@ def _remark_3_3(grid: Dict):
                     "support_x": size_x,
                     "support_y": size_y,
                 }
-                yield Chunk("remark-3-3", params, pow_u, None, pow_x + pow_y,
-                            pow_x + pow_y - pow_u)
+                yield _remark_3_3_chunk(params, pow_x, pow_y, pow_u)
 
     desc = {
         "theta_values": thetas,
@@ -522,12 +520,6 @@ def _scheme_from_grid(grid: Dict) -> BlockScheme:
     if grid.get("lengths") is not None:
         return BlockScheme(grid["lengths"], grid.get("counts"))
     return corollary_scheme(_check_int("corollary_levels", grid["corollary_levels"], 1))
-
-
-def _stagger(scheme: BlockScheme) -> float:
-    """The stagger ratio ``M`` clamped to at least 1 (1 for a single level)."""
-    stagger = scheme.stagger_ratio()
-    return 1.0 if stagger is None else max(1.0, stagger)
 
 
 def _check_levels(scheme: BlockScheme, levels: Optional[int]) -> int:
@@ -602,7 +594,7 @@ def _lemma_3_4(grid: Dict):
         "levels": levels,
         "lengths": list(scheme.lengths),
         "counts": list(scheme.counts),
-        "stagger_ratio": _stagger(scheme),
+        "stagger_ratio": _stagger(scheme.stagger_ratio()),
         "A": a,
         "B": b,
     }
@@ -656,13 +648,11 @@ def _draw_trial_coefficients(rng, counts, first: int, stop: int) -> np.ndarray:
 
 
 def _theorem_3_5(scheme, weights, p, trials, seed, levels):
-    p = float(p)
-    if not np.isfinite(p) or p < 1.0:
-        raise ValueError(f"p must be a finite real >= 1, got {p}")
+    p = _check_p(p)
     trials = _check_int("trials", trials, 1)
     seed = _check_int("seed", seed, 0)
     levels = _check_levels(scheme, levels)
-    stagger = _stagger(scheme)
+    stagger = _stagger(scheme.stagger_ratio())
     a, b = theorem_constants(weights.theta, stagger)
     lengths = scheme.lengths[:levels]
     counts = scheme.counts[:levels]
@@ -671,8 +661,7 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
         space = SpaceParams(p=p, weights=weights)
         edges = np.cumsum((0,) + counts)
         level_weights = [weights.weight_values(c) for c in counts]
-        scales = np.repeat([weights.partial_sum(j) ** (-1.0 / p) for j in lengths], counts)
-        block_lengths = np.repeat(np.array(lengths, dtype=np.int64), counts)
+        scales, block_lengths = block_scales(scheme, weights, p, levels)
         a_pow = a ** p
         rng = np.random.default_rng([seed])
         chunk = max(1, _TRIAL_CHUNK_ENTRIES // int(edges[-1]))

@@ -20,7 +20,11 @@ remainder is below the first omitted term, under ``4e-19 * f(a)`` for ``a >
 64``; rounding leaves a few units of ``2**-52`` relative (tested to 2e-15
 against mpmath's Hurwitz zeta).  Indices stop at ``INDEX_LIMIT = 2**53``,
 beyond which float64 misses integers.  The scalar sums are the array sums
-on one element, so the two agree bit for bit.
+on one element, so the two agree bit for bit.  Averaged weights ``w_i^(k)``
+are window sums at the block starts over ``W_k``, one element or many.
+Only :meth:`WeightSequence.partial_sums` builds a dense array, one
+cumulative sum capped at ``PREFIX_CACHE_LIMIT`` entries, for the grids that
+need every index.
 """
 
 from __future__ import annotations
@@ -53,6 +57,13 @@ def _check_int(name: str, value, minimum: int) -> int:
     if value > (1 << 62):
         raise ValueError(f"{name} is too large to index safely: {value}")
     return value
+
+
+def _check_p(p) -> float:
+    p = float(p)
+    if not np.isfinite(p) or p < 1.0:
+        raise ValueError(f"p must be a finite real >= 1, got {p}")
+    return p
 
 
 def _check_index_limit(largest: int) -> None:
@@ -246,23 +257,25 @@ class WeightSequence:
 
         With ``offset = 0`` this is the classical averaged weight; a positive
         offset shifts the averaging window right, which is what staggered
-        block constructions need.
+        block constructions need.  The path of :meth:`averaged_weight_values`
+        on one block.
         """
         i = _check_int("i", i, 1)
         k = _check_int("k", k, 1)
         offset = _check_int("offset", offset, 0)
-        return self.window_sum(offset + (i - 1) * k, k) / self.partial_sum(k)
+        _check_index_limit(offset + i * k)
+        return float(self._averaged(offset + (i - 1) * k, k))
 
     def averaged_weight_values(self, n_max, k) -> np.ndarray:
         """Array ``[w_1^(k), ..., w_n_max^(k)]`` (offset zero)."""
         n_max = _check_int("n_max", n_max, 1)
         k = _check_int("k", k, 1)
-        sums = self.partial_sums(n_max * k)
-        i = np.arange(1, n_max + 1, dtype=np.int64)
-        windows = sums[i * k] - sums[(i - 1) * k]
-        if k == 1:
-            windows = self.weight_values(n_max)
-        return windows / sums[k]
+        _check_index_limit(n_max * k)
+        return self._averaged(np.arange(n_max, dtype=np.int64) * k, k)
+
+    def _averaged(self, starts, k: int) -> np.ndarray:
+        """``(w_{j+1} + ... + w_{j+k}) / W_k`` at each window start ``j``."""
+        return self.window_sums(starts, k) / self.window_sums(0, k)
 
     # -- misc -----------------------------------------------------------------
 

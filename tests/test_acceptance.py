@@ -148,7 +148,7 @@ class TestCriterion5:
                 assert not report.violations
                 assert report.min_slack > -SLACK_TOL
                 summaries.append(f"θ={theta},p={p}:{report.min_slack:.2e}")
-            del weights  # release the prefix-sum cache before the next θ
+            del weights  # one θ's weights at a time
         elapsed = time.perf_counter() - t0
         assert elapsed < 120.0
         _announce(

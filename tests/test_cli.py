@@ -151,10 +151,15 @@ class TestVerifyCommand:
         assert run("verify", statement, "--config", str(cfg)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} (config key ")
+        reason = err.split("): ", 1)[1]
         key, value = (part.strip() for part in line.split("="))
         if flag != "--timing":  # a switch on the command line
             assert run("verify", statement, flag, value) == 2
-            assert f"argument {flag}: invalid" in capsys.readouterr().err
+            flag_err = capsys.readouterr().err
+            if flag in ("--i-max", "--theta"):  # argparse's own int and float
+                assert f"argument {flag}: invalid" in flag_err
+            else:  # a custom parser gives the config form's reason
+                assert flag_err.endswith(f"error: argument {flag}: {reason}")
 
     def test_byte_identical_reports(self, tmp_path):
         args = [
@@ -234,14 +239,16 @@ class TestConstructCommand:
         # N_6 = 2526568 needs a cutoff above 10**6
         assert run("construct", "--select-counts-K", "6", "--theta", "0.25", "--p", "2") == 0
         assert "   6     2526568" in capsys.readouterr().out
-        assert run("construct", "--select-counts-K", "6", "--theta", "0.25", "--p", "2",
-                   "--growth-cutoff", "1000000") == 2
-        assert "growth cutoff 1000000" in capsys.readouterr().err
+        # at theta = 0.01 level 2 escapes only near N = 2**100, past 2**53 // 2
+        assert run("construct", "--select-counts-K", "2", "--theta", "0.01", "--p", "1") == 2
+        assert "level 2: no section below the growth cutoff 4503599627370496" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "args,flag,mode",
         [
-            (("--corollary-levels", "3", "--p", "2", "--theta", "0.3", "--growth-cutoff", "5"),
+            (("--corollary-levels", "3", "--p", "2", "--theta", "0.3"),
              "--theta", "--corollary-levels"),
             (("--corollary-K", "3", "--counts", "1,1,1"), "--counts", "--corollary-levels"),
             (("--lengths", "1,2", "--theta", "0.5"), "--theta", "--lengths"),
@@ -406,10 +413,9 @@ SURFACE = {
         {
             ("--corollary-levels", "--corollary-K"), ("--lengths",), ("--counts",),
             ("--select-counts", "--select-counts-K"), ("--theta",), ("--p",),
-            ("--growth-cutoff",), ("--out",), ("--config",),
+            ("--out",), ("--config",),
         },
-        {"corollary_levels", "counts", "growth_cutoff", "lengths", "out", "p",
-         "select_counts", "theta"},
+        {"corollary_levels", "counts", "lengths", "out", "p", "select_counts", "theta"},
     ),
     "equiv": (
         {

@@ -179,6 +179,14 @@ class TestDominationConstant:
         assert est.witness.tolist() == [1.0] * 3 + [0.0] * 5
         assert est.estimate == pytest.approx(3.0 / v[2], rel=1e-15)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_averaged_profile_past_dense_limit(self, half, p):
+        # the averaged profile reaches index 2000 * 20000 = 4e7 > 2**25
+        est = domination_constant(
+            lorentz_norm_descriptor(half, p), averaged_norm_descriptor(half, p, 20000), 2000
+        )
+        assert est.lower == pytest.approx(est.estimate, rel=1e-14)
+
     def test_dk_vs_d_within_band(self, half):
         lo_c, hi_c = oracle.band_constants(0.5)
         est = domination_constant(
@@ -226,9 +234,10 @@ class TestSelectBlockCounts:
         assert sel.proxy is True
         assert all(r > k for k, r in enumerate(sel.ratios, start=1))
 
-    def test_growth_cutoff(self, half):
-        with pytest.raises(GrowthCutoffError):
-            select_block_counts(half, 1.0, 4, growth_cutoff=10)
+    def test_growth_cutoff(self):
+        # level 2 escapes only near N = 2**100, past the cutoff 2**53 // 2
+        with pytest.raises(GrowthCutoffError, match="level 2: .* cutoff 4503599627370496"):
+            select_block_counts(WeightSequence(0.01), 1.0, 2)
 
     def test_default_cutoff_reaches_level_six(self):
         # the default cutoff is the index limit, so K = 6 at theta = 1/4,

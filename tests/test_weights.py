@@ -111,10 +111,29 @@ class TestVectorValues:
         assert np.all(np.diff(vec) < 0)
 
     def test_averaged_weight_values_match_scalar(self):
+        # the scalar is the array path on one block, so they agree bit for bit
         w = WeightSequence(0.45)
-        vec = w.averaged_weight_values(20, 3)
-        for i in [1, 2, 10, 20]:
-            assert vec[i - 1] == pytest.approx(w.averaged_weight(i, 3), rel=1e-15)
+        vec = w.averaged_weight_values(200, 3)
+        for i in [1, 2, 10, 20, 64, 200]:
+            assert vec[i - 1] == w.averaged_weight(i, 3)
+
+    def test_averaged_weight_values_match_oracle(self):
+        # a difference of dense prefix sums was 5.6e-12 off here
+        w = WeightSequence(0.05)
+        want = [oracle.averaged_weight(i, 598, 0.05) for i in range(1, 1001)]
+        assert_allclose(w.averaged_weight_values(1000, 598), want, rtol=1e-14, atol=0)
+
+    def test_averaged_weight_values_past_dense_limit(self):
+        # 6e7 indices, beyond the 2**25 entries a dense prefix array may hold
+        k = 20_000_000
+        got = WeightSequence(0.5).averaged_weight_values(3, k)
+        with mpmath.workdps(40):
+            w_k = mpmath.zeta(0.5) - mpmath.zeta(0.5, k + 1)
+            want = [
+                float((mpmath.zeta(0.5, (i - 1) * k + 1) - mpmath.zeta(0.5, i * k + 1)) / w_k)
+                for i in (1, 2, 3)
+            ]
+        assert_allclose(got, want, rtol=2e-15, atol=0)
 
     def test_averaged_weight_values_k1_exact(self):
         w = WeightSequence(0.5)
@@ -168,7 +187,7 @@ class TestCacheBehaviour:
     def test_growth_preserves_existing_values(self):
         w = WeightSequence(0.5)
         first = w.partial_sum(10)
-        w.partial_sum(100_000)  # force several cache regrowths
+        w.partial_sum(100_000)  # a far sum leaves nearer ones unchanged
         assert w.partial_sum(10) == first
 
     def test_query_order_independent(self):
