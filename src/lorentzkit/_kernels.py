@@ -1,9 +1,10 @@
 """Numerical kernels, in numpy.
 
-``weighted_pow_sum`` and ``batch_sorted_pow_sums`` evaluate p-th powers of
-Lorentz norms, one vector or a batch of rows; ``ratio_scan`` is the
-step-vector scan behind the closed-form domination constants.  Every kernel
-is deterministic, which the byte-reproducible reports rely on.
+``weighted_pow_sum`` is the one reduction behind every p-th norm power, for
+one vector or a (rows x n) batch, and ``batch_sorted_pow_sums`` sorts rows in
+front of it; ``ratio_scan`` is the step-vector scan behind the closed-form
+domination constants.  Every kernel is deterministic, which the
+byte-reproducible reports rely on.
 """
 
 from __future__ import annotations
@@ -16,18 +17,25 @@ USING_NUMBA = False
 
 
 def weighted_pow_sum(values, weights, p):
-    """``sum_i values[i]**p * weights[i]`` over nonnegative ``values``."""
-    if values.shape[0] == 0:
-        return 0.0
-    return float(np.sum(values ** p * weights[: values.shape[0]]))
+    """``sum_i values[..., i]**p * weights[..., i]``: a float, or one per row.
+
+    ``values`` is a nonnegative C-contiguous vector or (rows x n) batch that
+    the caller hands over as scratch: it is powered and weighted in place, so
+    every element gets the same arithmetic, and each row is summed along its
+    own contiguous run.  A row's bits thus do not depend on the other rows.
+    """
+    values **= p
+    values *= weights
+    total = values.sum(axis=-1)
+    return float(total) if values.ndim == 1 else total
 
 
 def batch_sorted_pow_sums(mat, weights, p):
-    """:func:`weighted_pow_sum` of each row of ``mat`` sorted in decreasing order."""
-    if mat.shape[0] == 0:
-        return np.empty(0)
-    desc = np.sort(mat, axis=1)[:, ::-1]
-    return (desc ** p) @ weights[: mat.shape[1]]
+    """:func:`weighted_pow_sum` of each row of ``mat`` sorted in decreasing order.
+
+    An ascending sort against the reversed weights needs no strided view.
+    """
+    return weighted_pow_sum(np.sort(mat, axis=1), weights[: mat.shape[1]][::-1], p)
 
 
 def ascent(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps):

@@ -81,7 +81,7 @@ def _resolve_out_path(path: Optional[str]) -> Optional[str]:
 
 def _write_json(path: str, payload: Dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _echo(res: Resolver, options: Iterable[Option]) -> Dict:
@@ -128,7 +128,8 @@ def _cmd_norm(args: argparse.Namespace) -> int:
                 "support": len(vector),
                 "lorentz_norm": value,
                 "lp_norm": plain,
-                "ratio": ratio,
+                # undefined for the zero vector, and JSON has no NaN
+                "ratio": ratio if value > 0 else None,
             },
         )
     return EXIT_PASS
@@ -274,8 +275,6 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     dimension = res.get(_DIMENSION)
     if pair is None or theta is None or dimension is None:
         raise UsageError("equiv requires --pair, --theta and --dimension")
-    if pair not in _EQUIV_PAIRS:
-        raise UsageError(f"unknown pair {pair!r}; choose from {', '.join(_EQUIV_PAIRS)}")
     if pair != "dk-vs-d":
         res.reject((_K,), pair)
     p = res.get(P, 1.0)

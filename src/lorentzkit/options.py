@@ -75,7 +75,11 @@ def _parse_int_list(text: str) -> List[int]:
 
 
 def _parse_dense(text: str) -> FiniteVector:
-    return FiniteVector.from_dense(_parse_float_list(text))
+    values = _parse_float_list(text)
+    try:
+        return FiniteVector.from_dense(values)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_sparse(text: str) -> FiniteVector:
@@ -186,11 +190,17 @@ class Resolver:
         if text is None:
             return None
         try:
-            return opt.parse(text)
+            value = opt.parse(text)
         except UsageError as exc:
             reason = str(exc)
         except ValueError:
             reason = f"invalid {opt.parse.__name__} value: {text!r}"
+        else:
+            if opt.choices is None or value in opt.choices:
+                return value
+            # argparse's wording for the same option given as a flag
+            choices = ", ".join(map(repr, opt.choices))
+            reason = f"invalid choice: {value!r} (choose from {choices})"
         raise UsageError(f"{opt.flags[0]} (config key {opt.dest}): {reason}")
 
     def lookup(self, *options: Option) -> Tuple[Optional[Option], Any]:

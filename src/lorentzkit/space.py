@@ -168,20 +168,14 @@ def decreasing_rearrangement(x: Union[FiniteVector, Sequence[float]]) -> np.ndar
     return np.ascontiguousarray(np.sort(np.abs(vals))[::-1])
 
 
-def _pnorm_pow_of_values(values_desc: np.ndarray, params: SpaceParams) -> float:
-    if values_desc.shape[0] == 0:
-        return 0.0
-    w = params.weights.weight_values(values_desc.shape[0])
-    return float(_kernels.weighted_pow_sum(values_desc, w, params.p))
-
-
 def lorentz_pnorm_pow(x: Union[FiniteVector, Sequence[float]], params: SpaceParams) -> float:
     """``sum_n a_n^p w_n`` — the p-th power of the Lorentz norm."""
-    return _pnorm_pow_of_values(decreasing_rearrangement(x), params)
+    vals = decreasing_rearrangement(x)
+    return _kernels.weighted_pow_sum(vals, params.weights.weight_values(vals.shape[0]), params.p)
 
 
 def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float) -> float:
-    """``(sum_n a_n^p w_n)^(1/p)`` for nonempty positive ``a`` sorted decreasing.
+    """``(sum_n a_n^p w_n)^(1/p)`` for positive ``a`` sorted decreasing.
 
     Evaluated on ``a / 2^e`` with ``2^(e-1) <= a_1 < 2^e`` and rescaled by
     ``2^e`` afterwards (Blue 1978, as in LAPACK's ``dnrm2``), so ``a_n^p``
@@ -190,27 +184,23 @@ def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float) -> fl
     stays in range the result is the same for ``p`` = 1 and 2, and within a
     few ulps otherwise.
     """
+    if values_desc.shape[0] == 0:
+        return 0.0
     _, e = np.frexp(values_desc[0])
-    power = float(_kernels.weighted_pow_sum(np.ldexp(values_desc, -e), weights, p))
+    power = _kernels.weighted_pow_sum(np.ldexp(values_desc, -e), weights, p)
     return float(np.ldexp(power ** (1.0 / p), e))
 
 
 def lorentz_norm(x: Union[FiniteVector, Sequence[float]], params: SpaceParams) -> float:
     """Weighted decreasing-rearrangement norm ``||x||_{w,p}``, scaled."""
     vals = decreasing_rearrangement(x)
-    if vals.shape[0] == 0:
-        return 0.0
-    weights = params.weights.weight_values(vals.shape[0])
-    return _weighted_norm(vals, weights, params.p)
+    return _weighted_norm(vals, params.weights.weight_values(vals.shape[0]), params.p)
 
 
 def lp_norm(x: Union[FiniteVector, Sequence[float]], p: float) -> float:
     """Plain ``l_p`` norm, accumulated largest term first, scaled."""
-    p = _check_p(p)
     vals = decreasing_rearrangement(x)
-    if vals.shape[0] == 0:
-        return 0.0
-    return _weighted_norm(vals, np.ones(vals.shape[0]), p)
+    return _weighted_norm(vals, np.ones(vals.shape[0]), _check_p(p))
 
 
 # -----------------------------------------------------------------------------
@@ -259,10 +249,7 @@ class YVector:
 
 def y_pnorm_pow(y: YVector, params: SpaceParams) -> float:
     """p-th power of the direct-sum norm of ``y``."""
-    total = 0.0
-    for _, coeffs in y:
-        total += _pnorm_pow_of_values(decreasing_rearrangement(coeffs), params)
-    return total
+    return sum((lorentz_pnorm_pow(coeffs, params) for _, coeffs in y), 0.0)
 
 
 def y_norm(y: YVector, params: SpaceParams) -> float:
@@ -302,7 +289,7 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     lens = np.where(vals > 0.0, np.take_along_axis(lens, order, axis=1), 0)
     sums = params.weights.partial_sums_at(np.cumsum(lens, axis=1))
     masses = np.diff(sums, axis=1, prepend=0.0)
-    out = np.sum(vals ** params.p * masses, axis=1)
+    out = _kernels.weighted_pow_sum(vals, masses, params.p)
     return float(out[0]) if single else out
 
 

@@ -67,7 +67,6 @@ from .options import Option, _parse_float_list, _parse_grid, _parse_int_list
 from .space import (
     FiniteVector,
     SpaceParams,
-    decreasing_rearrangement,
     disjoint_supports,
     lorentz_pnorm_pow,
     lorentz_pnorm_pow_runlength,
@@ -494,9 +493,9 @@ def _remark_3_3(grid: Dict):
                 y = np.abs(rng.standard_normal((trials, max_support)))
                 x *= cols[None, :] < size_x[:, None]
                 y *= cols[None, :] < size_y[:, None]
-                union = np.ascontiguousarray(np.concatenate([x, y], axis=1))
-                pow_x = _kernels.batch_sorted_pow_sums(np.ascontiguousarray(x), w_vals, p)
-                pow_y = _kernels.batch_sorted_pow_sums(np.ascontiguousarray(y), w_vals, p)
+                union = np.concatenate([x, y], axis=1)
+                pow_x = _kernels.batch_sorted_pow_sums(x, w_vals, p)
+                pow_y = _kernels.batch_sorted_pow_sums(y, w_vals, p)
                 pow_u = _kernels.batch_sorted_pow_sums(union, w_vals, p)
                 params = {
                     "theta": theta,
@@ -669,12 +668,8 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
             stop = min(first + chunk, trials)
             coeffs = _draw_trial_coefficients(rng, counts, first, stop)
             y_pow = sum(
-                _kernels.batch_sorted_pow_sums(
-                    np.ascontiguousarray(coeffs[:, edges[k] : edges[k + 1]]),
-                    level_weights[k],
-                    p,
-                )
-                for k in range(levels)
+                _kernels.batch_sorted_pow_sums(block, w, p)
+                for block, w in zip(np.split(coeffs, edges[1:-1], axis=1), level_weights)
             )
             x_pow = lorentz_pnorm_pow_runlength(coeffs * scales, block_lengths, space)
             lhs = b * y_pow

@@ -46,6 +46,30 @@ class TestNormCommand:
     def test_bad_literal(self, capsys):
         assert run("norm", "--theta", "0.5", "--dense", "1,x") == 2
 
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_non_finite_dense_gives_reason(self, tmp_path, capsys, form):
+        args = ("norm", "--theta", "0.5")
+        if form == "flag":
+            assert run(*args, "--dense", "inf") == 2
+            want = "error: argument --dense: coefficients must be finite\n"
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("dense = 1,inf\n")
+            assert run(*args, "--config", str(cfg)) == 2
+            want = "error: --dense (config key dense): coefficients must be finite\n"
+        assert capsys.readouterr().err.endswith(want)
+
+    def test_zero_vector_writes_strict_json(self, tmp_path, capsys):
+        out = tmp_path / "zero.json"
+        assert run("norm", "--theta", "0.5", "--dense", "0,0", "--out", str(out)) == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        assert doc["lorentz_norm"] == 0.0
+        assert doc["ratio"] is None
+
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "norm.json"
         assert (
@@ -303,6 +327,20 @@ class TestEquivCommand:
         assert (
             run("equiv", "--pair", "dk-vs-d", "--theta", "0.5", "--N", "4", "--k", "2")
             == 0
+        )
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_unknown_pair_lists_choices(self, tmp_path, capsys, form):
+        args = ("equiv", "--theta", "0.5", "--N", "3")
+        if form == "flag":
+            assert run(*args, "--pair", "bogus") == 2
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("pair = bogus\n")
+            assert run(*args, "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "invalid choice: 'bogus' (choose from 'd-vs-lp', 'd-vs-d', 'dk-vs-d')\n"
         )
 
     @pytest.mark.parametrize("pair", ["d-vs-lp", "d-vs-d"])

@@ -32,6 +32,23 @@ class TestBatchSortedPowSums:
             want = _kernels.weighted_pow_sum(_sorted_desc(mat[t]), w, 2.0)
             assert got[t] == pytest.approx(want, rel=1e-13)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_row_value_does_not_depend_on_row_count(self, rng, p):
+        # a row's bits must not move when the batch around it is cut, or
+        # chunked reports would depend on the chunk size
+        rows = 12
+        for n in list(range(1, 20)) + [33, 40, 64, 80, 90]:
+            w = np.arange(1, n + 1) ** -0.5
+            mat = np.abs(rng.standard_normal((rows, n)))
+            mat[:, n // 2 :] *= rng.random((rows, n - n // 2)) < 0.5  # zero padding
+            full = _kernels.batch_sorted_pow_sums(mat, w, p)
+            for i in range(rows):
+                one = _kernels.batch_sorted_pow_sums(mat[i : i + 1], w, p)
+                first = min(max(i - 1, 0), rows - 3)
+                three = _kernels.batch_sorted_pow_sums(mat[first : first + 3], w, p)
+                assert one[0] == full[i], (n, i)
+                assert three[i - first] == full[i], (n, i)
+
     def test_zero_entries_ignored(self):
         mat = np.array([[2.0, 0.0, 1.0, 0.0]])
         w = np.array([1.0, 0.5, 0.4, 0.3])
