@@ -1,9 +1,9 @@
 """Numerical kernels, in numpy.
 
-``weighted_pow_sum`` is the one reduction behind every p-th norm power, for
-one vector or a (rows x n) batch, and ``batch_sorted_pow_sums`` sorts rows in
-front of it; ``ratio_scan`` is the step-vector scan behind the closed-form
-domination constants.  Every kernel is deterministic, which the
+``weighted_sum`` is the one reduction behind every p-th norm power, for one
+vector or a (rows x n) batch of powered terms; the other norm kernels power
+or sort in front of it.  ``ratio_scan`` is the step-vector scan behind the
+closed-form domination constants.  Every kernel is deterministic, which the
 byte-reproducible reports rely on.
 """
 
@@ -16,26 +16,34 @@ import numpy as np
 USING_NUMBA = False
 
 
-def weighted_pow_sum(values, weights, p):
-    """``sum_i values[..., i]**p * weights[..., i]``: a float, or one per row.
+def weighted_sum(terms, weights):
+    """``sum_i terms[..., i] * weights[..., i]``: a float, or one per row.
 
-    ``values`` is a nonnegative C-contiguous vector or (rows x n) batch that
-    the caller hands over as scratch: it is powered and weighted in place, so
-    every element gets the same arithmetic, and each row is summed along its
-    own contiguous run.  A row's bits thus do not depend on the other rows.
+    ``terms``, a C-contiguous vector or (rows x n) batch, is scratch: it is
+    weighted in place and each row is summed along its own contiguous run, so
+    a row's bits do not depend on the other rows.
     """
+    terms *= weights
+    total = terms.sum(axis=-1)
+    return float(total) if terms.ndim == 1 else total
+
+
+def weighted_pow_sum(values, weights, p):
+    """:func:`weighted_sum` of ``values**p``, powered in place."""
     values **= p
-    values *= weights
-    total = values.sum(axis=-1)
-    return float(total) if values.ndim == 1 else total
+    return weighted_sum(values, weights)
+
+
+def sorted_weighted_sums(terms, weights):
+    """:func:`weighted_sum` of each row of ``terms`` (left as it is) sorted in
+    decreasing order: an ascending sort against the reversed weights."""
+    return weighted_sum(np.sort(terms, axis=-1), weights[: terms.shape[-1]][::-1])
 
 
 def batch_sorted_pow_sums(mat, weights, p):
-    """:func:`weighted_pow_sum` of each row of ``mat`` sorted in decreasing order.
-
-    An ascending sort against the reversed weights needs no strided view.
-    """
-    return weighted_pow_sum(np.sort(mat, axis=1), weights[: mat.shape[1]][::-1], p)
+    """:func:`sorted_weighted_sums` of ``mat**p``: the bits of powering after
+    the sort, as ``t -> t**p`` is monotone on ``t >= 0``."""
+    return sorted_weighted_sums(mat ** p, weights)
 
 
 def ascent(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps):

@@ -43,8 +43,12 @@ helper one point.  One aggregator turns the chunks of any statement into the
 instance count, the violations in grid order and the first minimum-slack
 instance.  The lemma-3-1 and lemma-3-2 grids take their windows from a dense
 prefix-sum array, far cheaper on a large grid, and the ``check_*`` helpers
-from the Euler–Maclaurin sums of :mod:`lorentzkit.weights`; theorem-3-5
-draws and evaluates its trials a chunk at a time.
+from the Euler–Maclaurin sums of :mod:`lorentzkit.weights`.  theorem-3-5 and
+remark-3-3 draw and evaluate their trials a fixed block at a time, so memory
+does not grow with ``--trials`` (bar remark-3-3's two sizes per trial).  Per
+(theta, p) cell remark-3-3 draws every x support size, then every y size,
+then per trial one row of ``2 * max_support`` normals, x's left half and y's
+right half, so the report does not depend on the block size.
 
 Reports are plain dataclasses with canonical JSON output: keys sorted, grid
 aggregation in grid order, and no wall-clock fields unless explicitly
@@ -149,7 +153,7 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self, include_timing: bool = False) -> Dict:
-        doc = {
+        return {
             "statement": self.statement,
             "grid": _py(self.grid),
             "tolerance": _py(self.tolerance),
@@ -167,14 +171,15 @@ class VerificationReport:
             # repeated runs with one config stay byte-identical
             "runtime_ms": _py(self.runtime_ms) if include_timing else None,
         }
-        return doc
 
     def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2) + "\n"
+        doc = self.to_dict(include_timing)
+        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
     def write_json(self, path, include_timing: bool = False) -> None:
+        text = self.to_json(include_timing)  # raises before the file is touched
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json(include_timing))
+            fh.write(text)
 
     def write_csv(self, path) -> None:
         """Flat one-row-per-violation table (header always present)."""
@@ -303,13 +308,9 @@ def _instance(chunk: Chunk, flat: int) -> InequalityInstance:
     )
 
 
-def _instances(chunks: Iterable[Chunk]) -> List[InequalityInstance]:
-    return [_instance(chunk, flat) for chunk in chunks for flat in range(chunk.slack.size)]
-
-
 def _aggregate(chunks: Iterable[Chunk], tolerance: float):
-    """Instance count, violations in grid order, and the first minimum-slack
-    instance (None if no slack is below infinity).
+    """Instance count, violations (NaN slacks too) in grid order, and the first
+    minimum-slack instance (None if no slack is below infinity).
 
     A later chunk takes over the minimum only on a strictly smaller slack.
     """
@@ -319,9 +320,11 @@ def _aggregate(chunks: Iterable[Chunk], tolerance: float):
         slack = chunk.slack
         count += slack.size
         violations.extend(
-            _instance(chunk, flat) for flat in np.flatnonzero(slack < -tolerance)
+            _instance(chunk, flat) for flat in np.flatnonzero(~(slack >= -tolerance))
         )
         flat = int(np.argmin(slack))
+        if math.isnan(slack.flat[flat]) and not np.isnan(slack).all():
+            flat = int(np.nanargmin(slack))  # argmin stops at the first NaN
         if slack.flat[flat] < min_slack:
             min_slack = float(slack.flat[flat])
             min_inst = _instance(chunk, flat)
@@ -451,6 +454,9 @@ def _lemma_3_2(grid: Dict):
 
 def _remark_3_3_chunk(params: Dict, pow_x, pow_y, pow_union) -> Chunk:
     """Instances from the norm powers ``||x||^p``, ``||y||^p``, ``||x+y||^p``."""
+    if not np.isfinite([pow_x, pow_y, pow_union]).all():
+        p, theta = params["p"], params["theta"]
+        raise ValueError(f"remark-3-3 norm powers overflow at p={p}, theta={theta}")
     bound = pow_x + pow_y
     return Chunk("remark-3-3", params, pow_union, None, bound, bound - pow_union)
 
@@ -461,17 +467,14 @@ def check_remark_3_3(
     """Check ``||x+y||^p <= ||x||^p + ||y||^p`` for disjointly supported x, y."""
     if not disjoint_supports(x, y):
         raise ValueError("x and y must have disjoint supports")
-    point = {
-        "p": params.p,
-        "theta": params.weights.theta,
-        "support_x": len(x),
-        "support_y": len(y),
-    }
-    chunk = _remark_3_3_chunk(
-        point, lorentz_pnorm_pow(x, params), lorentz_pnorm_pow(y, params),
-        lorentz_pnorm_pow(x + y, params),
-    )
-    return _instance(chunk, 0)
+    point = {"p": params.p, "theta": params.weights.theta,
+             "support_x": len(x), "support_y": len(y)}
+    pows = [lorentz_pnorm_pow(v, params) for v in (x, y, x + y)]
+    return _instance(_remark_3_3_chunk(point, *pows), 0)
+
+
+#: remark-3-3 trials per block: it bounds memory, and the report does not depend on it
+_REMARK_BLOCK_TRIALS = 4096
 
 
 def _remark_3_3(grid: Dict):
@@ -479,39 +482,34 @@ def _remark_3_3(grid: Dict):
     ps = [float(p) for p in grid["p_values"]]
     trials = _check_int("trials", grid["trials"], 1)
     seed = _check_int("seed", grid["seed"], 0)
-    max_support = _check_int("max_support", grid["max_support"], 1)
-    cols = np.arange(max_support)
+    m = _check_int("max_support", grid["max_support"], 1)
+
+    def block(rng, theta, w_vals, p, first, size_x, size_y) -> Chunk:
+        """Trials ``first, ...``; row t of one draw holds trial t's x left, y right."""
+        both = rng.standard_normal((size_x.size, 2 * m))
+        np.abs(both, out=both)
+        x, y = both[:, :m], both[:, m:]
+        x *= np.arange(m) < size_x[:, None]
+        y *= np.arange(m) < size_y[:, None]
+        with np.errstate(over="ignore"):
+            both **= p  # once: the halves and the whole row sort the same powers
+            pows = [_kernels.sorted_weighted_sums(v, w_vals) for v in (x, y, both)]
+        trial = np.arange(first, first + size_x.size)
+        params = {"theta": theta, "p": p, "trial": trial, "support_x": size_x, "support_y": size_y}
+        return _remark_3_3_chunk(params, *pows)
 
     def chunks():
         for ti, theta in enumerate(thetas):
-            w_vals = WeightSequence(theta).weight_values(2 * max_support)
+            w_vals = WeightSequence(theta).weight_values(2 * m)
             for pi, p in enumerate(ps):
                 rng = np.random.default_rng([seed, ti, pi])
-                size_x = rng.integers(1, max_support + 1, size=trials)
-                size_y = rng.integers(1, max_support + 1, size=trials)
-                x = np.abs(rng.standard_normal((trials, max_support)))
-                y = np.abs(rng.standard_normal((trials, max_support)))
-                x *= cols[None, :] < size_x[:, None]
-                y *= cols[None, :] < size_y[:, None]
-                union = np.concatenate([x, y], axis=1)
-                pow_x = _kernels.batch_sorted_pow_sums(x, w_vals, p)
-                pow_y = _kernels.batch_sorted_pow_sums(y, w_vals, p)
-                pow_u = _kernels.batch_sorted_pow_sums(union, w_vals, p)
-                params = {
-                    "theta": theta,
-                    "p": p,
-                    "trial": np.arange(trials),
-                    "support_x": size_x,
-                    "support_y": size_y,
-                }
-                yield _remark_3_3_chunk(params, pow_x, pow_y, pow_u)
+                size_x = rng.integers(1, m + 1, size=trials)
+                size_y = rng.integers(1, m + 1, size=trials)
+                for first in range(0, trials, _REMARK_BLOCK_TRIALS):
+                    rows = slice(first, first + _REMARK_BLOCK_TRIALS)
+                    yield block(rng, theta, w_vals, p, first, size_x[rows], size_y[rows])
 
-    desc = {
-        "theta_values": thetas,
-        "p_values": ps,
-        "trials": trials,
-        "max_support": max_support,
-    }
+    desc = {"theta_values": thetas, "p_values": ps, "trials": trials, "max_support": m}
     return desc, seed, chunks()
 
 
@@ -580,7 +578,8 @@ def check_lemma_3_4_conditions(
     """
     levels = _check_levels(scheme, levels)
     a, b = _lemma_3_4_bounds(scheme, weights, bound_upper, bound_lower)
-    return _instances(_lemma_3_4_chunks(scheme, weights, a, b, levels))
+    chunks = _lemma_3_4_chunks(scheme, weights, a, b, levels)
+    return [_instance(chunk, flat) for chunk in chunks for flat in range(chunk.slack.size)]
 
 
 def _lemma_3_4(grid: Dict):

@@ -197,3 +197,28 @@ def theorem_3_5_trial_coefficients(counts: Sequence[int], trials: int, seed: int
             levels.append(arr)
         rows.append(np.concatenate(levels))
     return np.array(rows)
+
+
+def remark_3_3_trials(
+    seed: int, theta_index: int, p_index: int, trials: int, max_support: int
+) -> list:
+    """Trial by trial ``(size_x, size_y, x, y)`` of one remark-3-3 grid cell.
+
+    The cell's generator draws every x support size, then every y size, then
+    one row of ``2 * max_support`` normals per trial.  x's magnitudes are the
+    first ``size_x`` entries of the row's left half and y's the first
+    ``size_y`` of its right half; x and y are dense vectors that keep the
+    halves apart, so their supports are disjoint.
+    """
+    rng = np.random.default_rng([seed, theta_index, p_index])
+    sizes_x = rng.integers(1, max_support + 1, size=trials)
+    sizes_y = rng.integers(1, max_support + 1, size=trials)
+    out = []
+    for size_x, size_y in zip(sizes_x, sizes_y):
+        row = np.abs(rng.standard_normal(2 * max_support))
+        x = np.zeros(2 * max_support)
+        y = np.zeros(2 * max_support)
+        x[:size_x] = row[:size_x]
+        y[max_support : max_support + size_y] = row[max_support : max_support + size_y]
+        out.append((int(size_x), int(size_y), x, y))
+    return out

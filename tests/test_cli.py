@@ -198,6 +198,15 @@ class TestVerifyCommand:
         assert run(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_overflowing_norm_powers_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        args = ("verify", "remark-3-3", "--trials", "20", "--p-grid", "600", "--theta-grid", "0.5")
+        assert run(*args, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            "error: remark-3-3 norm powers overflow at p=600.0, theta=0.5\n"
+        )
+        assert not out.exists()
+
     def test_timing_flag_adds_runtime(self, tmp_path):
         out = tmp_path / "t.json"
         run(

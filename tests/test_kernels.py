@@ -56,6 +56,25 @@ class TestBatchSortedPowSums:
         assert got[0] == pytest.approx(2.0 + 0.5 * 1.0)
 
 
+class TestSortedWeightedSums:
+    def test_column_slice_matches_contiguous_copy(self, rng):
+        both = np.abs(rng.standard_normal((30, 14)))
+        w = np.arange(1, 15) ** -0.5
+        before = both.copy()
+        for view in (both[:, :7], both[:, 7:], both):
+            got = _kernels.sorted_weighted_sums(view, w)
+            assert np.array_equal(got, _kernels.sorted_weighted_sums(view.copy(), w))
+        assert np.array_equal(both, before)  # the terms are left as they are
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 7.3])
+    def test_powering_before_the_sort_keeps_the_bits(self, rng, p):
+        mat = np.abs(rng.standard_normal((50, 40)))
+        mat[:, 20:] *= rng.random((50, 20)) < 0.5
+        w = np.arange(1, 41) ** -0.3
+        after = _kernels.weighted_pow_sum(np.sort(mat, axis=1), w[::-1], p)
+        assert np.array_equal(_kernels.batch_sorted_pow_sums(mat, w, p), after)
+
+
 class TestRatioScan:
     def test_picks_max_ratio(self):
         # prefix sums of the profiles (1, 1, 0) and (1, 0.5, 0.5)

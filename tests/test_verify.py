@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from lorentzkit.blocks import BlockScheme, corollary_scheme
-from lorentzkit.space import FiniteVector, SpaceParams, lorentz_pnorm_pow_runlength
+from lorentzkit.space import (
+    FiniteVector,
+    SpaceParams,
+    lorentz_pnorm_pow,
+    lorentz_pnorm_pow_runlength,
+)
 from lorentzkit.verify import (
     _draw_trial_coefficients,
     DEFAULT_TOLERANCE,
@@ -139,6 +144,72 @@ class TestRemark33Pointwise:
         inst = check_remark_3_3(x, y, params)
         # ||x+y||_1 = 1 + w_2, ||x||+||y|| = 2 => slack = 1 - w_2
         assert inst.slack == pytest.approx(1.0 - oracle.weight(2, 0.5), rel=1e-14)
+
+
+class TestRemark33Blocks:
+    @pytest.mark.parametrize("max_support", [1, 7, 40])
+    def test_trials_match_dense_oracle(self, max_support):
+        import lorentzkit.verify as verify
+
+        thetas, ps, trials, seed = [0.3, 0.75], [1.0, 1.5, 3.0], 50, 5
+        grid = {"theta_values": thetas, "p_values": ps, "trials": trials, "seed": seed,
+                "max_support": max_support}
+        _, _, chunks = verify._remark_3_3(grid)
+        got = [verify._instance(c, f) for c in chunks for f in range(c.slack.size)]
+        assert len(got) == len(thetas) * len(ps) * trials
+        for ti, theta in enumerate(thetas):
+            for pi, p in enumerate(ps):
+                params = SpaceParams(p, WeightSequence(theta))
+                cell = got[(ti * len(ps) + pi) * trials :][:trials]
+                want = oracle.remark_3_3_trials(seed, ti, pi, trials, max_support)
+                for t in range(0, trials, 3):  # sampled trials
+                    size_x, size_y, x, y = want[t]
+                    inst = cell[t]
+                    assert inst.params == {"theta": theta, "p": p, "trial": t,
+                                           "support_x": size_x, "support_y": size_y}
+                    px, py = lorentz_pnorm_pow(x, params), lorentz_pnorm_pow(y, params)
+                    assert inst.lhs == pytest.approx(lorentz_pnorm_pow(x + y, params), rel=1e-14)
+                    assert inst.rhs == pytest.approx(px + py, rel=1e-14)
+
+    def test_blocks_do_not_change_the_report(self, monkeypatch):
+        import lorentzkit.verify as verify
+
+        grid = {"theta_values": [0.25], "p_values": [1.0, 3.0], "trials": 4100, "seed": 9,
+                "max_support": 6}
+
+        def reports():
+            # a tolerance of -1e300 lists every instance as a violation, so the
+            # second report pins each trial's number and values
+            every = verify._report("remark-3-3", -1e300, 0.0, *verify._remark_3_3(grid))
+            assert len(every.violations) == every.instances == 8200
+            return run_grid("remark-3-3", grid).to_json(), every.to_json()
+
+        default = reports()
+        for block in (1, 7, verify._REMARK_BLOCK_TRIALS):
+            monkeypatch.setattr(verify, "_REMARK_BLOCK_TRIALS", block)
+            assert reports() == default, block
+
+    def test_memory_does_not_grow_with_trials(self):
+        import tracemalloc
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                run_grid("remark-3-3", {"theta_values": [0.5], "p_values": [1.5], "trials": trials})
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(10_000), peak(80_000)
+        assert large <= 16 * 2**20
+        assert large - small <= 2 * 2**20
+
+    def test_overflowing_norm_powers_are_rejected(self):
+        params = SpaceParams(p=2.0, weights=WeightSequence(0.5))
+        x = FiniteVector.from_pairs([(1, 1e200)])
+        y = FiniteVector.from_pairs([(2, 1.0)])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="p=2.0, theta=0.5"):
+            check_remark_3_3(x, y, params)
 
 
 class TestLemma34AndTheorem35:
@@ -297,6 +368,15 @@ class TestAggregate:
         assert [v.params["n"] for v in violations] == [1, 2, 3, 5]
         assert first.params == {"n": 1} and first.slack == -1.0
 
+    def test_nan_slack_is_a_violation(self):
+        import lorentzkit.verify as verify
+
+        chunk = verify.Chunk("t", {"n": np.arange(3)}, None, None, None, np.array([1.0, np.nan, 2.0]))
+        count, violations, first = verify._aggregate(iter([chunk]), DEFAULT_TOLERANCE)
+        assert count == 3
+        assert [v.params["n"] for v in violations] == [1]
+        assert first.slack == 1.0
+
 class TestReportSerialization:
     @pytest.fixture()
     def report(self):
@@ -321,6 +401,11 @@ class TestReportSerialization:
             assert field in doc
         assert doc["runtime_ms"] is None  # only emitted with include_timing
         assert doc["statement"] == "lemma-3-2"
+
+    def test_non_finite_values_are_not_serialized(self, report):
+        report.min_slack = float("inf")
+        with pytest.raises(ValueError):
+            report.to_json()
 
     def test_runtime_opt_in(self, report):
         doc = json.loads(report.to_json(include_timing=True))
