@@ -50,6 +50,14 @@ does not grow with ``--trials`` (bar remark-3-3's two sizes per trial).  Per
 then per trial one row of ``2 * max_support`` normals, x's left half and y's
 right half, so the report does not depend on the block size.
 
+An evaluator returns a list of independent parts, each an iterable of
+chunks: remark-3-3 one per (theta, p) cell, every other statement one.  Each
+part is aggregated on its own and the results are folded in part order,
+exactly as one pass over all the chunks, so the parts may run on a thread
+pool of one worker per CPU the process may use (its CPU affinity; there is
+no setting) and the report stays byte-identical.  With one part or one CPU
+they run in the calling thread and no thread is started.
+
 Reports are plain dataclasses with canonical JSON output: keys sorted, grid
 aggregation in grid order, and no wall-clock fields unless explicitly
 requested, so a fixed seed yields byte-identical files run after run.
@@ -59,9 +67,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -333,9 +342,52 @@ def _aggregate(chunks: Iterable[Chunk], tolerance: float):
     return count, violations, min_inst
 
 
-def _report(statement: str, tolerance, start: float, desc: Dict, seed, chunks):
-    """Aggregate one statement's chunks into its report."""
-    count, violations, min_inst = _aggregate(chunks, tolerance)
+def _fold(aggregates):
+    """Per-part :func:`_aggregate` results, in part order, folded as one pass
+    over all their chunks would: a later part takes over the minimum only on
+    a strictly smaller slack."""
+    count, violations, min_inst = 0, [], None
+    for part_count, part_violations, part_min in aggregates:
+        count += part_count
+        violations.extend(part_violations)
+        if part_min is not None and (min_inst is None or part_min.slack < min_inst.slack):
+            min_inst = part_min
+    return count, violations, min_inst
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _aggregate_parts(parts: List[Iterable[Chunk]], tolerance: float):
+    """:func:`_aggregate` of each part, in part order.
+
+    The parts are independent, so with several parts and CPUs they run on a
+    thread pool (numpy releases the interpreter lock for the heavy work);
+    otherwise they run in the calling thread.  Results are read in part
+    order, so the first failing part raises, as in one pass.
+    """
+    workers = min(_cpus(), len(parts))
+    if workers <= 1:
+        return [_aggregate(part, tolerance) for part in parts]
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(_aggregate, part, tolerance) for part in parts]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts):
+    """Aggregate one statement's parts, each an iterable of chunks, into its
+    report."""
+    count, violations, min_inst = _fold(_aggregate_parts(parts, tolerance))
     return VerificationReport(
         statement=statement,
         grid=desc,
@@ -352,8 +404,8 @@ def _report(statement: str, tolerance, start: float, desc: Dict, seed, chunks):
 
 # ---------------------------------------------------------------------------
 # Statements: chunk builders, pointwise checks, and evaluators that check a
-# grid and return the report's grid description, its seed and a generator
-# of chunks.
+# grid and return the report's grid description, its seed and a list of
+# independent parts, each an iterable of chunks.
 # ---------------------------------------------------------------------------
 
 
@@ -405,7 +457,7 @@ def _lemma_3_1(grid: Dict):
         "j_max": j_max,
         "k_values": [int(v) for v in k_values],
     }
-    return desc, None, chunks()
+    return desc, None, [chunks()]
 
 
 def _lemma_3_2_chunk(theta: float, i, k, averaged, w_i) -> Chunk:
@@ -449,7 +501,7 @@ def _lemma_3_2(grid: Dict):
             chunk = _lemma_3_2_chunk(theta, i[:, None], k[None, :], averaged, w_i[:, None])
             yield chunk
 
-    return {"theta_values": thetas, "i_max": i_max, "k_max": k_max}, None, chunks()
+    return {"theta_values": thetas, "i_max": i_max, "k_max": k_max}, None, [chunks()]
 
 
 def _remark_3_3_chunk(params: Dict, pow_x, pow_y, pow_union) -> Chunk:
@@ -474,7 +526,7 @@ def check_remark_3_3(
 
 
 #: remark-3-3 trials per block: it bounds memory, and the report does not depend on it
-_REMARK_BLOCK_TRIALS = 4096
+_REMARK_BLOCK_TRIALS = 1024
 
 
 def _remark_3_3(grid: Dict):
@@ -484,33 +536,40 @@ def _remark_3_3(grid: Dict):
     seed = _check_int("seed", grid["seed"], 0)
     m = _check_int("max_support", grid["max_support"], 1)
 
-    def block(rng, theta, w_vals, p, first, size_x, size_y) -> Chunk:
-        """Trials ``first, ...``; row t of one draw holds trial t's x left, y right."""
-        both = rng.standard_normal((size_x.size, 2 * m))
-        np.abs(both, out=both)
-        x, y = both[:, :m], both[:, m:]
-        x *= np.arange(m) < size_x[:, None]
-        y *= np.arange(m) < size_y[:, None]
-        with np.errstate(over="ignore"):
-            both **= p  # once: the halves and the whole row sort the same powers
-            pows = [_kernels.sorted_weighted_sums(v, w_vals) for v in (x, y, both)]
-        trial = np.arange(first, first + size_x.size)
-        params = {"theta": theta, "p": p, "trial": trial, "support_x": size_x, "support_y": size_y}
-        return _remark_3_3_chunk(params, *pows)
+    def cell(ti, theta, w_vals, pi, p):
+        """One (theta, p) cell's chunks, a block of trials at a time; row t of
+        a block's draw holds trial t's x left and its y right."""
+        rng = np.random.default_rng([seed, ti, pi])
+        size_x = rng.integers(1, m + 1, size=trials)
+        size_y = rng.integers(1, m + 1, size=trials)
+        # buffers reused by every block, so a block faults in no new pages
+        rows = min(trials, _REMARK_BLOCK_TRIALS)
+        draw = np.empty((rows, 2 * m))
+        mask = np.empty((rows, m), dtype=bool)
+        support = np.arange(m)
+        for first in range(0, trials, rows):
+            sx, sy = size_x[first : first + rows], size_y[first : first + rows]
+            both = rng.standard_normal(out=draw[: sx.size])
+            np.abs(both, out=both)
+            x, y = both[:, :m], both[:, m:]
+            x *= np.less(support, sx[:, None], out=mask[: sx.size])
+            y *= np.less(support, sy[:, None], out=mask[: sx.size])
+            with np.errstate(over="ignore"):
+                both **= p  # once: the halves and the whole row sort the same powers
+                pows = [_kernels.sorted_weighted_sums(v, w_vals) for v in (x, y, both)]
+            trial = np.arange(first, first + sx.size)
+            params = {"theta": theta, "p": p, "trial": trial, "support_x": sx, "support_y": sy}
+            yield _remark_3_3_chunk(params, *pows)
 
-    def chunks():
-        for ti, theta in enumerate(thetas):
-            w_vals = WeightSequence(theta).weight_values(2 * m)
-            for pi, p in enumerate(ps):
-                rng = np.random.default_rng([seed, ti, pi])
-                size_x = rng.integers(1, m + 1, size=trials)
-                size_y = rng.integers(1, m + 1, size=trials)
-                for first in range(0, trials, _REMARK_BLOCK_TRIALS):
-                    rows = slice(first, first + _REMARK_BLOCK_TRIALS)
-                    yield block(rng, theta, w_vals, p, first, size_x[rows], size_y[rows])
-
+    # the weights are built here, in the calling thread; the cells may run on others
+    weights = [WeightSequence(theta).weight_values(2 * m) for theta in thetas]
+    parts = [
+        cell(ti, theta, w_vals, pi, p)
+        for ti, (theta, w_vals) in enumerate(zip(thetas, weights))
+        for pi, p in enumerate(ps)
+    ]
     desc = {"theta_values": thetas, "p_values": ps, "trials": trials, "max_support": m}
-    return desc, seed, chunks()
+    return desc, seed, parts
 
 
 def _scheme_from_grid(grid: Dict) -> BlockScheme:
@@ -596,7 +655,7 @@ def _lemma_3_4(grid: Dict):
         "A": a,
         "B": b,
     }
-    return desc, None, _lemma_3_4_chunks(scheme, weights, a, b, levels)
+    return desc, None, [_lemma_3_4_chunks(scheme, weights, a, b, levels)]
 
 
 _TRIAL_DISTRIBUTIONS = ("uniform", "geometric", "spike")
@@ -660,19 +719,25 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
         edges = np.cumsum((0,) + counts)
         level_weights = [weights.weight_values(c) for c in counts]
         scales, block_lengths = block_scales(scheme, weights, p, levels)
-        a_pow = a ** p
+        with np.errstate(over="ignore"):
+            a_pow = np.float64(a) ** p  # inf on overflow, caught with the norms
         rng = np.random.default_rng([seed])
         chunk = max(1, _TRIAL_CHUNK_ENTRIES // int(edges[-1]))
         for first in range(0, trials, chunk):
             stop = min(first + chunk, trials)
             coeffs = _draw_trial_coefficients(rng, counts, first, stop)
-            y_pow = sum(
-                _kernels.batch_sorted_pow_sums(block, w, p)
-                for block, w in zip(np.split(coeffs, edges[1:-1], axis=1), level_weights)
-            )
-            x_pow = lorentz_pnorm_pow_runlength(coeffs * scales, block_lengths, space)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
+                y_pow = sum(
+                    _kernels.batch_sorted_pow_sums(block, w, p)
+                    for block, w in zip(np.split(coeffs, edges[1:-1], axis=1), level_weights)
+                )
+                x_pow = lorentz_pnorm_pow_runlength(coeffs * scales, block_lengths, space)
+                rhs = a_pow * y_pow
+            if not (np.isfinite(x_pow).all() and np.isfinite(rhs).all()):
+                raise ValueError(
+                    f"theorem-3-5 norm powers overflow at p={p}, theta={weights.theta}"
+                )
             lhs = b * y_pow
-            rhs = a_pow * y_pow
             trial = np.arange(first, stop)
             params = {
                 "trial": trial,
@@ -697,7 +762,7 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
         "trials": trials,
         "distributions": list(_TRIAL_DISTRIBUTIONS),
     }
-    return desc, seed, chunks()
+    return desc, seed, [chunks()]
 
 
 def check_theorem_3_5(
@@ -753,7 +818,7 @@ class Param:
 class Statement:
     """How to evaluate a statement, and the grid keys it takes."""
 
-    evaluate: Callable[[Dict], Tuple[Dict, Optional[int], Iterator[Chunk]]]
+    evaluate: Callable[[Dict], Tuple[Dict, Optional[int], List[Iterable[Chunk]]]]
     params: Tuple[Param, ...]
 
 

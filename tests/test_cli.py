@@ -207,6 +207,15 @@ class TestVerifyCommand:
         )
         assert not out.exists()
 
+    def test_theorem_3_5_overflowing_norm_powers_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        args = ("verify", "theorem-3-5", "--corollary-K", "3", "--p", "2000", "--trials", "10")
+        assert run(*args, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: theorem-3-5 norm powers overflow at p=2000.0, theta=0.5\n"
+        assert "result" not in captured.out
+        assert not out.exists()
+
     def test_timing_flag_adds_runtime(self, tmp_path):
         out = tmp_path / "t.json"
         run(

@@ -89,7 +89,8 @@ class TestLemma32Grid:
         import lorentzkit.verify as verify
 
         defaults = {"theta_values": [0.05], "i_max": 1000, "k_max": 1000}
-        chunk = next(verify._lemma_3_2(defaults)[2])
+        (part,) = verify._lemma_3_2(defaults)[2]
+        chunk = next(part)
         mid = chunk.mid[851, 597]
         assert chunk.params["i"][851, 0] == 852 and chunk.params["k"][0, 597] == 598
         assert mid == pytest.approx(check_lemma_3_2(0.05, 852, 598).mid, abs=DEFAULT_TOLERANCE)
@@ -154,8 +155,9 @@ class TestRemark33Blocks:
         thetas, ps, trials, seed = [0.3, 0.75], [1.0, 1.5, 3.0], 50, 5
         grid = {"theta_values": thetas, "p_values": ps, "trials": trials, "seed": seed,
                 "max_support": max_support}
-        _, _, chunks = verify._remark_3_3(grid)
-        got = [verify._instance(c, f) for c in chunks for f in range(c.slack.size)]
+        _, _, parts = verify._remark_3_3(grid)
+        assert len(parts) == len(thetas) * len(ps)  # one part per cell, in grid order
+        got = [verify._instance(c, f) for part in parts for c in part for f in range(c.slack.size)]
         assert len(got) == len(thetas) * len(ps) * trials
         for ti, theta in enumerate(thetas):
             for pi, p in enumerate(ps):
@@ -177,17 +179,66 @@ class TestRemark33Blocks:
         grid = {"theta_values": [0.25], "p_values": [1.0, 3.0], "trials": 4100, "seed": 9,
                 "max_support": 6}
 
-        def reports():
+        def reports(cpus, block):
+            monkeypatch.setattr(verify, "_cpus", lambda: cpus)
+            monkeypatch.setattr(verify, "_REMARK_BLOCK_TRIALS", block)
             # a tolerance of -1e300 lists every instance as a violation, so the
             # second report pins each trial's number and values
             every = verify._report("remark-3-3", -1e300, 0.0, *verify._remark_3_3(grid))
             assert len(every.violations) == every.instances == 8200
             return run_grid("remark-3-3", grid).to_json(), every.to_json()
 
-        default = reports()
-        for block in (1, 7, verify._REMARK_BLOCK_TRIALS):
-            monkeypatch.setattr(verify, "_REMARK_BLOCK_TRIALS", block)
-            assert reports() == default, block
+        default = verify._REMARK_BLOCK_TRIALS
+        serial = reports(1, default)
+        for cpus in (1, 2):  # the two cells in the calling thread, or on two workers
+            for block in (1, 7, default):
+                assert reports(cpus, block) == serial, (cpus, block)
+
+    def test_one_part_or_one_cpu_runs_in_the_calling_thread(self, monkeypatch):
+        import threading
+
+        import lorentzkit.verify as verify
+
+        threads = []
+        aggregate = verify._aggregate
+
+        def spy(chunks, tolerance):
+            threads.append(threading.current_thread())
+            return aggregate(chunks, tolerance)
+
+        monkeypatch.setattr(verify, "_aggregate", spy)
+        remark = {"theta_values": [0.25], "p_values": [1.0, 3.0], "trials": 10}
+        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        run_grid("lemma-3-2", {"theta_values": [0.25, 0.5], "i_max": 3, "k_max": 3})
+        monkeypatch.setattr(verify, "_cpus", lambda: 1)
+        run_grid("remark-3-3", remark)
+        assert threads == [threading.current_thread()] * 3
+        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        run_grid("remark-3-3", remark)
+        assert len(threads) == 5 and threading.current_thread() not in threads[3:]
+
+    def test_first_overflowing_cell_names_the_error(self, monkeypatch):
+        import lorentzkit.verify as verify
+
+        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        grid = {"theta_values": [0.5], "p_values": [1.0, 600.0, 700.0], "trials": 20}
+        with pytest.raises(ValueError, match=r"at p=600\.0, theta=0\.5$"):
+            run_grid("remark-3-3", grid)
+
+    def test_memory_with_two_cells_in_flight(self, monkeypatch):
+        import tracemalloc
+
+        import lorentzkit.verify as verify
+
+        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        grid = {"theta_values": [0.25, 0.5], "p_values": [1.5], "trials": 80_000}
+        tracemalloc.start()
+        try:
+            assert run_grid("remark-3-3", grid).instances == 160_000
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
 
     def test_memory_does_not_grow_with_trials(self):
         import tracemalloc
@@ -376,6 +427,42 @@ class TestAggregate:
         assert count == 3
         assert [v.params["n"] for v in violations] == [1]
         assert first.slack == 1.0
+
+    def test_parts_fold_as_one_pass(self, monkeypatch):
+        import lorentzkit.verify as verify
+
+        def chunk(first, slack):
+            n = np.arange(first, first + len(slack))
+            return verify.Chunk("t", {"n": n}, None, None, None, np.array(slack))
+
+        parts = [
+            [chunk(0, [2.0, -1.0]), chunk(2, [np.nan, 3.0])],
+            [chunk(4, [np.nan, np.nan])],  # only NaN slacks: violations, never the minimum
+            [chunk(6, [-1.0, 5.0])],  # ties the first part's minimum, which it keeps
+            [chunk(8, [0.5, -3e-12])],
+        ]
+        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        count, violations, first = verify._fold(verify._aggregate_parts(parts, DEFAULT_TOLERANCE))
+        assert count == 10
+        assert [v.params["n"] for v in violations] == [1, 2, 4, 5, 6, 9]
+        assert first.params == {"n": 1} and first.slack == -1.0
+        one_pass = verify._aggregate([c for part in parts for c in part], DEFAULT_TOLERANCE)
+        assert repr((count, violations, first)) == repr(one_pass)
+
+    def test_nan_only_part_never_holds_the_minimum(self):
+        import lorentzkit.verify as verify
+
+        def part(first, slack):
+            n = np.arange(first, first + len(slack))
+            return [verify.Chunk("t", {"n": n}, None, None, None, np.array(slack))]
+
+        nan_only = verify._aggregate(part(0, [np.nan]), DEFAULT_TOLERANCE)
+        assert verify._fold([nan_only])[2] is None
+        later = verify._aggregate(part(1, [np.nan, 2.0]), DEFAULT_TOLERANCE)
+        count, violations, first = verify._fold([nan_only, later])
+        assert count == 3 and [v.params["n"] for v in violations] == [0, 1]
+        assert first.params == {"n": 2} and first.slack == 2.0
+
 
 class TestReportSerialization:
     @pytest.fixture()
