@@ -22,7 +22,6 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Dict, Iterable, List, Optional
@@ -56,6 +55,7 @@ from .verify import (
     STATEMENT_IDS,
     STATEMENTS,
     THETA,
+    dump_json,
     run_grid,
     _py,
 )
@@ -77,11 +77,6 @@ def _resolve_out_path(path: Optional[str]) -> Optional[str]:
     if out_dir and not os.path.dirname(path):
         return os.path.join(out_dir, path)
     return path
-
-
-def _write_json(path: str, payload: Dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _echo(res: Resolver, options: Iterable[Option]) -> Dict:
@@ -120,7 +115,7 @@ def _cmd_norm(args: argparse.Namespace) -> int:
     print(f"ratio lp/lorentz  {ratio!r}")
     out = _resolve_out_path(res.get(OUT))
     if out:
-        _write_json(
+        dump_json(
             out,
             {
                 "command": "norm",
@@ -219,7 +214,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
                 "(the exact escape criterion is specific to p = 1)"
             )
         if out:
-            _write_json(
+            dump_json(
                 out,
                 {
                     "command": "construct",
@@ -245,7 +240,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     print(f"total support   {scheme.total_support}")
     print(f"stagger ratio   {'n/a' if stagger is None else repr(stagger)}")
     if out:
-        _write_json(
+        dump_json(
             out,
             {
                 "command": "construct",
@@ -324,7 +319,7 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
         payload["abs_difference"] = abs(exact - estimate.estimate)
     out = _resolve_out_path(res.get(OUT))
     if out:
-        _write_json(out, payload)
+        dump_json(out, payload)
     return EXIT_PASS
 
 
@@ -366,9 +361,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ValueError, TypeError, GrowthCutoffError, SchemeOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -41,14 +41,14 @@ per statement turns sums or norm powers into column chunks (params, lhs,
 mid, rhs, slack); the evaluator feeds it the whole grid, the ``check_*``
 helper one point.  One aggregator turns the chunks of any statement into the
 instance count, the violations in grid order and the first minimum-slack
-instance.  The lemma-3-1 and lemma-3-2 grids take their windows from a dense
-prefix-sum array, far cheaper on a large grid, and the ``check_*`` helpers
-from the Euler–Maclaurin sums of :mod:`lorentzkit.weights`.  theorem-3-5 and
-remark-3-3 draw and evaluate their trials a fixed block at a time, so memory
-does not grow with ``--trials`` (bar remark-3-3's two sizes per trial).  Per
-(theta, p) cell remark-3-3 draws every x support size, then every y size,
-then per trial one row of ``2 * max_support`` normals, x's left half and y's
-right half, so the report does not depend on the block size.
+instance.  The lemma-3-1 and lemma-3-2 grids take their window ratios from
+one builder over a dense prefix-sum array (far cheaper on a large grid), the
+``check_*`` helpers from the Euler–Maclaurin sums of :mod:`lorentzkit.weights`.
+theorem-3-5 and remark-3-3 draw and evaluate their trials a fixed block at a
+time, so memory does not grow with ``--trials`` (bar remark-3-3's two sizes
+per trial).  Per (theta, p) cell remark-3-3 draws every x support size, then
+every y size, then per trial one row of ``2 * max_support`` normals, x's left
+half and y's right half, so the report does not depend on the block size.
 
 An evaluator returns a list of independent parts, each an iterable of
 chunks: remark-3-3 one per (theta, p) cell, every other statement one.  Each
@@ -107,6 +107,19 @@ def _py(value):
     if isinstance(value, (list, tuple)):
         return [_py(v) for v in value]
     return value
+
+
+def _dumps(doc: Dict) -> str:
+    """Canonical JSON: keys sorted, no NaN or infinity."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def dump_json(path, doc: Dict) -> None:
+    """Write ``doc`` to ``path`` as canonical JSON, serialized before the file
+    is opened, so a document that cannot be serialized leaves no file."""
+    text = _dumps(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 @dataclass
@@ -182,13 +195,10 @@ class VerificationReport:
         }
 
     def to_json(self, include_timing: bool = False) -> str:
-        doc = self.to_dict(include_timing)
-        return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return _dumps(self.to_dict(include_timing))
 
     def write_json(self, path, include_timing: bool = False) -> None:
-        text = self.to_json(include_timing)  # raises before the file is touched
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        dump_json(path, self.to_dict(include_timing))
 
     def write_csv(self, path) -> None:
         """Flat one-row-per-violation table (header always present)."""
@@ -220,14 +230,11 @@ class VerificationReport:
 
 
 def _power_gap(x, e):
-    """``(x+1)**e - x**e`` without cancellation for large ``x`` (x >= 0)."""
-    x = np.asarray(x, dtype=np.float64)
+    """``(x+1)**e - x**e`` without cancellation for large ``x`` (floats >= 0)."""
     out = np.ones_like(x)
     pos = x > 0.0
     xp = x[pos]
     out[pos] = xp ** e * np.expm1(e * np.log1p(1.0 / xp))
-    if out.ndim == 0:
-        return float(out)
     return out
 
 
@@ -247,8 +254,14 @@ def theorem_constants(
     ``B = (1-theta)/2 * (M+1)^(-theta)``; ``M`` is clamped to at least 1,
     and ``None`` (single-level schemes) is treated as 1.
     """
-    _, upper = _band_constants(theta)
-    return upper, (1.0 - theta) / 2.0 * (_stagger(stagger) + 1.0) ** (-theta)
+    lower, upper = _band_constants(theta)
+    return upper, lower * (_stagger(stagger) + 1.0) ** (-theta)
+
+
+def _check_finite(statement: str, p: float, theta: float, *powers) -> None:
+    """Reject norm powers that overflowed (or turned NaN) at this ``(p, theta)``."""
+    if not all(np.isfinite(v).all() for v in powers):
+        raise ValueError(f"{statement} norm powers overflow at p={p}, theta={theta}")
 
 
 def _stagger(ratio: Optional[float]) -> float:
@@ -257,9 +270,7 @@ def _stagger(ratio: Optional[float]) -> float:
 
 
 def _log_sampled_ints(k_max: int, minimum: int) -> np.ndarray:
-    """Deterministic log-spaced integers in ``[1, k_max]`` (>= minimum values)."""
-    k_max = _check_int("k_max", k_max, 1)
-    minimum = _check_int("minimum", minimum, 1)
+    """Deterministic log-spaced integers in ``[1, k_max]``, the first 1 (>= minimum values)."""
     if k_max <= minimum:
         return np.arange(1, k_max + 1, dtype=np.int64)
     num = minimum
@@ -409,53 +420,60 @@ def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts):
 # ---------------------------------------------------------------------------
 
 
+def _dense_window_ratios(w: WeightSequence, n_max: int, starts, k) -> np.ndarray:
+    """``(w_{s+1} + ... + w_{s+k}) / W_k`` at starts ``s``, lengths ``k``, ``s + k <= n_max``,
+    from one dense prefix-sum array.  ``k`` is a row starting at 1 whose starts run
+    ``0, 1, 2, ...``: that column is set to the single terms ``w_1, w_2, ...``."""
+    sums = w.partial_sums(n_max)
+    ratio = sums[starts + k]
+    ratio -= sums[starts]
+    ratio[:, 0] = w.weight_values(ratio.shape[0])
+    ratio /= sums[k]
+    return ratio
+
+
 def _lemma_3_1_chunk(theta: float, j, k, ratio) -> Chunk:
-    """Instances at window starts ``j`` and lengths ``k`` (broadcast together)
-    from their ratios ``(w_{j+1} + ... + w_{j+k}) / W_k``."""
+    """Instances at window starts ``j`` (a column of consecutive integers) and
+    lengths ``k`` (a row) from their ratios ``(w_{j+1} + ... + w_{j+k}) / W_k``;
+    one power gap over rows ``j, ..., j_last + 1`` gives both sides."""
     e = 1.0 - theta
-    lhs = _power_gap((j + 1.0) / k, e)
-    rhs = _power_gap(j / k, e) / (2.0 ** e - 1.0)
+    rows = np.arange(j[0, 0], j[-1, 0] + 2)[:, None]
+    gap = _power_gap(rows / k, e)
+    lhs = gap[1:]
+    rhs = gap[:-1] / (2.0 ** e - 1.0)
     params = {"theta": theta, "j": j, "k": k}
-    slack = np.asarray(ratio - lhs)  # 0-d at one point, so ``out=`` works
+    slack = ratio - lhs
     np.minimum(slack, rhs - ratio, out=slack)
     return Chunk("lemma-3-1", params, lhs, ratio, rhs, slack)
 
 
 def check_lemma_3_1(theta: float, j: int, k: int) -> InequalityInstance:
     """Check the shifted power-sum ratio sandwich at one ``(theta, j, k)``."""
-    j = _check_int("j", j, 0)
-    k = _check_int("k", k, 1)
+    j = np.array([[_check_int("j", j, 0)]])
+    k = np.array([[_check_int("k", k, 1)]])
     w = WeightSequence(theta)
-    ratio = w.window_sums(j, k) / w.window_sums(0, k)
-    return _instance(_lemma_3_1_chunk(w.theta, j, k, ratio), 0)
+    return _instance(_lemma_3_1_chunk(w.theta, j, k, w._averaged(j, k)), 0)
 
 
 def _lemma_3_1(grid: Dict):
     thetas = [float(t) for t in grid["theta_values"]]
     j_max = _check_int("j_max", grid["j_max"], 0)
     k_max = _check_int("k_max", grid["k_max"], 1)
-    k_values = _log_sampled_ints(k_max, int(grid["k_samples"]))
-    j = np.arange(0, j_max + 1, dtype=np.int64)
+    k = _log_sampled_ints(k_max, _check_int("k_samples", grid["k_samples"], 1))[None, :]
+    j = np.arange(0, j_max + 1, dtype=np.int64)[:, None]
 
     def chunks():
         for theta in thetas:
-            w = WeightSequence(theta)
-            sums = w.partial_sums(j_max + k_max)
-            ratio = sums[j[:, None] + k_values[None, :]] - sums[j[:, None]]
-            ones = k_values == 1
-            if np.any(ones):
-                w_vals = w.weight_values(j_max + 1)
-                ratio[:, ones] = w_vals[j][:, None]
-            ratio /= sums[k_values][None, :]
+            ratio = _dense_window_ratios(WeightSequence(theta), j_max + k_max, j, k)
             # held until the next chunk is built: freed any earlier, its pages go
             # back to the system and the next chunk faults them in again
-            chunk = _lemma_3_1_chunk(theta, j[:, None], k_values[None, :], ratio)
+            chunk = _lemma_3_1_chunk(theta, j, k, ratio)
             yield chunk
 
     desc = {
         "theta_values": thetas,
         "j_max": j_max,
-        "k_values": [int(v) for v in k_values],
+        "k_values": [int(v) for v in k[0]],
     }
     return desc, None, [chunks()]
 
@@ -485,20 +503,15 @@ def _lemma_3_2(grid: Dict):
     thetas = [float(t) for t in grid["theta_values"]]
     i_max = _check_int("i_max", grid["i_max"], 1)
     k_max = _check_int("k_max", grid["k_max"], 1)
-    i = np.arange(1, i_max + 1, dtype=np.int64)
-    k = np.arange(1, k_max + 1, dtype=np.int64)
+    i = np.arange(1, i_max + 1, dtype=np.int64)[:, None]
+    k = np.arange(1, k_max + 1, dtype=np.int64)[None, :]
 
     def chunks():
-        ik = i[:, None] * k[None, :]
+        starts = (i - 1) * k
         for theta in thetas:
-            w = WeightSequence(theta)
-            sums = w.partial_sums(i_max * k_max)
-            w_i = w.weight_values(i_max)
-            averaged = sums[ik] - sums[ik - k[None, :]]
-            averaged[:, 0] = w_i  # k = 1 windows are single exact terms
-            averaged /= sums[k][None, :]
-            # held until the next chunk is built, as in lemma-3-1
-            chunk = _lemma_3_2_chunk(theta, i[:, None], k[None, :], averaged, w_i[:, None])
+            averaged = _dense_window_ratios(WeightSequence(theta), i_max * k_max, starts, k)
+            # held until the next chunk is built, as in lemma-3-1; column 0 is w_i
+            chunk = _lemma_3_2_chunk(theta, i, k, averaged, averaged[:, :1])
             yield chunk
 
     return {"theta_values": thetas, "i_max": i_max, "k_max": k_max}, None, [chunks()]
@@ -506,9 +519,7 @@ def _lemma_3_2(grid: Dict):
 
 def _remark_3_3_chunk(params: Dict, pow_x, pow_y, pow_union) -> Chunk:
     """Instances from the norm powers ``||x||^p``, ``||y||^p``, ``||x+y||^p``."""
-    if not np.isfinite([pow_x, pow_y, pow_union]).all():
-        p, theta = params["p"], params["theta"]
-        raise ValueError(f"remark-3-3 norm powers overflow at p={p}, theta={theta}")
+    _check_finite("remark-3-3", params["p"], params["theta"], pow_x, pow_y, pow_union)
     bound = pow_x + pow_y
     return Chunk("remark-3-3", params, pow_union, None, bound, bound - pow_union)
 
@@ -531,7 +542,7 @@ _REMARK_BLOCK_TRIALS = 1024
 
 def _remark_3_3(grid: Dict):
     thetas = [float(t) for t in grid["theta_values"]]
-    ps = [float(p) for p in grid["p_values"]]
+    ps = [_check_p(p) for p in grid["p_values"]]
     trials = _check_int("trials", grid["trials"], 1)
     seed = _check_int("seed", grid["seed"], 0)
     m = _check_int("max_support", grid["max_support"], 1)
@@ -604,11 +615,10 @@ def _lemma_3_4_chunks(scheme, weights, a: float, b: float, levels: int):
         j_k = scheme.lengths[k - 1]
         base = scheme.offsets[k - 1]
         c_k = scheme.counts[k - 1]
-        w_jk = weights.partial_sum(j_k)
         i = np.arange(1, c_k + 1, dtype=np.int64)
         w_i = weights.weight_values(c_k)
-        avg_plain = weights.window_sums((i - 1) * j_k, j_k) / w_jk
-        avg_shifted = weights.window_sums(base + (i - 1) * j_k, j_k) / w_jk
+        avg_plain = weights._averaged((i - 1) * j_k, j_k)
+        avg_shifted = weights._averaged(base + (i - 1) * j_k, j_k)
         absent = np.full(c_k, np.nan)
         yield Chunk(
             "lemma-3-4",
@@ -733,10 +743,7 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
                 )
                 x_pow = lorentz_pnorm_pow_runlength(coeffs * scales, block_lengths, space)
                 rhs = a_pow * y_pow
-            if not (np.isfinite(x_pow).all() and np.isfinite(rhs).all()):
-                raise ValueError(
-                    f"theorem-3-5 norm powers overflow at p={p}, theta={weights.theta}"
-                )
+            _check_finite("theorem-3-5", p, weights.theta, x_pow, rhs)
             lhs = b * y_pow
             trial = np.arange(first, stop)
             params = {

@@ -222,3 +222,56 @@ def remark_3_3_trials(
         y[max_support : max_support + size_y] = row[max_support : max_support + size_y]
         out.append((int(size_x), int(size_y), x, y))
     return out
+
+
+# The dense lemma-3-1/3-2 grids as the library first built them: its prefix
+# sums and weights, but two power-gap passes, two gathers per window and the
+# k = 1 column patched by a mask.  Unlike the functions above these repeat the
+# library's float operations on purpose, so its grids must match them bit for
+# bit; they pin the window arithmetic, not the sums.
+
+
+def _power_gap(x, e):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.ones_like(x)
+    pos = x > 0.0
+    out[pos] = x[pos] ** e * np.expm1(e * np.log1p(1.0 / x[pos]))
+    return out
+
+
+def lemma_3_1_grid(theta: float, j_max: int, k_max: int, k_values: np.ndarray):
+    """``(lhs, mid, rhs, slack)`` of the lemma-3-1 grid over ``j = 0..j_max``
+    (rows) and ``k_values`` (columns)."""
+    from lorentzkit.weights import WeightSequence
+
+    w = WeightSequence(theta)
+    sums = w.partial_sums(j_max + k_max)
+    j = np.arange(0, j_max + 1, dtype=np.int64)
+    ratio = sums[j[:, None] + k_values[None, :]] - sums[j[:, None]]
+    ones = k_values == 1
+    if np.any(ones):
+        ratio[:, ones] = w.weight_values(j_max + 1)[j][:, None]
+    ratio /= sums[k_values][None, :]
+    e = 1.0 - theta
+    lhs = _power_gap((j[:, None] + 1.0) / k_values[None, :], e)
+    rhs = _power_gap(j[:, None] / k_values[None, :], e) / (2.0**e - 1.0)
+    return lhs, ratio, rhs, np.minimum(ratio - lhs, rhs - ratio)
+
+
+def lemma_3_2_grid(theta: float, i_max: int, k_max: int):
+    """``(lhs, mid, rhs, slack)`` of the lemma-3-2 grid over ``i = 1..i_max``
+    (rows) and ``k = 1..k_max`` (columns)."""
+    from lorentzkit.weights import WeightSequence
+
+    w = WeightSequence(theta)
+    sums = w.partial_sums(i_max * k_max)
+    i = np.arange(1, i_max + 1, dtype=np.int64)
+    k = np.arange(1, k_max + 1, dtype=np.int64)
+    ik = i[:, None] * k[None, :]
+    w_i = w.weight_values(i_max)[:, None]
+    averaged = sums[ik] - sums[ik - k[None, :]]
+    averaged[:, 0] = w_i[:, 0]
+    averaged /= sums[k][None, :]
+    lower, upper = band_constants(theta)
+    lhs, rhs = lower * w_i, upper * w_i
+    return lhs, averaged, rhs, np.minimum(averaged - lhs, rhs - averaged)

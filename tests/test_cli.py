@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from lorentzkit.cli import OUT_DIR_ENV_VAR, main
@@ -69,6 +70,14 @@ class TestNormCommand:
         doc = json.loads(out.read_text(), parse_constant=reject)
         assert doc["lorentz_norm"] == 0.0
         assert doc["ratio"] is None
+
+    def test_refused_payload_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "n.json"
+        args = ("norm", "--theta", "0.5", "--p", "1", "--dense", "1e308,1e308")
+        with np.errstate(over="ignore"):  # the l_p norm is out of float64 range
+            assert run(*args, "--out", str(out)) == 2
+        assert capsys.readouterr().err.startswith("error: Out of range float values")
+        assert not out.exists()
 
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "norm.json"
@@ -215,6 +224,25 @@ class TestVerifyCommand:
         assert captured.err == "error: theorem-3-5 norm powers overflow at p=2000.0, theta=0.5\n"
         assert "result" not in captured.out
         assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    @pytest.mark.parametrize("value,shown", [("0.5", "0.5"), ("nan", "nan"),
+                                             ("inf", "inf"), ("-1", "-1.0")])
+    def test_remark_3_3_p_below_one_exit_2(self, tmp_path, capsys, form, value, shown):
+        out = tmp_path / "r.json"
+        args = ("verify", "remark-3-3", "--trials", "5", "--out", str(out))
+        if form == "flag":
+            assert run(*args, f"--p-grid={value}") == 2
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"p_grid = 1,{value}\n")
+            assert run(*args, "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == f"error: p must be a finite real >= 1, got {shown}\n"
+        assert not out.exists()
+
+    def test_k_samples_below_one_exit_2(self, capsys):
+        assert run("verify", "lemma-3-1", "--j-max", "2", "--k-max", "3", "--k-samples", "0") == 2
+        assert capsys.readouterr().err == "error: k_samples must be >= 1, got 0\n"
 
     def test_timing_flag_adds_runtime(self, tmp_path):
         out = tmp_path / "t.json"

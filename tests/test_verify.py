@@ -96,6 +96,64 @@ class TestLemma32Grid:
         assert mid == pytest.approx(check_lemma_3_2(0.05, 852, 598).mid, abs=DEFAULT_TOLERANCE)
 
 
+class TestDenseGrids:
+    """The grids' shared window builder and single power-gap pass against the
+    two-pass, two-gather construction they replaced, bit for bit."""
+
+    thetas = [0.05, 0.5, 0.95]
+
+    @staticmethod
+    def assert_chunk_equals(chunk, want):
+        for side, expected in zip((chunk.lhs, chunk.mid, chunk.rhs, chunk.slack), want):
+            np.testing.assert_array_equal(side, expected, strict=True)
+
+    def test_lemma_3_1_matches_two_pass_grid(self):
+        import lorentzkit.verify as verify
+
+        grid = {"theta_values": self.thetas, "j_max": 70, "k_max": 300, "k_samples": 12}
+        desc, _, (part,) = verify._lemma_3_1(grid)
+        k_values = np.array(desc["k_values"])
+        assert k_values[0] == 1 and k_values.size >= 12
+        chunks = list(part)
+        assert len(chunks) == len(self.thetas)
+        for theta, chunk in zip(self.thetas, chunks):
+            self.assert_chunk_equals(chunk, oracle.lemma_3_1_grid(theta, 70, 300, k_values))
+
+    def test_lemma_3_2_matches_two_gather_grid(self):
+        import lorentzkit.verify as verify
+
+        grid = {"theta_values": self.thetas, "i_max": 40, "k_max": 90}
+        (part,) = verify._lemma_3_2(grid)[2]
+        chunks = list(part)
+        assert len(chunks) == len(self.thetas)
+        for theta, chunk in zip(self.thetas, chunks):
+            self.assert_chunk_equals(chunk, oracle.lemma_3_2_grid(theta, 40, 90))
+
+    def test_pointwise_sides_match_grid(self):
+        import lorentzkit.verify as verify
+
+        (part,) = verify._lemma_3_1({"theta_values": [0.3], "j_max": 9, "k_max": 7,
+                                     "k_samples": 7})[2]
+        chunk = next(part)
+        for j, k in [(0, 1), (4, 3), (9, 7)]:
+            inst = check_lemma_3_1(0.3, j, k)
+            assert (inst.lhs, inst.rhs) == (chunk.lhs[j, k - 1], chunk.rhs[j, k - 1])
+
+    def test_k_samples_start_at_one(self):
+        # the builder takes the k = 1 column to be the first
+        import lorentzkit.verify as verify
+
+        for k_max in range(1, 301):
+            for k_samples in range(1, 81):
+                assert verify._log_sampled_ints(k_max, k_samples)[0] == 1
+
+    @pytest.mark.parametrize("k_samples", [0, 60.7, "60"])
+    def test_k_samples_validated(self, k_samples):
+        grid = {"theta_values": [0.5], "j_max": 2, "k_max": 3, "k_samples": k_samples}
+        with pytest.raises((TypeError, ValueError), match="k_samples must be"):
+            run_grid("lemma-3-1", grid)
+
+
 class TestLemma32Pointwise:
     def test_oracle_point(self):
         inst = check_lemma_3_2(0.5, 2, 2)
