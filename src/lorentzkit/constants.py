@@ -103,7 +103,8 @@ class NormDescriptor:
         vals = decreasing_rearrangement(values)
         if vals.shape[0] == 0:
             return 0.0
-        return _weighted_norm(vals, self.weight_vector(vals.shape[0]), self.p)
+        weights = self.weight_vector(vals.shape[0])
+        return _weighted_norm(vals, weights, self.p, f"{self.label} norm")
 
 
 def lp_norm_descriptor(p: float) -> NormDescriptor:

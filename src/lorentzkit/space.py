@@ -174,7 +174,7 @@ def lorentz_pnorm_pow(x: Union[FiniteVector, Sequence[float]], params: SpacePara
     return _kernels.weighted_pow_sum(vals, params.weights.weight_values(vals.shape[0]), params.p)
 
 
-def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float) -> float:
+def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float, name: str) -> float:
     """``(sum_n a_n^p w_n)^(1/p)`` for positive ``a`` sorted decreasing.
 
     Evaluated on ``a / 2^e`` with ``2^(e-1) <= a_1 < 2^e`` and rescaled by
@@ -182,25 +182,31 @@ def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float) -> fl
     can neither overflow nor underflow to zero unless the norm itself is out
     of range.  Scaling by a power of two is exact: wherever the unscaled sum
     stays in range the result is the same for ``p`` = 1 and 2, and within a
-    few ulps otherwise.
+    few ulps otherwise.  A norm beyond float64 raises a ``ValueError`` that
+    names it (``name``).
     """
     if values_desc.shape[0] == 0:
         return 0.0
     _, e = np.frexp(values_desc[0])
     power = _kernels.weighted_pow_sum(np.ldexp(values_desc, -e), weights, p)
-    return float(np.ldexp(power ** (1.0 / p), e))
+    with np.errstate(over="ignore"):
+        norm = np.ldexp(power ** (1.0 / p), e)
+    if not np.isfinite(norm):
+        raise ValueError(f"{name} overflows float64 at p={p}")
+    return float(norm)
 
 
 def lorentz_norm(x: Union[FiniteVector, Sequence[float]], params: SpaceParams) -> float:
     """Weighted decreasing-rearrangement norm ``||x||_{w,p}``, scaled."""
     vals = decreasing_rearrangement(x)
-    return _weighted_norm(vals, params.weights.weight_values(vals.shape[0]), params.p)
+    return _weighted_norm(vals, params.weights.weight_values(vals.shape[0]), params.p,
+                          "Lorentz norm")
 
 
 def lp_norm(x: Union[FiniteVector, Sequence[float]], p: float) -> float:
     """Plain ``l_p`` norm, accumulated largest term first, scaled."""
     vals = decreasing_rearrangement(x)
-    return _weighted_norm(vals, np.ones(vals.shape[0]), _check_p(p))
+    return _weighted_norm(vals, np.ones(vals.shape[0]), _check_p(p), "lp norm")
 
 
 # -----------------------------------------------------------------------------

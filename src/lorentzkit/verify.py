@@ -42,21 +42,29 @@ mid, rhs, slack); the evaluator feeds it the whole grid, the ``check_*``
 helper one point.  One aggregator turns the chunks of any statement into the
 instance count, the violations in grid order and the first minimum-slack
 instance.  The lemma-3-1 and lemma-3-2 grids take their window ratios from
-one builder over a dense prefix-sum array (far cheaper on a large grid), the
-``check_*`` helpers from the Euler–Maclaurin sums of :mod:`lorentzkit.weights`.
-theorem-3-5 and remark-3-3 draw and evaluate their trials a fixed block at a
-time, so memory does not grow with ``--trials`` (bar remark-3-3's two sizes
-per trial).  Per (theta, p) cell remark-3-3 draws every x support size, then
-every y size, then per trial one row of ``2 * max_support`` normals, x's left
-half and y's right half, so the report does not depend on the block size.
+one builder over a dense prefix-sum array per theta (far cheaper on a large
+grid), the ``check_*`` helpers from the Euler–Maclaurin sums of
+:mod:`lorentzkit.weights`.  The grids are built and checked a fixed block of
+rows at a time, so memory beyond the prefix sums does not grow with the
+grid.  theorem-3-5 and remark-3-3 draw and evaluate their trials a fixed
+block at a time, so memory does not grow with ``--trials`` (bar remark-3-3's
+two sizes per trial).  Per (theta, p) cell remark-3-3 draws every x support
+size, then every y size, then per trial one row of ``2 * max_support``
+normals, x's left half and y's right half, so the report does not depend on
+the block size.
 
-An evaluator returns a list of independent parts, each an iterable of
-chunks: remark-3-3 one per (theta, p) cell, every other statement one.  Each
-part is aggregated on its own and the results are folded in part order,
-exactly as one pass over all the chunks, so the parts may run on a thread
-pool of one worker per CPU the process may use (its CPU affinity; there is
-no setting) and the report stays byte-identical.  With one part or one CPU
-they run in the calling thread and no thread is started.
+An evaluator returns an iterable of independent parts, each an iterable of
+chunks: remark-3-3 one per (theta, p) cell, lemma-3-1 and lemma-3-2 one per
+theta (drawn lazily, each holding its theta's prefix sums), every other
+statement one.  Each part is aggregated on its own and the results are
+folded in part order, exactly as one pass over all the chunks, so the parts
+may run on a thread pool of one worker per CPU the process may use (its CPU
+affinity; there is no setting) and the report stays byte-identical.  The
+next part is drawn only once a worker is free, so at most one part per
+worker holds its arrays.  With one part or one CPU they run in
+the calling thread and no thread is started.  The weights and their sums
+are always built in the calling thread, while the parts are drawn; only the
+chunks and their aggregation run on the workers.
 
 Reports are plain dataclasses with canonical JSON output: keys sorted, grid
 aggregation in grid order, and no wall-clock fields unless explicitly
@@ -65,6 +73,7 @@ requested, so a fixed seed yields byte-identical files run after run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -374,22 +383,44 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _aggregate_parts(parts: List[Iterable[Chunk]], tolerance: float):
+def _aggregate_parts(parts: Iterable[Iterable[Chunk]], tolerance: float):
     """:func:`_aggregate` of each part, in part order.
 
     The parts are independent, so with several parts and CPUs they run on a
     thread pool (numpy releases the interpreter lock for the heavy work);
-    otherwise they run in the calling thread.  Results are read in part
-    order, so the first failing part raises, as in one pass.
+    otherwise they run in the calling thread.  ``parts`` may be lazy: the
+    calling thread draws the next part only once a worker is free, so at
+    most one part per worker holds its arrays at a time.  Results are read
+    in part order, so the first failing part raises, as in one pass; a part
+    that fails while it is drawn raises after the parts drawn before it have
+    been read.
     """
-    workers = min(_cpus(), len(parts))
-    if workers <= 1:
-        return [_aggregate(part, tolerance) for part in parts]
-    from concurrent.futures import ThreadPoolExecutor
+    workers = _cpus()
+    parts = iter(parts)
+    head = list(itertools.islice(parts, 2)) if workers > 1 else []
+    if len(head) <= 1:
+        return [_aggregate(part, tolerance) for part in itertools.chain(head, parts)]
+    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
+    parts = itertools.chain(head, parts)
+    futures, running = [], set()
     pool = ThreadPoolExecutor(workers)
     try:
-        futures = [pool.submit(_aggregate, part, tolerance) for part in parts]
+        while True:
+            if len(running) == workers:  # the next part is drawn once a worker is free
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(future.exception() is not None for future in done):
+                    break  # no more draws; the first failing part raises below
+            try:
+                part = next(parts, None)
+            except Exception:
+                for future in futures:  # the parts drawn before it fail first
+                    future.result()
+                raise
+            if part is None:
+                break
+            futures.append(pool.submit(_aggregate, part, tolerance))
+            running.add(futures[-1])
         return [future.result() for future in futures]
     finally:
         pool.shutdown(cancel_futures=True)
@@ -420,15 +451,26 @@ def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts):
 # ---------------------------------------------------------------------------
 
 
-def _dense_window_ratios(w: WeightSequence, n_max: int, starts, k) -> np.ndarray:
-    """``(w_{s+1} + ... + w_{s+k}) / W_k`` at starts ``s``, lengths ``k``, ``s + k <= n_max``,
-    from one dense prefix-sum array.  ``k`` is a row starting at 1 whose starts run
-    ``0, 1, 2, ...``: that column is set to the single terms ``w_1, w_2, ...``."""
-    sums = w.partial_sums(n_max)
-    ratio = sums[starts + k]
-    ratio -= sums[starts]
-    ratio[:, 0] = w.weight_values(ratio.shape[0])
-    ratio /= sums[k]
+#: the dense lemma-3-1/3-2 grids are built and checked in row blocks of about
+#: this many cells: it bounds memory, and the report does not depend on it
+_GRID_BLOCK_ENTRIES = 1 << 16
+
+
+def _grid_blocks(first: int, last: int, columns: int):
+    """Row ranges ``(lo, hi)``, ``hi`` inclusive, covering ``first..last`` in
+    blocks of about :data:`_GRID_BLOCK_ENTRIES` cells of ``columns`` each."""
+    rows = max(1, _GRID_BLOCK_ENTRIES // columns)
+    for lo in range(first, last + 1, rows):
+        yield lo, min(lo + rows - 1, last)
+
+
+def _window_ratios(ends, starts, terms, w_k) -> np.ndarray:
+    """``(W_{s+k} - W_s) / W_k`` from the prefix sums gathered at the window
+    ends and starts.  The first column has ``k = 1``: it is set to the single
+    terms ``terms``, one per row, before the division."""
+    ratio = ends - starts
+    ratio[:, 0] = terms
+    ratio /= w_k
     return ratio
 
 
@@ -455,27 +497,35 @@ def check_lemma_3_1(theta: float, j: int, k: int) -> InequalityInstance:
     return _instance(_lemma_3_1_chunk(w.theta, j, k, w._averaged(j, k)), 0)
 
 
+def _lemma_3_1_part(theta: float, j_max: int, k, sums, terms):
+    """One theta's chunks, a block of rows ``j`` at a time, from its prefix sums
+    ``sums`` and its weights ``terms = [w_1, ..., w_{j_max+1}]``."""
+    w_k = sums[k]
+    for lo, hi in _grid_blocks(0, j_max, k.shape[1]):
+        j = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
+        ratio = _window_ratios(sums[j + k], sums[j], terms[lo : hi + 1], w_k)
+        yield _lemma_3_1_chunk(theta, j, k, ratio)
+
+
 def _lemma_3_1(grid: Dict):
     thetas = [float(t) for t in grid["theta_values"]]
     j_max = _check_int("j_max", grid["j_max"], 0)
     k_max = _check_int("k_max", grid["k_max"], 1)
     k = _log_sampled_ints(k_max, _check_int("k_samples", grid["k_samples"], 1))[None, :]
-    j = np.arange(0, j_max + 1, dtype=np.int64)[:, None]
 
-    def chunks():
+    def parts():
+        # the weights are built here, in the calling thread; the parts may run on others
         for theta in thetas:
-            ratio = _dense_window_ratios(WeightSequence(theta), j_max + k_max, j, k)
-            # held until the next chunk is built: freed any earlier, its pages go
-            # back to the system and the next chunk faults them in again
-            chunk = _lemma_3_1_chunk(theta, j, k, ratio)
-            yield chunk
+            w = WeightSequence(theta)
+            yield _lemma_3_1_part(theta, j_max, k, w.partial_sums(j_max + k_max),
+                                  w.weight_values(j_max + 1))
 
     desc = {
         "theta_values": thetas,
         "j_max": j_max,
         "k_values": [int(v) for v in k[0]],
     }
-    return desc, None, [chunks()]
+    return desc, None, parts()
 
 
 def _lemma_3_2_chunk(theta: float, i, k, averaged, w_i) -> Chunk:
@@ -499,22 +549,33 @@ def check_lemma_3_2(theta: float, i: int, k: int) -> InequalityInstance:
     return _instance(_lemma_3_2_chunk(w.theta, i, k, averaged, w.weight(i)), 0)
 
 
+def _lemma_3_2_part(theta: float, i_max: int, k, sums, terms):
+    """One theta's chunks, a block of rows ``i`` at a time, from its prefix sums
+    ``sums`` and its weights ``terms = [w_1, ..., w_i_max]``."""
+    w_k = sums[k]
+    for lo, hi in _grid_blocks(1, i_max, k.shape[1]):
+        # the windows of one k tile: W at (i-1)k for i = lo..hi+1, gathered once
+        ends = sums[np.arange(lo - 1, hi + 1, dtype=np.int64)[:, None] * k]
+        averaged = _window_ratios(ends[1:], ends[:-1], terms[lo - 1 : hi], w_k)
+        i = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
+        # column 0 is w_i
+        yield _lemma_3_2_chunk(theta, i, k, averaged, averaged[:, :1])
+
+
 def _lemma_3_2(grid: Dict):
     thetas = [float(t) for t in grid["theta_values"]]
     i_max = _check_int("i_max", grid["i_max"], 1)
     k_max = _check_int("k_max", grid["k_max"], 1)
-    i = np.arange(1, i_max + 1, dtype=np.int64)[:, None]
     k = np.arange(1, k_max + 1, dtype=np.int64)[None, :]
 
-    def chunks():
-        starts = (i - 1) * k
+    def parts():
+        # the weights are built here, in the calling thread; the parts may run on others
         for theta in thetas:
-            averaged = _dense_window_ratios(WeightSequence(theta), i_max * k_max, starts, k)
-            # held until the next chunk is built, as in lemma-3-1; column 0 is w_i
-            chunk = _lemma_3_2_chunk(theta, i, k, averaged, averaged[:, :1])
-            yield chunk
+            w = WeightSequence(theta)
+            yield _lemma_3_2_part(theta, i_max, k, w.partial_sums(i_max * k_max),
+                                  w.weight_values(i_max))
 
-    return {"theta_values": thetas, "i_max": i_max, "k_max": k_max}, None, [chunks()]
+    return {"theta_values": thetas, "i_max": i_max, "k_max": k_max}, None, parts()
 
 
 def _remark_3_3_chunk(params: Dict, pow_x, pow_y, pow_union) -> Chunk:
@@ -825,7 +886,7 @@ class Param:
 class Statement:
     """How to evaluate a statement, and the grid keys it takes."""
 
-    evaluate: Callable[[Dict], Tuple[Dict, Optional[int], List[Iterable[Chunk]]]]
+    evaluate: Callable[[Dict], Tuple[Dict, Optional[int], Iterable[Iterable[Chunk]]]]
     params: Tuple[Param, ...]
 
 

@@ -242,9 +242,14 @@ class WeightSequence:
             raise ValueError(
                 f"partial-sum arrays are limited to {PREFIX_CACHE_LIMIT} entries"
             )
-        sums = np.empty(n_max + 1)
-        sums[0] = 0.0
-        sums[1:] = np.cumsum(self.weight_values(n_max))
+        # filled in place: the indices become the weights, then their sums
+        sums = np.arange(n_max + 1, dtype=np.float64)
+        terms = sums[1:]
+        if self.prefix is None:
+            np.power(terms, np.float64(-self.theta), out=terms)  # as in _weights_at
+        else:
+            terms[:] = self._weights_at(terms)
+        np.cumsum(terms, out=terms)
         sums.setflags(write=False)
         return sums
 

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from lorentzkit.cli import OUT_DIR_ENV_VAR, main
@@ -74,10 +73,22 @@ class TestNormCommand:
     def test_refused_payload_writes_no_file(self, tmp_path, capsys):
         out = tmp_path / "n.json"
         args = ("norm", "--theta", "0.5", "--p", "1", "--dense", "1e308,1e308")
-        with np.errstate(over="ignore"):  # the l_p norm is out of float64 range
-            assert run(*args, "--out", str(out)) == 2
-        assert capsys.readouterr().err.startswith("error: Out of range float values")
+        assert run(*args, "--out", str(out)) == 2  # the l_p norm is out of float64 range
+        assert capsys.readouterr().err == "error: lp norm overflows float64 at p=1.0\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_overflowing_norm_gives_reason(self, tmp_path, capsys, form):
+        # 2e308 is finite input's l_p norm, beyond float64: refused before any line
+        # is printed, and with no overflow warning (warnings fail the suite)
+        if form == "flag":
+            code = run("norm", "--theta", "0.5", "--p", "1", "--dense", "1e308,1e308")
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("theta = 0.5\np = 1\ndense = 1e308,1e308\n")
+            code = run("norm", "--config", str(cfg))
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: lp norm overflows float64 at p=1.0\n")
 
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "norm.json"

@@ -93,6 +93,23 @@ class TestScalarValues:
         with pytest.raises(ValueError):
             sums[3] = 0.0
 
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("n_max", [0, 1, 10**6])
+    def test_partial_sums_bits_match_plain_cumsum(self, theta, n_max):
+        # filled in place, the array is still one cumulative sum of the powers
+        want = np.cumsum(np.arange(1, n_max + 1.0) ** -theta)
+        sums = WeightSequence(theta).partial_sums(n_max)
+        assert sums.shape == (n_max + 1,) and sums[0] == 0.0
+        assert sums[1:].tobytes() == want.tobytes()
+
+    def test_prefix_partial_sums_bits_match_plain_cumsum(self):
+        prefix = [1.0, 0.75, 0.75, 0.5, 0.2]
+        w = WeightSequence(0.3, prefix=prefix)
+        n = np.arange(1, 1001.0)
+        tail = prefix[-1] * ((len(prefix) + 1) / n[len(prefix):]) ** 0.3
+        want = np.cumsum(np.concatenate((prefix, tail)))
+        assert w.partial_sums(1000)[1:].tobytes() == want.tobytes()
+
     def test_monotone_increasing(self):
         w = WeightSequence(0.9)
         sums = w.partial_sums(200)
