@@ -44,27 +44,28 @@ instance count, the violations in grid order and the first minimum-slack
 instance.  The lemma-3-1 and lemma-3-2 grids take their window ratios from
 one builder over a dense prefix-sum array per theta (far cheaper on a large
 grid), the ``check_*`` helpers from the Euler–Maclaurin sums of
-:mod:`lorentzkit.weights`.  The grids are built and checked a fixed block of
-rows at a time, so memory beyond the prefix sums does not grow with the
-grid.  theorem-3-5 and remark-3-3 draw and evaluate their trials a fixed
-block at a time, so memory does not grow with ``--trials`` (bar remark-3-3's
-two sizes per trial).  Per (theta, p) cell remark-3-3 draws every x support
-size, then every y size, then per trial one row of ``2 * max_support``
-normals, x's left half and y's right half, so the report does not depend on
-the block size.
+:mod:`lorentzkit.weights`.  The grids read the prefix sums through views and
+strided slices, never an index array.  Every streamed check works in blocks
+of about :data:`_GRID_BLOCK_ENTRIES` entries: the grids a block of rows at a
+time, so memory beyond the prefix sums does not grow with the grid, and
+theorem-3-5 and remark-3-3 a block of trials at a time, so memory does not
+grow with ``--trials`` (bar remark-3-3's two sizes per trial).  Per (theta,
+p) cell remark-3-3 draws every x support size, then every y size, then per
+trial one row of ``2 * max_support`` normals, x's left half and y's right
+half, so the report does not depend on the block size.
 
-An evaluator returns an iterable of independent parts, each an iterable of
-chunks: remark-3-3 one per (theta, p) cell, lemma-3-1 and lemma-3-2 one per
-theta (drawn lazily, each holding its theta's prefix sums), every other
-statement one.  Each part is aggregated on its own and the results are
-folded in part order, exactly as one pass over all the chunks, so the parts
-may run on a thread pool of one worker per CPU the process may use (its CPU
-affinity; there is no setting) and the report stays byte-identical.  The
-next part is drawn only once a worker is free, so at most one part per
-worker holds its arrays.  With one part or one CPU they run in
-the calling thread and no thread is started.  The weights and their sums
-are always built in the calling thread, while the parts are drawn; only the
-chunks and their aggregation run on the workers.
+An evaluator returns a list of independent parts, each an iterable of
+chunks: remark-3-3 one per (theta, p) cell, every other statement one (for
+lemma-3-1 and lemma-3-2 it runs through every theta's row blocks in theta
+order, so one theta's prefix sums are alive at a time; every theta is
+checked before the first is built).  Each part is aggregated on its own and
+the results are folded in part order, exactly as one pass over all the
+chunks, so the parts may run on a thread pool of one worker per CPU the
+process may use (its CPU affinity; there is no setting) and the report
+stays byte-identical.  With one part or one CPU they run in the calling
+thread and no thread is started.  The weights are always built in the
+calling thread; only remark-3-3's cells and their aggregation run on the
+workers.
 
 Reports are plain dataclasses with canonical JSON output: keys sorted, grid
 aggregation in grid order, and no wall-clock fields unless explicitly
@@ -239,12 +240,18 @@ class VerificationReport:
 
 
 def _power_gap(x, e):
-    """``(x+1)**e - x**e`` without cancellation for large ``x`` (floats >= 0)."""
-    out = np.ones_like(x)
-    pos = x > 0.0
-    xp = x[pos]
-    out[pos] = xp ** e * np.expm1(e * np.log1p(1.0 / xp))
-    return out
+    """``(x+1)**e - x**e`` without cancellation for large ``x``, computed in
+    place of the float array ``x >= 0``."""
+    zero = x == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 ** e * inf at x = 0
+        gap = np.divide(1.0, x)
+        np.log1p(gap, out=gap)
+        gap *= e
+        np.expm1(gap, out=gap)
+        x **= e
+        x *= gap
+    x[zero] = 1.0
+    return x
 
 
 def _band_constants(theta: float) -> Tuple[float, float]:
@@ -383,47 +390,22 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _aggregate_parts(parts: Iterable[Iterable[Chunk]], tolerance: float):
+def _aggregate_parts(parts: List[Iterable[Chunk]], tolerance: float):
     """:func:`_aggregate` of each part, in part order.
 
-    The parts are independent, so with several parts and CPUs they run on a
-    thread pool (numpy releases the interpreter lock for the heavy work);
-    otherwise they run in the calling thread.  ``parts`` may be lazy: the
-    calling thread draws the next part only once a worker is free, so at
-    most one part per worker holds its arrays at a time.  Results are read
-    in part order, so the first failing part raises, as in one pass; a part
-    that fails while it is drawn raises after the parts drawn before it have
-    been read.
+    With one part or one CPU the parts run in the calling thread and no thread
+    is started; otherwise they run on a thread pool (numpy releases the
+    interpreter lock for the heavy work).  Results are read in part order, so
+    the first failing part raises, as in one pass.
     """
-    workers = _cpus()
-    parts = iter(parts)
-    head = list(itertools.islice(parts, 2)) if workers > 1 else []
-    if len(head) <= 1:
-        return [_aggregate(part, tolerance) for part in itertools.chain(head, parts)]
-    from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+    workers = min(_cpus(), len(parts))
+    if workers <= 1:
+        return [_aggregate(part, tolerance) for part in parts]
+    from concurrent.futures import ThreadPoolExecutor
 
-    parts = itertools.chain(head, parts)
-    futures, running = [], set()
-    pool = ThreadPoolExecutor(workers)
-    try:
-        while True:
-            if len(running) == workers:  # the next part is drawn once a worker is free
-                done, running = wait(running, return_when=FIRST_COMPLETED)
-                if any(future.exception() is not None for future in done):
-                    break  # no more draws; the first failing part raises below
-            try:
-                part = next(parts, None)
-            except Exception:
-                for future in futures:  # the parts drawn before it fail first
-                    future.result()
-                raise
-            if part is None:
-                break
-            futures.append(pool.submit(_aggregate, part, tolerance))
-            running.add(futures[-1])
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(workers) as pool:
+        # a failing result cancels the parts not yet started
+        return list(pool.map(_aggregate, parts, itertools.repeat(tolerance)))
 
 
 def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts):
@@ -451,8 +433,8 @@ def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts):
 # ---------------------------------------------------------------------------
 
 
-#: the dense lemma-3-1/3-2 grids are built and checked in row blocks of about
-#: this many cells: it bounds memory, and the report does not depend on it
+#: every streamed check works in blocks of about this many entries (grid cells,
+#: trial coefficients or trial draws): it bounds memory, and no report depends on it
 _GRID_BLOCK_ENTRIES = 1 << 16
 
 
@@ -465,8 +447,8 @@ def _grid_blocks(first: int, last: int, columns: int):
 
 
 def _window_ratios(ends, starts, terms, w_k) -> np.ndarray:
-    """``(W_{s+k} - W_s) / W_k`` from the prefix sums gathered at the window
-    ends and starts.  The first column has ``k = 1``: it is set to the single
+    """``(W_{s+k} - W_s) / W_k`` from the prefix sums at the window ends and
+    starts.  The first column has ``k = 1``: it is set to the single
     terms ``terms``, one per row, before the division."""
     ratio = ends - starts
     ratio[:, 0] = terms
@@ -497,35 +479,30 @@ def check_lemma_3_1(theta: float, j: int, k: int) -> InequalityInstance:
     return _instance(_lemma_3_1_chunk(w.theta, j, k, w._averaged(j, k)), 0)
 
 
-def _lemma_3_1_part(theta: float, j_max: int, k, sums, terms):
-    """One theta's chunks, a block of rows ``j`` at a time, from its prefix sums
-    ``sums`` and its weights ``terms = [w_1, ..., w_{j_max+1}]``."""
+def _lemma_3_1_chunks(w: WeightSequence, j_max: int, k):
+    """One theta's chunks, a block of rows ``j`` at a time: ``W_{j+k}`` is row
+    ``j`` of a sliding window over the prefix sums, read at the columns ``k``."""
+    k_last = int(k[0, -1])
+    sums = w.partial_sums(j_max + k_last)
+    terms = w.weight_values(j_max + 1)
+    windows = np.lib.stride_tricks.sliding_window_view(sums, k_last + 1)
     w_k = sums[k]
     for lo, hi in _grid_blocks(0, j_max, k.shape[1]):
         j = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
-        ratio = _window_ratios(sums[j + k], sums[j], terms[lo : hi + 1], w_k)
-        yield _lemma_3_1_chunk(theta, j, k, ratio)
+        ratio = _window_ratios(windows[lo : hi + 1, k[0]], sums[lo : hi + 1, None],
+                               terms[lo : hi + 1], w_k)
+        yield _lemma_3_1_chunk(w.theta, j, k, ratio)
 
 
 def _lemma_3_1(grid: Dict):
-    thetas = [float(t) for t in grid["theta_values"]]
     j_max = _check_int("j_max", grid["j_max"], 0)
     k_max = _check_int("k_max", grid["k_max"], 1)
     k = _log_sampled_ints(k_max, _check_int("k_samples", grid["k_samples"], 1))[None, :]
-
-    def parts():
-        # the weights are built here, in the calling thread; the parts may run on others
-        for theta in thetas:
-            w = WeightSequence(theta)
-            yield _lemma_3_1_part(theta, j_max, k, w.partial_sums(j_max + k_max),
-                                  w.weight_values(j_max + 1))
-
-    desc = {
-        "theta_values": thetas,
-        "j_max": j_max,
-        "k_values": [int(v) for v in k[0]],
-    }
-    return desc, None, parts()
+    # every theta is checked before any prefix sum is built
+    weights = [WeightSequence(theta) for theta in grid["theta_values"]]
+    desc = {"theta_values": [w.theta for w in weights], "j_max": j_max, "k_values": k[0].tolist()}
+    return desc, None, [itertools.chain.from_iterable(
+        _lemma_3_1_chunks(w, j_max, k) for w in weights)]
 
 
 def _lemma_3_2_chunk(theta: float, i, k, averaged, w_i) -> Chunk:
@@ -549,33 +526,37 @@ def check_lemma_3_2(theta: float, i: int, k: int) -> InequalityInstance:
     return _instance(_lemma_3_2_chunk(w.theta, i, k, averaged, w.weight(i)), 0)
 
 
-def _lemma_3_2_part(theta: float, i_max: int, k, sums, terms):
-    """One theta's chunks, a block of rows ``i`` at a time, from its prefix sums
-    ``sums`` and its weights ``terms = [w_1, ..., w_i_max]``."""
-    w_k = sums[k]
-    for lo, hi in _grid_blocks(1, i_max, k.shape[1]):
-        # the windows of one k tile: W at (i-1)k for i = lo..hi+1, gathered once
-        ends = sums[np.arange(lo - 1, hi + 1, dtype=np.int64)[:, None] * k]
+def _lemma_3_2_chunks(w: WeightSequence, i_max: int, k):
+    """One theta's chunks, a block of rows ``i`` at a time."""
+    k_max = k.shape[1]
+    sums = w.partial_sums(i_max * k_max)
+    terms = w.weight_values(i_max)
+    w_k = sums[1 : k_max + 1]
+    for lo, hi in _grid_blocks(1, i_max, k_max):
+        # the windows of one k tile: W at i*k for i = lo-1..hi, one strided
+        # slice per column or per row, whichever side of the block is shorter
+        ends = np.empty((hi - lo + 2, k_max))
+        if ends.shape[0] > k_max:
+            for c in range(1, k_max + 1):
+                ends[:, c - 1] = sums[(lo - 1) * c : hi * c + 1 : c]
+        else:
+            for r, i in enumerate(range(lo - 1, hi + 1)):
+                ends[r] = sums[i : i * k_max + 1 : i] if i else sums[0]
         averaged = _window_ratios(ends[1:], ends[:-1], terms[lo - 1 : hi], w_k)
         i = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
         # column 0 is w_i
-        yield _lemma_3_2_chunk(theta, i, k, averaged, averaged[:, :1])
+        yield _lemma_3_2_chunk(w.theta, i, k, averaged, averaged[:, :1])
 
 
 def _lemma_3_2(grid: Dict):
-    thetas = [float(t) for t in grid["theta_values"]]
     i_max = _check_int("i_max", grid["i_max"], 1)
     k_max = _check_int("k_max", grid["k_max"], 1)
     k = np.arange(1, k_max + 1, dtype=np.int64)[None, :]
-
-    def parts():
-        # the weights are built here, in the calling thread; the parts may run on others
-        for theta in thetas:
-            w = WeightSequence(theta)
-            yield _lemma_3_2_part(theta, i_max, k, w.partial_sums(i_max * k_max),
-                                  w.weight_values(i_max))
-
-    return {"theta_values": thetas, "i_max": i_max, "k_max": k_max}, None, parts()
+    # every theta is checked before any prefix sum is built
+    weights = [WeightSequence(theta) for theta in grid["theta_values"]]
+    desc = {"theta_values": [w.theta for w in weights], "i_max": i_max, "k_max": k_max}
+    return desc, None, [itertools.chain.from_iterable(
+        _lemma_3_2_chunks(w, i_max, k) for w in weights)]
 
 
 def _remark_3_3_chunk(params: Dict, pow_x, pow_y, pow_union) -> Chunk:
@@ -597,10 +578,6 @@ def check_remark_3_3(
     return _instance(_remark_3_3_chunk(point, *pows), 0)
 
 
-#: remark-3-3 trials per block: it bounds memory, and the report does not depend on it
-_REMARK_BLOCK_TRIALS = 1024
-
-
 def _remark_3_3(grid: Dict):
     thetas = [float(t) for t in grid["theta_values"]]
     ps = [_check_p(p) for p in grid["p_values"]]
@@ -615,7 +592,7 @@ def _remark_3_3(grid: Dict):
         size_x = rng.integers(1, m + 1, size=trials)
         size_y = rng.integers(1, m + 1, size=trials)
         # buffers reused by every block, so a block faults in no new pages
-        rows = min(trials, _REMARK_BLOCK_TRIALS)
+        rows = min(trials, max(1, _GRID_BLOCK_ENTRIES // (2 * m)))
         draw = np.empty((rows, 2 * m))
         mask = np.empty((rows, m), dtype=bool)
         support = np.arange(m)
@@ -732,11 +709,6 @@ def _lemma_3_4(grid: Dict):
 _TRIAL_DISTRIBUTIONS = ("uniform", "geometric", "spike")
 
 
-#: theorem-3-5 trials are drawn and evaluated in chunks of about this many
-#: coefficients, so memory stays bounded however many trials are asked for
-_TRIAL_CHUNK_ENTRIES = 1 << 18
-
-
 def _draw_trial_coefficients(rng, counts, first: int, stop: int) -> np.ndarray:
     """Coefficients of trials ``first, ..., stop - 1``: one row per trial,
     level blocks side by side.
@@ -793,7 +765,7 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
         with np.errstate(over="ignore"):
             a_pow = np.float64(a) ** p  # inf on overflow, caught with the norms
         rng = np.random.default_rng([seed])
-        chunk = max(1, _TRIAL_CHUNK_ENTRIES // int(edges[-1]))
+        chunk = max(1, _GRID_BLOCK_ENTRIES // int(edges[-1]))
         for first in range(0, trials, chunk):
             stop = min(first + chunk, trials)
             coeffs = _draw_trial_coefficients(rng, counts, first, stop)
@@ -886,7 +858,7 @@ class Param:
 class Statement:
     """How to evaluate a statement, and the grid keys it takes."""
 
-    evaluate: Callable[[Dict], Tuple[Dict, Optional[int], Iterable[Iterable[Chunk]]]]
+    evaluate: Callable[[Dict], Tuple[Dict, Optional[int], List[Iterable[Chunk]]]]
     params: Tuple[Param, ...]
 
 

@@ -100,18 +100,24 @@ class TestLemma32Grid:
 
 
 class TestDenseGrids:
-    """The grids' row blocks, stacked, against the two-pass, two-gather
-    construction of one whole grid per theta, bit for bit."""
+    """The grids' row blocks, stacked theta by theta, against the two-pass,
+    two-gather construction of one whole grid per theta, bit for bit."""
 
     thetas = [0.05, 0.5, 0.95]
 
     @staticmethod
-    def assert_part_equals(part, want):
-        chunks = list(part)
-        for side, expected in zip(("lhs", "mid", "rhs", "slack"), want):
-            stacked = np.concatenate([getattr(chunk, side) for chunk in chunks])
-            np.testing.assert_array_equal(stacked, expected, strict=True)
-        return len(chunks)
+    def assert_part_equals(part, thetas, want):
+        """Check a grid's one part against ``want(theta)`` theta by theta, and
+        return the number of chunks of each theta."""
+        by_theta = {}
+        for chunk in part:
+            by_theta.setdefault(chunk.params["theta"], []).append(chunk)
+        assert list(by_theta) == thetas  # every theta's blocks, in theta order
+        for theta, chunks in by_theta.items():
+            for side, expected in zip(("lhs", "mid", "rhs", "slack"), want(theta)):
+                stacked = np.concatenate([getattr(chunk, side) for chunk in chunks])
+                np.testing.assert_array_equal(stacked, expected, strict=True)
+        return [len(chunks) for chunks in by_theta.values()]
 
     def test_lemma_3_1_matches_two_pass_grid(self, monkeypatch):
         import lorentzkit.verify as verify
@@ -119,16 +125,14 @@ class TestDenseGrids:
         grid = {"theta_values": self.thetas, "j_max": 70, "k_max": 300, "k_samples": 12}
         default = verify._GRID_BLOCK_ENTRIES
         for rows in (1, 7, None):  # one row per block, seven (odd), the default
-            desc, _, parts = verify._lemma_3_1(grid)  # the parts read the block size when run
+            desc, _, (part,) = verify._lemma_3_1(grid)  # the part reads the block size when run
             k_values = np.array(desc["k_values"])
             assert k_values[0] == 1 and k_values.size >= 12
             entries = default if rows is None else rows * k_values.size + 1
             monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", entries)
-            parts = list(parts)
-            assert len(parts) == len(self.thetas)
-            for theta, part in zip(self.thetas, parts):
-                want = oracle.lemma_3_1_grid(theta, 70, 300, k_values)
-                assert self.assert_part_equals(part, want) == -(-71 // (rows or 71))
+            counts = self.assert_part_equals(
+                part, self.thetas, lambda theta: oracle.lemma_3_1_grid(theta, 70, 300, k_values))
+            assert counts == [-(-71 // (rows or 71))] * len(self.thetas)
 
     def test_lemma_3_2_matches_two_gather_grid(self, monkeypatch):
         import lorentzkit.verify as verify
@@ -138,11 +142,31 @@ class TestDenseGrids:
         for rows in (1, 7, None):
             entries = default if rows is None else rows * 90 + 1
             monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", entries)
-            parts = list(verify._lemma_3_2(grid)[2])
-            assert len(parts) == len(self.thetas)
-            for theta, part in zip(self.thetas, parts):
-                want = oracle.lemma_3_2_grid(theta, 40, 90)
-                assert self.assert_part_equals(part, want) == -(-40 // (rows or 40))
+            (part,) = verify._lemma_3_2(grid)[2]
+            counts = self.assert_part_equals(
+                part, self.thetas, lambda theta: oracle.lemma_3_2_grid(theta, 40, 90))
+            assert counts == [-(-40 // (rows or 40))] * len(self.thetas)
+
+    @pytest.mark.parametrize("i_max, k_max", [
+        (2000, 40), (300, 3), (60, 1),  # tall
+        (3, 300), (5, 20000), (1, 60),  # wide
+        (40, 40), (1, 1),  # square
+    ])
+    def test_lemma_3_2_strided_windows_on_every_shape(self, monkeypatch, i_max, k_max):
+        # a block's windows are strided slices along its longer side: one per
+        # column on tall blocks, one per row on wide ones (the first is W_0)
+        import lorentzkit.verify as verify
+
+        grid = {"theta_values": self.thetas, "i_max": i_max, "k_max": k_max}
+        default = verify._GRID_BLOCK_ENTRIES
+        for rows in (1, 7, None):  # one row per block, seven (odd), the default
+            entries = default if rows is None else rows * k_max
+            monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", entries)
+            (part,) = verify._lemma_3_2(grid)[2]
+            counts = self.assert_part_equals(
+                part, self.thetas, lambda theta: oracle.lemma_3_2_grid(theta, i_max, k_max))
+            rows = rows or max(1, default // k_max)
+            assert counts == [-(-i_max // rows)] * len(self.thetas)
 
     @pytest.mark.parametrize("statement, grid", [
         ("lemma-3-1", {"theta_values": [0.05, 0.5, 0.95], "j_max": 40, "k_max": 50,
@@ -175,12 +199,13 @@ class TestDenseGrids:
 
     def test_weights_are_built_in_the_calling_thread(self, monkeypatch):
         # the benchmark's tracer keeps one span stack, so a traced weights call
-        # on a worker would corrupt it; only the aggregation may move
+        # on a worker would corrupt it; the lemma grids start no thread at all,
+        # and only remark-3-3's cells are aggregated on workers
         import threading
 
         import lorentzkit.verify as verify
 
-        calls, aggregates = [], []
+        calls, aggregates, started = [], [], []
         for name in ("partial_sums", "weight_values"):
             method = getattr(WeightSequence, name)
 
@@ -195,20 +220,47 @@ class TestDenseGrids:
             aggregates.append(threading.current_thread())
             return aggregate(chunks, tolerance)
 
+        start = threading.Thread.start
+
+        def start_spy(thread):
+            started.append(thread)
+            return start(thread)
+
         monkeypatch.setattr(verify, "_aggregate", aggregate_spy)
+        monkeypatch.setattr(threading.Thread, "start", start_spy)
         monkeypatch.setattr(verify, "_cpus", lambda: 2)
         thetas = [0.25, 0.5, 0.75]
         run_grid("lemma-3-1", {"theta_values": thetas, "j_max": 30, "k_max": 40})
         run_grid("lemma-3-2", {"theta_values": thetas, "i_max": 20, "k_max": 30})
+        assert started == [] and aggregates == [threading.current_thread()] * 2
         run_grid("remark-3-3", {"theta_values": thetas, "p_values": [1.0], "trials": 10})
+        assert started  # the spy sees the pool's workers start
         assert {name for name, _ in calls} == {"partial_sums", "weight_values"}
         assert {thread for _, thread in calls} == {threading.current_thread()}
-        assert len(aggregates) == 9 and threading.current_thread() not in aggregates
+        assert len(aggregates) == 5 and threading.current_thread() not in aggregates[2:]
 
-    def test_memory_with_two_thetas_in_flight(self, monkeypatch):
+    @pytest.mark.parametrize("statement, grid", [
+        ("lemma-3-1", {"j_max": 10, "k_max": 10}),
+        ("lemma-3-2", {"i_max": 10, "k_max": 10}),
+    ])
+    def test_every_theta_is_checked_before_any_prefix_sum(self, monkeypatch, statement, grid):
+        calls = []
+        partial_sums = WeightSequence.partial_sums
+
+        def spy(self, *args):
+            calls.append(self.theta)
+            return partial_sums(self, *args)
+
+        monkeypatch.setattr(WeightSequence, "partial_sums", spy)
+        with pytest.raises(ValueError, match=r"^theta must lie in .*, got 1\.5$"):
+            run_grid(statement, {**grid, "theta_values": [0.5, 0.6, 1.5]})
+        assert calls == []
+
+    def test_memory_with_one_theta_in_flight(self, monkeypatch):
         # one 1000 x 1000 theta held its whole grid and several full-size
-        # temporaries (46 MiB traced); two thetas in row blocks on two workers
-        # hold two prefix-sum arrays (7.6 MiB each) and a few blocks
+        # temporaries (46 MiB traced); two thetas on two workers held two
+        # prefix-sum arrays (7.6 MiB each) and a few blocks (20 MiB); in the
+        # calling thread one theta's prefix sums and blocks are alive at a time
         import tracemalloc
 
         import lorentzkit.verify as verify
@@ -221,7 +273,7 @@ class TestDenseGrids:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 24 * 2**20
+        assert peak <= 12 * 2**20
 
     def test_pointwise_sides_match_grid(self):
         import lorentzkit.verify as verify
@@ -333,14 +385,15 @@ class TestRemark33Blocks:
 
         def reports(cpus, block):
             monkeypatch.setattr(verify, "_cpus", lambda: cpus)
-            monkeypatch.setattr(verify, "_REMARK_BLOCK_TRIALS", block)
+            # blocks of `block` trials: each trial draws 2 * max_support normals
+            monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", block * 2 * 6)
             # a tolerance of -1e300 lists every instance as a violation, so the
             # second report pins each trial's number and values
             every = verify._report("remark-3-3", -1e300, 0.0, *verify._remark_3_3(grid))
             assert len(every.violations) == every.instances == 8200
             return run_grid("remark-3-3", grid).to_json(), every.to_json()
 
-        default = verify._REMARK_BLOCK_TRIALS
+        default = verify._GRID_BLOCK_ENTRIES // (2 * 6)
         serial = reports(1, default)
         for cpus in (1, 2):  # the two cells in the calling thread, or on two workers
             for block in (1, 7, default):
@@ -360,17 +413,16 @@ class TestRemark33Blocks:
 
         monkeypatch.setattr(verify, "_aggregate", spy)
         remark = {"theta_values": [0.25], "p_values": [1.0, 3.0], "trials": 10}
-        lemma = {"theta_values": [0.25, 0.5], "i_max": 3, "k_max": 3}  # one part per theta
+        lemma = {"theta_values": [0.25, 0.5], "i_max": 3, "k_max": 3}  # one part for both thetas
         monkeypatch.setattr(verify, "_cpus", lambda: 2)
-        run_grid("lemma-3-2", {**lemma, "theta_values": [0.25]})
+        run_grid("remark-3-3", {**remark, "p_values": [1.0]})
+        run_grid("lemma-3-2", lemma)
         monkeypatch.setattr(verify, "_cpus", lambda: 1)
         run_grid("remark-3-3", remark)
-        run_grid("lemma-3-2", lemma)
-        assert threads == [threading.current_thread()] * 5
+        assert threads == [threading.current_thread()] * 4
         monkeypatch.setattr(verify, "_cpus", lambda: 2)
         run_grid("remark-3-3", remark)
-        run_grid("lemma-3-2", lemma)
-        assert len(threads) == 9 and threading.current_thread() not in threads[5:]
+        assert len(threads) == 6 and threading.current_thread() not in threads[4:]
 
     def test_first_overflowing_cell_names_the_error(self, monkeypatch):
         import lorentzkit.verify as verify
@@ -604,76 +656,6 @@ class TestAggregate:
         one_pass = verify._aggregate([c for part in parts for c in part], DEFAULT_TOLERANCE)
         assert repr((count, violations, first)) == repr(one_pass)
 
-    def test_lazy_parts_are_drawn_as_workers_free_up(self, monkeypatch):
-        import lorentzkit.verify as verify
-
-        finished, drawn = [], []
-
-        def part(n):
-            yield verify.Chunk("t", {"n": np.array([n])}, None, None, None, np.array([n - 2.5]))
-            finished.append(n)
-
-        def parts():
-            for n in range(7):
-                drawn.append(n - len(finished))  # parts drawn and not yet finished
-                yield part(n)
-
-        for cpus in (1, 2):
-            monkeypatch.setattr(verify, "_cpus", lambda: cpus)
-            finished.clear()
-            drawn.clear()
-            count, violations, first = verify._fold(
-                verify._aggregate_parts(parts(), DEFAULT_TOLERANCE))
-            assert count == 7 and [v.params["n"] for v in violations] == [0, 1, 2]
-            assert first.params == {"n": 0}
-            # never more parts held than workers: the next is drawn once a worker is free
-            assert max(drawn) == cpus - 1, cpus
-
-    def test_failing_draw_waits_for_the_parts_before_it(self, monkeypatch):
-        import lorentzkit.verify as verify
-
-        def failing(message):
-            raise ValueError(message)
-            yield
-
-        def parts():
-            yield [verify.Chunk("t", {"n": np.arange(2)}, None, None, None, np.ones(2))]
-            yield failing("part 1")
-            raise ValueError("drawing part 2")
-
-        for cpus in (1, 2):
-            monkeypatch.setattr(verify, "_cpus", lambda: cpus)
-            with pytest.raises(ValueError, match="^part 1$"):
-                verify._aggregate_parts(parts(), DEFAULT_TOLERANCE)
-
-    def test_failed_part_stops_the_draws(self, monkeypatch):
-        import threading
-        import time
-
-        import lorentzkit.verify as verify
-
-        failed, drawn = threading.Event(), []
-
-        def failing():
-            failed.set()
-            raise ValueError("part 0")
-            yield
-
-        def slow(n):
-            failed.wait(5.0)
-            time.sleep(0.01)
-            yield verify.Chunk("t", {"n": np.array([n])}, None, None, None, np.ones(1))
-
-        def parts():
-            for n in range(50):
-                drawn.append(n)
-                yield failing() if n == 0 else slow(n)
-
-        monkeypatch.setattr(verify, "_cpus", lambda: 2)
-        with pytest.raises(ValueError, match="^part 0$"):
-            verify._aggregate_parts(parts(), DEFAULT_TOLERANCE)
-        assert len(drawn) <= 4
-
     def test_nan_only_part_never_holds_the_minimum(self):
         import lorentzkit.verify as verify
 
@@ -817,7 +799,7 @@ class TestTheorem35Batched:
         whole = check_theorem_3_5(*args)
         assert len(whole.violations) == whole.instances
         assert whole.min_slack_instance.params == {"trial": 54, "distribution": "uniform"}
-        monkeypatch.setattr(verify, "_TRIAL_CHUNK_ENTRIES", 1)  # one trial per chunk
+        monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", 1)  # one trial per chunk
         chunked = check_theorem_3_5(*args)
         for rep in (whole, chunked):
             slacks = [inst.slack for inst in rep.violations]
@@ -829,6 +811,20 @@ class TestTheorem35Batched:
             assert (got.name, got.params) == (want.name, want.params)
             for field in ("lhs", "mid", "rhs", "slack"):
                 assert getattr(got, field) == getattr(want, field)
+
+    def test_memory_at_corollary_K_10(self):
+        # 5000 trials at K = 10 peaked at 30.8 MiB traced in chunks of 2^18
+        # coefficients; chunks of 2^16 bound it near 11 MiB
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            report = check_theorem_3_5(corollary_scheme(10), WeightSequence(0.5), 2.0, 5000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed and report.instances == 2 * 55 + 5000
+        assert peak <= 16 * 2**20
 
     def test_lemma_3_4_mid_matches_hurwitz_zeta(self):
         theta = 0.5
