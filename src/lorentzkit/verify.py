@@ -44,15 +44,17 @@ instance count, the violations in grid order and the first minimum-slack
 instance.  The lemma-3-1 and lemma-3-2 grids take their window ratios from
 one builder over a dense prefix-sum array per theta (far cheaper on a large
 grid), the ``check_*`` helpers from the Euler–Maclaurin sums of
-:mod:`lorentzkit.weights`.  The grids read the prefix sums through views and
-strided slices, never an index array.  Every streamed check works in blocks
-of about :data:`_GRID_BLOCK_ENTRIES` entries: the grids a block of rows at a
-time, so memory beyond the prefix sums does not grow with the grid, and
-theorem-3-5 and remark-3-3 a block of trials at a time, so memory does not
-grow with ``--trials`` (bar remark-3-3's two sizes per trial).  Per (theta,
-p) cell remark-3-3 draws every x support size, then every y size, then per
-trial one row of ``2 * max_support`` normals, x's left half and y's right
-half, so the report does not depend on the block size.
+:mod:`lorentzkit.weights`: lemma-3-1 reads a sliding window over the prefix
+sums at the sampled ``k`` columns, lemma-3-2 gathers a block's ``W_{i*k}``
+at once, and neither builds a full-grid index array.  Every streamed check
+works in blocks of about :data:`_GRID_BLOCK_ENTRIES` entries: the grids a
+block of rows at a time, so memory beyond the prefix sums does not grow with
+the grid, and theorem-3-5 and remark-3-3 a block of trials at a time, so
+memory does not grow with ``--trials`` (bar remark-3-3's two sizes per
+trial).  Per (theta, p) cell remark-3-3 draws every x support size, then
+every y size, then per trial one row of ``2 * max_support`` normals, x's
+left half and y's right half, so the report does not depend on the block
+size.
 
 An evaluator returns a list of independent parts, each an iterable of
 chunks: remark-3-3 one per (theta, p) cell, every other statement one (for
@@ -533,15 +535,8 @@ def _lemma_3_2_chunks(w: WeightSequence, i_max: int, k):
     terms = w.weight_values(i_max)
     w_k = sums[1 : k_max + 1]
     for lo, hi in _grid_blocks(1, i_max, k_max):
-        # the windows of one k tile: W at i*k for i = lo-1..hi, one strided
-        # slice per column or per row, whichever side of the block is shorter
-        ends = np.empty((hi - lo + 2, k_max))
-        if ends.shape[0] > k_max:
-            for c in range(1, k_max + 1):
-                ends[:, c - 1] = sums[(lo - 1) * c : hi * c + 1 : c]
-        else:
-            for r, i in enumerate(range(lo - 1, hi + 1)):
-                ends[r] = sums[i : i * k_max + 1 : i] if i else sums[0]
+        # the windows of one k tile: W at i*k for i = lo-1..hi, gathered once
+        ends = sums[np.arange(lo - 1, hi + 1, dtype=np.int64)[:, None] * k]
         averaged = _window_ratios(ends[1:], ends[:-1], terms[lo - 1 : hi], w_k)
         i = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
         # column 0 is w_i

@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+import time
 
 import mpmath
 import numpy as np
@@ -152,9 +153,8 @@ class TestDenseGrids:
         (3, 300), (5, 20000), (1, 60),  # wide
         (40, 40), (1, 1),  # square
     ])
-    def test_lemma_3_2_strided_windows_on_every_shape(self, monkeypatch, i_max, k_max):
-        # a block's windows are strided slices along its longer side: one per
-        # column on tall blocks, one per row on wide ones (the first is W_0)
+    def test_lemma_3_2_windows_on_every_shape(self, monkeypatch, i_max, k_max):
+        # a block's windows start at W_0 on the first block and at W_{(lo-1)k} after
         import lorentzkit.verify as verify
 
         grid = {"theta_values": self.thetas, "i_max": i_max, "k_max": k_max}
@@ -655,6 +655,25 @@ class TestAggregate:
         assert first.params == {"n": 1} and first.slack == -1.0
         one_pass = verify._aggregate([c for part in parts for c in part], DEFAULT_TOLERANCE)
         assert repr((count, violations, first)) == repr(one_pass)
+
+    def test_failing_part_cancels_the_parts_not_yet_started(self, monkeypatch):
+        import lorentzkit.verify as verify
+
+        started = []
+
+        def part(n):
+            started.append(n)
+            if n == 0:
+                raise ValueError("part 0 fails")
+            time.sleep(0.3)
+            yield from ()
+
+        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="part 0 fails"):
+            verify._aggregate_parts([part(n) for n in range(12)], DEFAULT_TOLERANCE)
+        # besides part 0, each of the two workers starts at most one part before
+        # the failure is read; the other parts never start
+        assert 0 in started and len(started) <= 3
 
     def test_nan_only_part_never_holds_the_minimum(self):
         import lorentzkit.verify as verify
