@@ -52,9 +52,9 @@ block of rows at a time, so memory beyond the prefix sums does not grow with
 the grid, and theorem-3-5 and remark-3-3 a block of trials at a time, so
 memory does not grow with ``--trials`` (bar remark-3-3's two sizes per
 trial).  Per (theta, p) cell remark-3-3 draws every x support size, then
-every y size, then per trial one row of ``2 * max_support`` normals, x's
-left half and y's right half, so the report does not depend on the block
-size.
+every y size, then per trial only the normals it uses, x's then y's, set
+into a zeroed row of ``2 * max_support`` at the start of its left and its
+right half, so the report does not depend on the block size.
 
 An evaluator returns a list of independent parts, each an iterable of
 chunks: remark-3-3 one per (theta, p) cell, every other statement one (for
@@ -582,24 +582,27 @@ def _remark_3_3(grid: Dict):
 
     def cell(ti, theta, w_vals, pi, p):
         """One (theta, p) cell's chunks, a block of trials at a time; row t of
-        a block's draw holds trial t's x left and its y right."""
+        a block holds trial t's x left and its y right, zero-padded."""
         rng = np.random.default_rng([seed, ti, pi])
         size_x = rng.integers(1, m + 1, size=trials)
         size_y = rng.integers(1, m + 1, size=trials)
         # buffers reused by every block, so a block faults in no new pages
         rows = min(trials, max(1, _GRID_BLOCK_ENTRIES // (2 * m)))
-        draw = np.empty((rows, 2 * m))
-        mask = np.empty((rows, m), dtype=bool)
+        block, values = np.empty((rows, 2 * m)), np.empty(rows * 2 * m)
+        mask = np.empty((rows, 2 * m), dtype=bool)
         support = np.arange(m)
         for first in range(0, trials, rows):
             sx, sy = size_x[first : first + rows], size_y[first : first + rows]
-            both = rng.standard_normal(out=draw[: sx.size])
-            np.abs(both, out=both)
-            x, y = both[:, :m], both[:, m:]
-            x *= np.less(support, sx[:, None], out=mask[: sx.size])
-            y *= np.less(support, sy[:, None], out=mask[: sx.size])
+            both, used = block[: sx.size], mask[: sx.size]
+            np.less(support, sx[:, None], out=used[:, :m])
+            np.less(support, sy[:, None], out=used[:, m:])
+            # only the normals the trials use, in trial order, each x's before its y's
+            drawn = rng.standard_normal(out=values[: int(sx.sum() + sy.sum())])
             with np.errstate(over="ignore"):
-                both **= p  # once: the halves and the whole row sort the same powers
+                np.power(np.abs(drawn, out=drawn), p, out=drawn)  # once for x, y and x + y
+                both.fill(0.0)
+                both[used] = drawn
+                x, y = both[:, :m], both[:, m:]
                 pows = [_kernels.sorted_weighted_sums(v, w_vals) for v in (x, y, both)]
             trial = np.arange(first, first + sx.size)
             params = {"theta": theta, "p": p, "trial": trial, "support_x": sx, "support_y": sy}
@@ -954,6 +957,8 @@ def run_grid(
     for key, value in (grid or {}).items():
         if key not in resolved:
             raise ValueError(f"unknown grid key {key!r} for {statement}")
+        if key in ("theta_values", "p_values") and value is not None and not len(value):
+            raise ValueError(f"{key} must not be empty")
         if value is not None:
             resolved[key] = value
     start = time.perf_counter()

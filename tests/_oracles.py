@@ -205,21 +205,19 @@ def remark_3_3_trials(
     """Trial by trial ``(size_x, size_y, x, y)`` of one remark-3-3 grid cell.
 
     The cell's generator draws every x support size, then every y size, then
-    one row of ``2 * max_support`` normals per trial.  x's magnitudes are the
-    first ``size_x`` entries of the row's left half and y's the first
-    ``size_y`` of its right half; x and y are dense vectors that keep the
-    halves apart, so their supports are disjoint.
+    per trial ``size_x`` normals, x's magnitudes, and ``size_y`` more, y's.
+    x fills the start of the left half of a ``2 * max_support`` vector and y
+    the start of the right half of another, so their supports are disjoint.
     """
     rng = np.random.default_rng([seed, theta_index, p_index])
     sizes_x = rng.integers(1, max_support + 1, size=trials)
     sizes_y = rng.integers(1, max_support + 1, size=trials)
     out = []
     for size_x, size_y in zip(sizes_x, sizes_y):
-        row = np.abs(rng.standard_normal(2 * max_support))
         x = np.zeros(2 * max_support)
         y = np.zeros(2 * max_support)
-        x[:size_x] = row[:size_x]
-        y[max_support : max_support + size_y] = row[max_support : max_support + size_y]
+        x[:size_x] = np.abs(rng.standard_normal(size_x))
+        y[max_support : max_support + size_y] = np.abs(rng.standard_normal(size_y))
         out.append((int(size_x), int(size_y), x, y))
     return out
 

@@ -220,10 +220,11 @@ class TestVerifyCommand:
 
     def test_overflowing_norm_powers_exit_2(self, tmp_path, capsys):
         out = tmp_path / "big.json"
-        args = ("verify", "remark-3-3", "--trials", "20", "--p-grid", "600", "--theta-grid", "0.5")
+        # any |z| > 1.152 overflows at p = 5000, so the overflow does not hinge on one tail draw
+        args = ("verify", "remark-3-3", "--trials", "20", "--p-grid", "5000", "--theta-grid", "0.5")
         assert run(*args, "--out", str(out)) == 2
         assert capsys.readouterr().err == (
-            "error: remark-3-3 norm powers overflow at p=600.0, theta=0.5\n"
+            "error: remark-3-3 norm powers overflow at p=5000.0, theta=0.5\n"
         )
         assert not out.exists()
 

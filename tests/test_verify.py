@@ -353,29 +353,35 @@ class TestRemark33Pointwise:
 
 class TestRemark33Blocks:
     @pytest.mark.parametrize("max_support", [1, 7, 40])
-    def test_trials_match_dense_oracle(self, max_support):
+    def test_trials_match_dense_oracle(self, monkeypatch, max_support):
         import lorentzkit.verify as verify
 
         thetas, ps, trials, seed = [0.3, 0.75], [1.0, 1.5, 3.0], 50, 5
         grid = {"theta_values": thetas, "p_values": ps, "trials": trials, "seed": seed,
                 "max_support": max_support}
-        _, _, parts = verify._remark_3_3(grid)
-        assert len(parts) == len(thetas) * len(ps)  # one part per cell, in grid order
-        got = [verify._instance(c, f) for part in parts for c in part for f in range(c.slack.size)]
-        assert len(got) == len(thetas) * len(ps) * trials
-        for ti, theta in enumerate(thetas):
-            for pi, p in enumerate(ps):
-                params = SpaceParams(p, WeightSequence(theta))
-                cell = got[(ti * len(ps) + pi) * trials :][:trials]
-                want = oracle.remark_3_3_trials(seed, ti, pi, trials, max_support)
-                for t in range(0, trials, 3):  # sampled trials
-                    size_x, size_y, x, y = want[t]
-                    inst = cell[t]
-                    assert inst.params == {"theta": theta, "p": p, "trial": t,
-                                           "support_x": size_x, "support_y": size_y}
-                    px, py = lorentz_pnorm_pow(x, params), lorentz_pnorm_pow(y, params)
-                    assert inst.lhs == pytest.approx(lorentz_pnorm_pow(x + y, params), rel=1e-14)
-                    assert inst.rhs == pytest.approx(px + py, rel=1e-14)
+        # one block per cell, then blocks of 4 trials: a block that draws more
+        # or fewer normals than its trials use shifts every later trial
+        for entries in (verify._GRID_BLOCK_ENTRIES, 4 * 2 * max_support):
+            monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", entries)
+            _, _, parts = verify._remark_3_3(grid)
+            assert len(parts) == len(thetas) * len(ps)  # one part per cell, in grid order
+            got = [verify._instance(c, f) for part in parts for c in part
+                   for f in range(c.slack.size)]
+            assert len(got) == len(thetas) * len(ps) * trials
+            for ti, theta in enumerate(thetas):
+                for pi, p in enumerate(ps):
+                    params = SpaceParams(p, WeightSequence(theta))
+                    cell = got[(ti * len(ps) + pi) * trials :][:trials]
+                    want = oracle.remark_3_3_trials(seed, ti, pi, trials, max_support)
+                    for t in [*range(0, trials, 3), trials - 1]:  # sampled trials and the last
+                        size_x, size_y, x, y = want[t]
+                        inst = cell[t]
+                        assert inst.params == {"theta": theta, "p": p, "trial": t,
+                                               "support_x": size_x, "support_y": size_y}
+                        px, py = lorentz_pnorm_pow(x, params), lorentz_pnorm_pow(y, params)
+                        union = lorentz_pnorm_pow(x + y, params)
+                        assert inst.lhs == pytest.approx(union, rel=1e-14)
+                        assert inst.rhs == pytest.approx(px + py, rel=1e-14)
 
     def test_blocks_do_not_change_the_report(self, monkeypatch):
         import lorentzkit.verify as verify
@@ -385,7 +391,7 @@ class TestRemark33Blocks:
 
         def reports(cpus, block):
             monkeypatch.setattr(verify, "_cpus", lambda: cpus)
-            # blocks of `block` trials: each trial draws 2 * max_support normals
+            # blocks of `block` trials: a block holds 2 * max_support entries per trial
             monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", block * 2 * 6)
             # a tolerance of -1e300 lists every instance as a violation, so the
             # second report pins each trial's number and values
@@ -545,6 +551,17 @@ class TestRunGrid:
     def test_unknown_grid_key(self):
         with pytest.raises(ValueError):
             run_grid("lemma-3-1", {"bogus": 1})
+
+    @pytest.mark.parametrize("statement,key", [
+        ("lemma-3-1", "theta_values"),
+        ("lemma-3-2", "theta_values"),
+        ("remark-3-3", "theta_values"),
+        ("remark-3-3", "p_values"),
+    ])
+    def test_empty_value_list_names_the_key(self, statement, key):
+        # an empty grid would report 0 instances and an infinite min slack
+        with pytest.raises(ValueError, match=f"^{key} must not be empty$"):
+            run_grid(statement, {key: []})
 
     def test_statement_ids_registered(self):
         assert STATEMENT_IDS == (
