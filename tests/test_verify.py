@@ -434,8 +434,9 @@ class TestRemark33Blocks:
         import lorentzkit.verify as verify
 
         monkeypatch.setattr(verify, "_cpus", lambda: 2)
-        grid = {"theta_values": [0.5], "p_values": [1.0, 600.0, 700.0], "trials": 20}
-        with pytest.raises(ValueError, match=r"at p=600\.0, theta=0\.5$"):
+        # any |z| > 1.16 overflows at either p, so both cells overflow whatever the draw
+        grid = {"theta_values": [0.5], "p_values": [1.0, 5000.0, 6000.0], "trials": 20}
+        with pytest.raises(ValueError, match=r"at p=5000\.0, theta=0\.5$"):
             run_grid("remark-3-3", grid)
 
     def test_memory_with_two_cells_in_flight(self, monkeypatch):
