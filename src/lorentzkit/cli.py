@@ -1,22 +1,19 @@
-"""Command-line interface.
+"""Command-line interface: ``norm``, ``verify``, ``construct`` and ``equiv``.
 
-Four subcommands:
-
-* ``norm`` — evaluate the Lorentz and plain ``l_p`` norms of one vector.
-* ``verify`` — run a statement's verification grid and report violations.
-* ``construct`` — print block schemes or selected per-level section sizes.
-* ``equiv`` — the exact norm-domination constant between two norms.
-
-Every option is one :class:`~lorentzkit.options.Option` record; ``verify``
-takes its statements' records from :data:`lorentzkit.verify.STATEMENTS`.
-The parser is generated from the records, and each value resolves as:
-command-line flag, then ``key=value`` line in the ``--config`` file, then
-built-in default.  An option, given as a flag or as a config key, that does
-not apply to the chosen statement, ``construct`` mode or ``equiv`` pair is
-a usage error.  ``LORENTZKIT_OUT_DIR`` supplies a directory for bare output
-filenames (that is the only environment knob).  Exit codes: 0 on
-success/pass, 1 when a verification found violations, 2 on usage or
-configuration errors.
+Each subcommand is a tuple of :class:`Mode` records, each naming the
+:class:`~lorentzkit.options.Param` keys it takes: ``verify`` has one mode
+per statement of :data:`lorentzkit.verify.STATEMENTS`, ``equiv`` one per
+``--pair``, ``construct`` one per selecting option and ``norm`` just one.
+The parser is generated from the records, and one rule resolves every
+mode's keys (:meth:`lorentzkit.options.Resolver.resolve`): flag, then
+``key = value`` line in the ``--config`` file, then default, where a flag
+for one of two alternatives wins over the file's value for the other.  An
+option of another mode is refused (``X does not apply to <mode>``), and so
+is a missing required key (``<mode> requires <flag>``).
+``LORENTZKIT_OUT_DIR`` supplies a directory for bare output filenames (the
+only environment knob).  Exit codes: 0 on success/pass, 1 when a
+verification found violations, 2 on usage or configuration errors and when
+memory runs out.
 """
 
 from __future__ import annotations
@@ -24,7 +21,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, Iterable, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .constants import (
     GrowthCutoffError,
@@ -35,9 +33,11 @@ from .constants import (
     lp_norm_descriptor,
     select_block_counts,
 )
-from .blocks import BlockScheme, SchemeOverflowError, corollary_scheme
+from .blocks import SchemeOverflowError
 from .options import (
+    REQUIRED,
     Option,
+    Param,
     Resolver,
     UsageError,
     _parse_bool,
@@ -58,6 +58,7 @@ from .verify import (
     dump_json,
     run_grid,
     _py,
+    _scheme_from_grid,
 )
 from .weights import WeightSequence
 
@@ -67,169 +68,80 @@ EXIT_PASS = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 
-OUT = Option(("--out",), str)
+_OUT = Param("out", None, Option(("--out",), str))
+
+#: a mode's exit code and the writer of its ``--out`` document
+Outcome = Tuple[int, Callable[[str], None]]
 
 
-def _resolve_out_path(path: Optional[str]) -> Optional[str]:
-    if path is None:
-        return None
-    out_dir = os.environ.get(OUT_DIR_ENV_VAR, "")
-    if out_dir and not os.path.dirname(path):
-        return os.path.join(out_dir, path)
-    return path
+class Mode(NamedTuple):
+    """One way to run a subcommand; ``run(values, given)`` prints the result
+    (``given``: the keys a flag or the config file set)."""
+
+    name: str
+    params: Tuple[Param, ...]
+    run: Callable[[Dict, Dict], Outcome]
 
 
-def _echo(res: Resolver, options: Iterable[Option]) -> Dict:
-    """A report's ``config``: the set options' values by config key."""
-    values = {opt.dest: res.get(opt) for opt in options}
-    return {key: _py(value) for key, value in values.items() if value is not None}
+def _resolve_out_path(path: str) -> str:
+    if os.path.dirname(path):
+        return path
+    return os.path.join(os.environ.get(OUT_DIR_ENV_VAR, ""), path)
 
 
-# ---------------------------------------------------------------------------
-# Subcommand implementations.
-# ---------------------------------------------------------------------------
-
-_DENSE = Option(("--dense",), _parse_dense, metavar="V1,V2,...")
-_SPARSE = Option(("--sparse",), _parse_sparse, metavar="IDX:VAL,...")
-_NORM_OPTIONS = (THETA, P, _DENSE, _SPARSE, OUT)
-
-
-def _cmd_norm(args: argparse.Namespace) -> int:
-    res = Resolver(args, _NORM_OPTIONS)
-    theta = res.get(THETA)
-    if theta is None:
-        raise UsageError("norm requires --theta")
-    p = res.get(P, 1.0)
-    dense = res.get(_DENSE)
-    sparse = res.get(_SPARSE)
-    if (dense is None) == (sparse is None):
-        raise UsageError("provide exactly one of --dense or --sparse")
-    vector = dense if dense is not None else sparse
-    params = SpaceParams(p=p, weights=WeightSequence(theta))
-    value = lorentz_norm(vector, params)
+def _norm(values: Dict, given: Dict) -> Outcome:
+    theta, p, vector = values["theta"], values["p"], values["vector"]
+    value = lorentz_norm(vector, SpaceParams(p=p, weights=WeightSequence(theta)))
     plain = lp_norm(vector, p)
     ratio = plain / value if value > 0 else float("nan")
     print(f"support size      {len(vector)}")
     print(f"lorentz norm      {value!r}  (theta={theta}, p={p})")
     print(f"lp norm           {plain!r}  (p={p})")
     print(f"ratio lp/lorentz  {ratio!r}")
-    out = _resolve_out_path(res.get(OUT))
-    if out:
-        dump_json(
-            out,
-            {
-                "command": "norm",
-                "config": _echo(res, (THETA, P)),
-                "support": len(vector),
-                "lorentz_norm": value,
-                "lp_norm": plain,
-                # undefined for the zero vector, and JSON has no NaN
-                "ratio": ratio if value > 0 else None,
-            },
-        )
-    return EXIT_PASS
+    return EXIT_PASS, partial(dump_json, doc={
+        "command": "norm",
+        "config": {key: given[key] for key in ("theta", "p") if key in given},
+        "support": len(vector),
+        "lorentz_norm": value,
+        "lp_norm": plain,
+        # undefined for the zero vector, and JSON has no NaN
+        "ratio": ratio if value > 0 else None,
+    })
 
 
-_TOL = Option(("--tol",), float)
-_CSV = Option(("--csv",), str)
-_TIMING = Option(("--timing",), _parse_bool)
-#: every statement's options once, in table order
-_STATEMENT_OPTIONS = tuple(
-    dict.fromkeys(
-        opt
-        for spec in STATEMENTS.values()
-        for param in spec.params
-        for opt in param.options
-    )
-)
-_VERIFY_OPTIONS = _STATEMENT_OPTIONS + (_TOL, OUT, _CSV, _TIMING)
+_NORM_MODES = (Mode("norm", (
+    Param("theta", REQUIRED, THETA),
+    Param("p", 1.0, P),
+    Param("vector", REQUIRED, Option(("--dense",), _parse_dense, metavar="V1,V2,..."),
+          alternative=Option(("--sparse",), _parse_sparse, metavar="IDX:VAL,...")),
+), _norm),)
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    statement = args.statement
-    spec = STATEMENTS[statement]
-    res = Resolver(args, _VERIFY_OPTIONS)
-    applies = {opt for param in spec.params for opt in param.options}
-    res.reject((opt for opt in _STATEMENT_OPTIONS if opt not in applies), statement)
-    grid = {}
-    for param in spec.params:
-        option, value = res.lookup(*param.options)
-        if value is not None:
-            grid[param.key] = [value] if option is param.point else value
-    tolerance = res.get(_TOL, DEFAULT_TOLERANCE)
-    timing = bool(res.get(_TIMING, False))
-    out = _resolve_out_path(res.get(OUT))
-    csv_path = _resolve_out_path(res.get(_CSV))
-    report = run_grid(statement, grid, tolerance)
-    verdict = "PASS" if report.passed else "FAIL"
+def _verify(statement: str, values: Dict, given: Dict) -> Outcome:
+    report = run_grid(statement, given, values["tol"])
     print(f"statement     {report.statement}")
     print(f"instances     {report.instances}")
     print(f"violations    {len(report.violations)}")
     print(f"min slack     {report.min_slack:.6e}")
     if report.min_slack_instance is not None:
         print(f"at            {_py(report.min_slack_instance.params)}")
-    if timing:
+    if values["timing"]:
         print(f"runtime_ms    {report.runtime_ms:.1f}")
-    print(f"result        {verdict}")
-    if out:
-        report.write_json(out, include_timing=timing)
-    if csv_path:
-        report.write_csv(csv_path)
-    return EXIT_PASS if report.passed else EXIT_VIOLATIONS
+    print(f"result        {'PASS' if report.passed else 'FAIL'}")
+    if values["csv"]:
+        report.write_csv(_resolve_out_path(values["csv"]))
+    code = EXIT_PASS if report.passed else EXIT_VIOLATIONS
+    return code, partial(report.write_json, include_timing=values["timing"])
 
 
-_SELECT_COUNTS = Option(("--select-counts", "--select-counts-K"), int, metavar="LEVELS")
-#: the modes, each named by its first option, which selects it, and listing
-#: every option it takes
-_CONSTRUCT_MODES = (
-    (COROLLARY_LEVELS,),
-    (LENGTHS, COUNTS),
-    (_SELECT_COUNTS, THETA, P),
+_VERIFY_MODES = tuple(
+    Mode(statement, spec.params, partial(_verify, statement))
+    for statement, spec in STATEMENTS.items()
 )
-_CONSTRUCT_OPTIONS = sum(_CONSTRUCT_MODES, ()) + (OUT,)
 
 
-def _cmd_construct(args: argparse.Namespace) -> int:
-    res = Resolver(args, _CONSTRUCT_OPTIONS)
-    chosen = [mode for mode in _CONSTRUCT_MODES if res.get(mode[0]) is not None]
-    if len(chosen) != 1:
-        names = ", ".join(mode[0].flags[0] for mode in _CONSTRUCT_MODES)
-        raise UsageError(f"choose exactly one of {names}")
-    mode = chosen[0]
-    res.reject((opt for opt in _CONSTRUCT_OPTIONS if opt not in mode + (OUT,)),
-               f"construct {mode[0].flags[0]}")
-    out = _resolve_out_path(res.get(OUT))
-    if mode[0] is _SELECT_COUNTS:
-        theta = res.get(THETA)
-        if theta is None:
-            raise UsageError("--select-counts requires --theta")
-        p = res.get(P, 1.0)
-        selection = select_block_counts(WeightSequence(theta), p, res.get(_SELECT_COUNTS))
-        print(f"{'k':>4}  {'N_k':>10}  {'ratio':>18}")
-        for k, (n, ratio) in enumerate(zip(selection.counts, selection.ratios), 1):
-            print(f"{k:>4}  {n:>10}  {ratio:>18.12f}")
-        if selection.proxy:
-            print(
-                "note: p > 1 counts use the norm-ratio proxy "
-                "(the exact escape criterion is specific to p = 1)"
-            )
-        if out:
-            dump_json(
-                out,
-                {
-                    "command": "construct",
-                    "mode": "select-counts",
-                    "config": _echo(res, mode),
-                    "counts": list(selection.counts),
-                    "ratios": list(selection.ratios),
-                    "proxy": selection.proxy,
-                },
-            )
-        return EXIT_PASS
-    if mode[0] is COROLLARY_LEVELS:
-        scheme = corollary_scheme(res.get(COROLLARY_LEVELS))
-    else:
-        scheme = BlockScheme(res.get(LENGTHS), res.get(COUNTS))
+def _scheme(values: Dict, given: Dict) -> Outcome:
+    scheme = _scheme_from_grid(values)
     print(f"{'level':>6}  {'length':>14}  {'count':>6}  {'offset_end':>16}")
     for k in range(1, scheme.levels + 1):
         print(
@@ -239,53 +151,67 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     stagger = scheme.stagger_ratio()
     print(f"total support   {scheme.total_support}")
     print(f"stagger ratio   {'n/a' if stagger is None else repr(stagger)}")
-    if out:
-        dump_json(
-            out,
-            {
-                "command": "construct",
-                "mode": "scheme",
-                "config": _echo(res, mode),
-                "lengths": list(scheme.lengths),
-                "counts": list(scheme.counts),
-                "offsets": list(scheme.offsets),
-                "stagger_ratio": stagger,
-            },
+    return EXIT_PASS, partial(dump_json, doc={
+        "command": "construct",
+        "mode": "scheme",
+        "config": given,
+        "lengths": list(scheme.lengths),
+        "counts": list(scheme.counts),
+        "offsets": list(scheme.offsets),
+        "stagger_ratio": stagger,
+    })
+
+
+def _select_counts(values: Dict, given: Dict) -> Outcome:
+    weights = WeightSequence(values["theta"])
+    selection = select_block_counts(weights, values["p"], values["select_counts"])
+    print(f"{'k':>4}  {'N_k':>10}  {'ratio':>18}")
+    for k, (n, ratio) in enumerate(zip(selection.counts, selection.ratios), 1):
+        print(f"{k:>4}  {n:>10}  {ratio:>18.12f}")
+    if selection.proxy:
+        print(
+            "note: p > 1 counts use the norm-ratio proxy "
+            "(the exact escape criterion is specific to p = 1)"
         )
-    return EXIT_PASS
+    return EXIT_PASS, partial(dump_json, doc={
+        "command": "construct",
+        "mode": "select-counts",
+        "config": given,
+        "counts": list(selection.counts),
+        "ratios": list(selection.ratios),
+        "proxy": selection.proxy,
+    })
 
 
-_EQUIV_PAIRS = ("d-vs-lp", "d-vs-d", "dk-vs-d")
-_PAIR = Option(("--pair",), str, choices=_EQUIV_PAIRS)
-_DIMENSION = Option(("--dimension", "-N", "--N"), int)
-_K = Option(("--k",), int, help="averaging window for dk-vs-d")
-_EQUIV_SEED = Option(("--seed",), int, help="echoed in the report; changes nothing")
-_EQUIV_OPTIONS = (_PAIR, THETA, P, _DIMENSION, _K, _EQUIV_SEED, OUT)
+#: each mode is named by its first option, which selects it
+_CONSTRUCT_MODES = (
+    Mode("construct --corollary-levels", (Param("corollary_levels", REQUIRED, COROLLARY_LEVELS),),
+         _scheme),
+    Mode("construct --lengths",
+         (Param("lengths", REQUIRED, LENGTHS), Param("counts", None, COUNTS)), _scheme),
+    Mode("construct --select-counts", (
+        Param("select_counts", REQUIRED,
+              Option(("--select-counts", "--select-counts-K"), int, metavar="LEVELS")),
+        Param("theta", REQUIRED, THETA),
+        Param("p", 1.0, P),
+    ), _select_counts),
+)
 
 
-def _cmd_equiv(args: argparse.Namespace) -> int:
-    res = Resolver(args, _EQUIV_OPTIONS)
-    pair = res.get(_PAIR)
-    theta = res.get(THETA)
-    dimension = res.get(_DIMENSION)
-    if pair is None or theta is None or dimension is None:
-        raise UsageError("equiv requires --pair, --theta and --dimension")
-    if pair != "dk-vs-d":
-        res.reject((_K,), pair)
-    p = res.get(P, 1.0)
+def _construct_mode(res: Resolver) -> str:
+    """The first mode whose selecting option is set; resolving it rejects the others'."""
+    for mode in _CONSTRUCT_MODES:
+        if res.lookup(mode.params[0].option)[0]:
+            return mode.name
+    names = ", ".join(mode.params[0].option.flags[0] for mode in _CONSTRUCT_MODES)
+    raise UsageError(f"choose exactly one of {names}")
+
+
+def _equiv(pair: str, make_a, exact, values: Dict, given: Dict) -> Outcome:
+    theta, p, dimension = values["theta"], values["p"], values["dimension"]
     weights = WeightSequence(theta)
-    if pair == "d-vs-lp":
-        norm_a = lp_norm_descriptor(p)
-        norm_b = lorentz_norm_descriptor(weights, p)
-    elif pair == "d-vs-d":
-        norm_a = lorentz_norm_descriptor(weights, p)
-        norm_b = lorentz_norm_descriptor(weights, p)
-    else:
-        k = res.get(_K)
-        if k is None:
-            raise UsageError("dk-vs-d requires --k (averaging window)")
-        norm_a = averaged_norm_descriptor(weights, p, k)
-        norm_b = lorentz_norm_descriptor(weights, p)
+    norm_a = make_a(weights, p, values)
+    norm_b = lorentz_norm_descriptor(weights, p)
     estimate = domination_constant(norm_a, norm_b, dimension)
     print(f"pair          {pair}  (A={norm_a.label}, B={norm_b.label})")
     print(f"dimension     {dimension}")
@@ -295,45 +221,94 @@ def _cmd_equiv(args: argparse.Namespace) -> int:
     head = ", ".join(f"{v:.6g}" for v in estimate.witness[:8])
     more = ", ..." if estimate.witness.shape[0] > 8 else ""
     print(f"witness       [{head}{more}]")
-    payload = {
+    doc = {
         "command": "equiv",
         "pair": pair,
         "config": {
             "theta": theta,
             "p": p,
             "dimension": dimension,
-            "k": res.get(_K),
+            "k": values.get("k"),
             # accepted and echoed for old scripts; the closed form draws nothing
-            "seed": res.get(_EQUIV_SEED),
+            "seed": values["seed"],
         },
         "estimate": estimate.estimate,
         "lower": estimate.lower,
         "iterations": estimate.iterations,
         "witness": [float(v) for v in estimate.witness],
     }
-    if pair == "d-vs-lp":
-        exact = equiv_to_lp_exact(weights, p, dimension)
+    if exact is not None:
+        exact = exact(weights, p, dimension)
         print(f"exact         {exact!r}")
         print(f"difference    {abs(exact - estimate.estimate)!r}")
-        payload["exact"] = exact
-        payload["abs_difference"] = abs(exact - estimate.estimate)
-    out = _resolve_out_path(res.get(OUT))
-    if out:
-        dump_json(out, payload)
-    return EXIT_PASS
+        doc.update(exact=exact, abs_difference=abs(exact - estimate.estimate))
+    return EXIT_PASS, partial(dump_json, doc=doc)
+
+
+_EQUIV_PARAMS = (
+    Param("theta", REQUIRED, THETA),
+    Param("p", 1.0, P),
+    Param("dimension", REQUIRED, Option(("--dimension", "-N", "--N"), int)),
+    Param("seed", None, Option(("--seed",), int, help="echoed in the report; changes nothing")),
+)
+#: each pair: norm A of ``(weights, p, values)`` against the Lorentz norm B,
+#: the closed form printed next to the constant, and the pair's own keys
+_EQUIV_MODES = tuple(
+    Mode(pair, _EQUIV_PARAMS + extra, partial(_equiv, pair, make_a, exact))
+    for pair, make_a, exact, extra in (
+        ("d-vs-lp", lambda weights, p, values: lp_norm_descriptor(p), equiv_to_lp_exact, ()),
+        ("d-vs-d", lambda weights, p, values: lorentz_norm_descriptor(weights, p), None, ()),
+        ("dk-vs-d", lambda weights, p, values: averaged_norm_descriptor(weights, p, values["k"]),
+         None, (Param("k", REQUIRED, Option(("--k",), int, help="averaging window for dk-vs-d")),)),
+    )
+)
+_PAIR = Param("pair", REQUIRED, Option(("--pair",), str,
+                                       choices=tuple(m.name for m in _EQUIV_MODES)))
 
 
 # ---------------------------------------------------------------------------
-# Parser assembly.
+# The subcommands.
 # ---------------------------------------------------------------------------
+
+
+class Command(NamedTuple):
+    """A subcommand: its modes, the name of the one to run, and the keys all take."""
+
+    name: str
+    help: str
+    modes: Tuple[Mode, ...]
+    choose: Callable[[Resolver], str]
+    shared: Tuple[Param, ...] = (_OUT,)
+
+    def options(self, *extra: Param) -> Tuple[Option, ...]:
+        """The options of every mode's keys and of ``extra``, once each."""
+        params = [param for mode in self.modes for param in mode.params] + list(extra)
+        return tuple(dict.fromkeys(opt for param in params for opt in param.options))
+
+    def run(self, args: argparse.Namespace) -> int:
+        res = Resolver(args, self.options(*self.shared))
+        shared = res.resolve(self.shared, (), self.name)[0]
+        mode = {mode.name: mode for mode in self.modes}[self.choose(res)]
+        values, given = res.resolve(mode.params, self.options(), mode.name)
+        code, write = mode.run({**shared, **values}, given)
+        if shared["out"]:
+            write(_resolve_out_path(shared["out"]))
+        return code
+
 
 _COMMANDS = (
-    ("norm", "evaluate norms of one vector", _NORM_OPTIONS, _cmd_norm),
-    ("verify", "run a statement's verification grid", _VERIFY_OPTIONS, _cmd_verify),
-    ("construct", "print a block scheme or selected section sizes",
-     _CONSTRUCT_OPTIONS, _cmd_construct),
-    ("equiv", "exact norm-domination constant: the best of the N step vectors",
-     _EQUIV_OPTIONS, _cmd_equiv),
+    Command("norm", "evaluate norms of one vector", _NORM_MODES, lambda res: "norm"),
+    Command("verify", "run a statement's verification grid", _VERIFY_MODES,
+            lambda res: res.args.statement, (
+                Param("tol", DEFAULT_TOLERANCE, Option(("--tol",), float)),
+                Param("csv", None, Option(("--csv",), str)),
+                Param("timing", False, Option(("--timing",), _parse_bool)),
+                _OUT,
+            )),
+    Command("construct", "print a block scheme or selected section sizes",
+            _CONSTRUCT_MODES, _construct_mode),
+    Command("equiv", "exact norm-domination constant: the best of the N step vectors",
+            _EQUIV_MODES, lambda res: res.lookup(_PAIR.option)[1], (_PAIR, _OUT)),
 )
 
 
@@ -344,12 +319,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "inequality verification grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, options, func in _COMMANDS:
-        command = sub.add_parser(name, help=help_text)
-        if func is _cmd_verify:
-            command.add_argument("statement", choices=STATEMENT_IDS)
-        add_options(command, options)
-        command.set_defaults(func=func)
+    for command in _COMMANDS:
+        sub_parser = sub.add_parser(command.name, help=command.help)
+        if command.modes is _VERIFY_MODES:
+            sub_parser.add_argument("statement", choices=STATEMENT_IDS)
+        add_options(sub_parser, command.options(*command.shared))
+        sub_parser.set_defaults(run=command.run)
     return parser
 
 
@@ -360,10 +335,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return args.run(args)
     except (ValueError, TypeError, GrowthCutoffError, SchemeOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":  # pragma: no cover

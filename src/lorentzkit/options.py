@@ -4,8 +4,9 @@ An :class:`Option` is the one description of a setting: its flag and
 aliases, the parser that reads its value, and its config key (the flag's
 name with underscores).  The argparse flags are generated from the records
 and a ``key = value`` config line goes through the same parser, so a flag
-and its config key cannot disagree.  :class:`Resolver` looks a value up as
-flag, then config file, then default.
+and its config key cannot disagree.  A :class:`Param` is a key with its
+default and the options that set it, and :meth:`Resolver.resolve` looks
+every key up by one rule: flag, then config file, then default.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def _parse_bool(text: str) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Option records.
+# Option and key records.
 # ---------------------------------------------------------------------------
 
 
@@ -135,6 +136,30 @@ class Option:
     def dest(self) -> str:
         """The argparse destination, which is also the config key."""
         return self.flags[0].lstrip("-").replace("-", "_")
+
+
+#: the default of a key that must be given
+REQUIRED = object()
+
+
+@dataclass(frozen=True)
+class Param:
+    """A key, its default (or :data:`REQUIRED`) and the options that set it.
+
+    ``point``, if given, is a second option that sets the key to a
+    one-element list (``--theta`` for ``theta_values``), ``alternative`` one
+    that sets it as it is (``--sparse`` next to ``--dense``).
+    """
+
+    key: str
+    default: object
+    option: Option
+    point: Optional[Option] = None
+    alternative: Optional[Option] = None
+
+    @property
+    def options(self) -> Tuple[Option, ...]:
+        return tuple(filter(None, (self.point, self.option, self.alternative)))
 
 
 def add_options(parser: argparse.ArgumentParser, options: Iterable[Option]) -> None:
@@ -219,12 +244,24 @@ class Resolver:
                 return found[0]
         return None, None
 
-    def get(self, opt: Option, default=None):
-        value = self.lookup(opt)[1]
-        return default if value is None else value
+    def resolve(
+        self, params: Sequence[Param], others: Iterable[Option], context: str
+    ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
+        """``(values, given)`` of ``params``, ``given`` the keys a flag or the file set.
 
-    def reject(self, options: Iterable[Option], context: str) -> None:
-        """Fail on the first of ``options`` that is set: none applies to ``context``."""
-        for opt in options:
+        Any of ``others`` set but taken by no param does not apply to ``context``
+        (the mode's name), and a :data:`REQUIRED` key left unset is an error.
+        """
+        applies = {opt for param in params for opt in param.options}
+        for opt in [opt for opt in others if opt not in applies]:
             if self._flag(opt) is not None or opt.dest in self.file_entries:
                 raise UsageError(f"{opt.flags[0]} does not apply to {context}")
+        given: Dict[str, Any] = {}
+        for param in params:
+            option, value = self.lookup(*param.options)
+            if option is not None:
+                given[param.key] = [value] if option is param.point else value
+            elif param.default is REQUIRED:
+                flags = " or ".join(opt.flags[0] for opt in param.options)
+                raise UsageError(f"{context} requires {flags}")
+        return {**{param.key: param.default for param in params}, **given}, given

@@ -88,7 +88,7 @@ import numpy as np
 
 from . import _kernels
 from .blocks import BlockScheme, block_scales, corollary_scheme
-from .options import Option, _parse_float_list, _parse_grid, _parse_int_list
+from .options import Option, Param, _parse_float_list, _parse_grid, _parse_int_list
 from .space import (
     FiniteVector,
     SpaceParams,
@@ -635,14 +635,15 @@ def _check_levels(scheme: BlockScheme, levels: Optional[int]) -> int:
 _CONDITIONS = np.array(["averaged-upper", "staggered-lower"])
 
 
-def _lemma_3_4_bounds(scheme, weights, bound_upper, bound_lower) -> Tuple[float, float]:
-    """``(A, B)``, each defaulting to the scheme's band constant."""
-    default_a, default_b = theorem_constants(weights.theta, scheme.stagger_ratio())
+def _scheme_bounds(scheme, weights, bound_upper=None, bound_lower=None):
+    """``(M, A, B)``: clamped stagger ratio, bounds defaulting to :func:`theorem_constants`."""
+    stagger = _stagger(scheme.stagger_ratio())
+    default_a, default_b = theorem_constants(weights.theta, stagger)
     a = float(default_a if bound_upper is None else bound_upper)
     b = float(default_b if bound_lower is None else bound_lower)
     if not (np.isfinite(a) and np.isfinite(b)) or a <= 0.0 or b <= 0.0:
         raise ValueError("bounds must be finite and positive")
-    return a, b
+    return stagger, a, b
 
 
 def _lemma_3_4_chunks(scheme, weights, a: float, b: float, levels: int):
@@ -682,7 +683,7 @@ def check_lemma_3_4_conditions(
     :func:`theorem_constants`).
     """
     levels = _check_levels(scheme, levels)
-    a, b = _lemma_3_4_bounds(scheme, weights, bound_upper, bound_lower)
+    _, a, b = _scheme_bounds(scheme, weights, bound_upper, bound_lower)
     chunks = _lemma_3_4_chunks(scheme, weights, a, b, levels)
     return [_instance(chunk, flat) for chunk in chunks for flat in range(chunk.slack.size)]
 
@@ -691,13 +692,13 @@ def _lemma_3_4(grid: Dict):
     scheme = _scheme_from_grid(grid)
     weights = WeightSequence(float(grid["theta"]))
     levels = _check_levels(scheme, grid["levels"])
-    a, b = _lemma_3_4_bounds(scheme, weights, grid["A"], grid["B"])
+    stagger, a, b = _scheme_bounds(scheme, weights, grid["A"], grid["B"])
     desc = {
         "theta": weights.theta,
         "levels": levels,
         "lengths": list(scheme.lengths),
         "counts": list(scheme.counts),
-        "stagger_ratio": _stagger(scheme.stagger_ratio()),
+        "stagger_ratio": stagger,
         "A": a,
         "B": b,
     }
@@ -750,8 +751,7 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
     trials = _check_int("trials", trials, 1)
     seed = _check_int("seed", seed, 0)
     levels = _check_levels(scheme, levels)
-    stagger = _stagger(scheme.stagger_ratio())
-    a, b = theorem_constants(weights.theta, stagger)
+    stagger, a, b = _scheme_bounds(scheme, weights)
     lengths = scheme.lengths[:levels]
     counts = scheme.counts[:levels]
 
@@ -832,24 +832,6 @@ def check_theorem_3_5(
 # ---------------------------------------------------------------------------
 # The statement table.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Param:
-    """One grid key of a statement: its default and the option that sets it.
-
-    ``point``, if given, is a second option that sets the key to a
-    one-element list (``--theta`` for ``theta_values``).
-    """
-
-    key: str
-    default: object
-    option: Option
-    point: Optional[Option] = None
-
-    @property
-    def options(self) -> Tuple[Option, ...]:
-        return (self.option,) if self.point is None else (self.point, self.option)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from lorentzkit import cli
 from lorentzkit.cli import OUT_DIR_ENV_VAR, main
+from lorentzkit.options import REQUIRED
 
 
 def run(*argv):
@@ -89,6 +91,25 @@ class TestNormCommand:
             code = run("norm", "--config", str(cfg))
         assert code == 2
         assert capsys.readouterr() == ("", "error: lp norm overflows float64 at p=1.0\n")
+
+    @pytest.mark.parametrize(
+        "flags,lines,code,support",
+        [
+            (["--dense", "3,1,2"], "sparse = 1:3\n", 0, 3),  # the flag wins
+            (["--sparse", "1:3,4:1.5"], "dense = 1\n", 0, 2),
+            (["--dense", "1", "--sparse", "1:1"], "", 2, None),
+            ([], "dense = 1\nsparse = 1:1\n", 2, None),
+        ],
+    )
+    def test_dense_flag_beats_sparse_in_file(self, tmp_path, capsys, flags, lines, code, support):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(lines)
+        assert run("norm", "--theta", "0.5", *flags, "--config", str(cfg)) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert f"support size      {support}\n" in out
+        else:
+            assert err == "error: give either --dense or --sparse, not both\n"
 
     def test_json_output(self, tmp_path, capsys):
         out = tmp_path / "norm.json"
@@ -471,6 +492,117 @@ class TestOutputDirEnvVar:
         assert (
             run("norm", "--theta", "0.5", "--dense", "1", "--out", str(missing)) == 2
         )
+
+
+class TestOutOfMemory:
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("run_grid", ("verify", "remark-3-3", "--trials", "1", "--theta", "0.5")),
+            ("domination_constant", ("equiv", "--pair", "d-vs-d", "--theta", "0.5", "--N", "9")),
+        ],
+    )
+    def test_exit_2_and_no_file(self, tmp_path, capsys, monkeypatch, name, args):
+        reason = "Unable to allocate 7.45 GiB for an array with shape (1000000000,)"
+
+        def allocate(*_args, **_kwargs):
+            raise MemoryError(reason)
+
+        monkeypatch.setattr(cli, name, allocate)
+        out = tmp_path / "o.json"
+        assert run(*args, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: out of memory: {reason}\n")
+        assert not out.exists()
+
+
+#: a value each option parser accepts, by parser name
+SAMPLE = {
+    "int": "2", "float": "0.5", "str": "x", "_parse_int_list": "1,2", "_parse_float_list": "1",
+    "_parse_grid": "0.5", "_parse_dense": "1", "_parse_sparse": "1:1",
+}
+
+
+def _selecting(command, mode):
+    """The arguments that choose ``mode`` of ``command``; none for the command itself."""
+    if mode is None or command.name == "norm":
+        return []
+    if command.name == "verify":
+        return [mode.name]
+    if command.name == "equiv":
+        return ["--pair", mode.name]
+    option = mode.params[0].option  # a construct mode's selecting option
+    return [option.flags[0], SAMPLE[option.parse.__name__]]
+
+
+def _both_forms(tmp_path, capsys, argv, options):
+    """Exit codes and stderr with ``options`` given as flags, then as config lines."""
+    codes, errors = [], []
+    for form in ("flag", "config"):
+        cfg = tmp_path / "run.cfg"
+        lines = [f"{opt.dest} = {SAMPLE[opt.parse.__name__]}\n" for opt in options]
+        cfg.write_text("".join(lines) if form == "config" else "")
+        flags = [arg for opt in options for arg in (opt.flags[0], SAMPLE[opt.parse.__name__])]
+        codes.append(main([*argv, *(flags if form == "flag" else []), "--config", str(cfg)]))
+        errors.append(capsys.readouterr().err)
+    return codes, errors
+
+
+def _takes(params):
+    return {opt for param in params for opt in param.options}
+
+
+MODES = [(command, mode) for command in cli._COMMANDS for mode in command.modes]
+#: (command, mode, an option only other modes take); a second construct
+#: selecting option is left out, since it chooses a second mode
+FOREIGN = [
+    (command, mode, opt)
+    for command, mode in MODES
+    for opt in command.options()
+    if opt not in _takes(mode.params)
+    and not any(opt is other.params[0].option for other in cli._CONSTRUCT_MODES)
+]
+#: (command, mode or None for a key every mode takes, a required key that
+#: does not choose the mode)
+MISSING = [
+    (command, mode, param)
+    for command in cli._COMMANDS
+    for mode, params in [(None, command.shared)] + [(mode, mode.params) for mode in command.modes]
+    for param in params
+    if param.default is REQUIRED and param.option.flags[0] not in _selecting(command, mode)
+]
+
+
+class TestModeTables:
+    """Every mode of every subcommand, from the tables that declare them."""
+
+    @pytest.mark.parametrize(
+        "command,mode,opt", FOREIGN,
+        ids=[f"{command.name}:{mode.name}:{opt.flags[0]}" for command, mode, opt in FOREIGN],
+    )
+    def test_option_of_another_mode(self, tmp_path, capsys, command, mode, opt):
+        argv = [command.name, *_selecting(command, mode)]
+        codes, errors = _both_forms(tmp_path, capsys, argv, [opt])
+        assert codes == [2, 2]
+        assert errors[0] == errors[1] == f"error: {opt.flags[0]} does not apply to {mode.name}\n"
+
+    @pytest.mark.parametrize(
+        "command,mode,param", MISSING,
+        ids=[f"{command.name}:{getattr(mode, 'name', '*')}:{param.key}"
+             for command, mode, param in MISSING],
+    )
+    def test_missing_required_key(self, tmp_path, capsys, command, mode, param):
+        params = command.shared + (() if mode is None else mode.params)
+        given = [
+            other.option for other in params
+            if other.default is REQUIRED and other is not param
+            and other.option.flags[0] not in _selecting(command, mode)
+        ]
+        argv = [command.name, *_selecting(command, mode)]
+        codes, errors = _both_forms(tmp_path, capsys, argv, given)
+        context = command.name if mode is None else mode.name
+        flags = " or ".join(opt.flags[0] for opt in param.options)
+        assert codes == [2, 2]
+        assert errors[0] == errors[1] == f"error: {context} requires {flags}\n"
 
 
 class TestUsage:
