@@ -42,6 +42,7 @@ from .options import (
     UsageError,
     _parse_bool,
     _parse_dense,
+    _parse_path,
     _parse_sparse,
     add_options,
 )
@@ -68,7 +69,7 @@ EXIT_PASS = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 
-_OUT = Param("out", None, Option(("--out",), str))
+_OUT = Param("out", None, Option(("--out",), _parse_path))
 
 #: a mode's exit code and the writer of its ``--out`` document
 Outcome = Tuple[int, Callable[[str], None]]
@@ -128,7 +129,7 @@ def _verify(statement: str, values: Dict, given: Dict) -> Outcome:
     if values["timing"]:
         print(f"runtime_ms    {report.runtime_ms:.1f}")
     print(f"result        {'PASS' if report.passed else 'FAIL'}")
-    if values["csv"]:
+    if values["csv"] is not None:
         report.write_csv(_resolve_out_path(values["csv"]))
     code = EXIT_PASS if report.passed else EXIT_VIOLATIONS
     return code, partial(report.write_json, include_timing=values["timing"])
@@ -291,7 +292,7 @@ class Command(NamedTuple):
         mode = {mode.name: mode for mode in self.modes}[self.choose(res)]
         values, given = res.resolve(mode.params, self.options(), mode.name)
         code, write = mode.run({**shared, **values}, given)
-        if shared["out"]:
+        if shared["out"] is not None:
             write(_resolve_out_path(shared["out"]))
         return code
 
@@ -301,7 +302,7 @@ _COMMANDS = (
     Command("verify", "run a statement's verification grid", _VERIFY_MODES,
             lambda res: res.args.statement, (
                 Param("tol", DEFAULT_TOLERANCE, Option(("--tol",), float)),
-                Param("csv", None, Option(("--csv",), str)),
+                Param("csv", None, Option(("--csv",), _parse_path)),
                 Param("timing", False, Option(("--timing",), _parse_bool)),
                 _OUT,
             )),

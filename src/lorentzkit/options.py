@@ -104,6 +104,14 @@ def _parse_sparse(text: str) -> FiniteVector:
         raise UsageError(str(exc)) from None
 
 
+def _parse_path(text: str) -> str:
+    """A file path.  An empty one is refused rather than taken for an absent
+    option, which would silently write or read nothing."""
+    if not text:
+        raise UsageError("empty path")
+    return text
+
+
 def _parse_bool(text: str) -> bool:
     norm = text.strip().lower()
     if norm in {"1", "true", "yes", "on"}:
@@ -175,7 +183,7 @@ def add_options(parser: argparse.ArgumentParser, options: Iterable[Option]) -> N
                 *opt.flags, dest=opt.dest, type=opt.parse, help=opt.help,
                 metavar=opt.metavar, choices=opt.choices,
             )
-    parser.add_argument("--config", type=str)
+    parser.add_argument("--config", type=_parse_path)
 
 
 def _load_config_file(path: str) -> Dict[str, str]:
@@ -201,7 +209,7 @@ class Resolver:
     def __init__(self, args: argparse.Namespace, options: Sequence[Option]):
         self.args = args
         self.file_entries: Dict[str, str] = {}
-        if getattr(args, "config", None):
+        if getattr(args, "config", None) is not None:
             self.file_entries = _load_config_file(args.config)
         unknown = set(self.file_entries) - {opt.dest for opt in options}
         if unknown:

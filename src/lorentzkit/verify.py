@@ -44,17 +44,21 @@ instance count, the violations in grid order and the first minimum-slack
 instance.  The lemma-3-1 and lemma-3-2 grids take their window ratios from
 one builder over a dense prefix-sum array per theta (far cheaper on a large
 grid), the ``check_*`` helpers from the Euler–Maclaurin sums of
-:mod:`lorentzkit.weights`: lemma-3-1 reads a sliding window over the prefix
-sums at the sampled ``k`` columns, lemma-3-2 gathers a block's ``W_{i*k}``
-at once, and neither builds a full-grid index array.  Every streamed check
-works in blocks of about :data:`_GRID_BLOCK_ENTRIES` entries: the grids a
-block of rows at a time, so memory beyond the prefix sums does not grow with
-the grid, and theorem-3-5 and remark-3-3 a block of trials at a time, so
-memory does not grow with ``--trials`` (bar remark-3-3's two sizes per
-trial).  Per (theta, p) cell remark-3-3 draws every x support size, then
-every y size, then per trial only the normals it uses, x's then y's, set
-into a zeroed row of ``2 * max_support`` at the start of its left and its
-right half, so the report does not depend on the block size.
+:mod:`lorentzkit.weights`: lemma-3-1 gathers a block's ``W_{j+k}`` at once,
+lemma-3-2 its ``W_{i*k}``, and neither builds a full-grid index array.  Every
+streamed check works in blocks of about :data:`_GRID_BLOCK_ENTRIES` entries:
+the grids a block of rows at a time, so memory beyond the prefix sums does
+not grow with the grid, and theorem-3-5 and remark-3-3 a block of trials at
+a time, so memory does not grow with ``--trials`` (bar remark-3-3's two
+sizes per trial).  The lemma grids and remark-3-3's cells write every block
+array into buffers that their first block allocates and every later block
+(and theta) reuses, so a block faults in no new pages.  Hence a chunk's
+arrays are valid only until the next chunk is drawn; the aggregator copies
+out, as Python scalars, whatever it keeps.  Per (theta, p) cell remark-3-3
+draws every x support size, then every y size, then per trial only the
+normals it uses, x's then y's, set into a zeroed row of ``2 * max_support``
+at the start of its left and its right half, so the report does not depend
+on the block size.
 
 An evaluator returns a list of independent parts, each an iterable of
 chunks: remark-3-3 one per (theta, p) cell, every other statement one (for
@@ -241,18 +245,18 @@ class VerificationReport:
 # ---------------------------------------------------------------------------
 
 
-def _power_gap(x, e):
+def _power_gap(x, e, buffers):
     """``(x+1)**e - x**e`` without cancellation for large ``x``, computed in
-    place of the float array ``x >= 0``."""
-    zero = x == 0.0
+    place of the float array ``x >= 0``; its temporaries come from ``buffers``."""
+    zero = np.equal(x, 0.0, out=buffers("zero", x.shape, bool))
     with np.errstate(divide="ignore", invalid="ignore"):  # 0 ** e * inf at x = 0
-        gap = np.divide(1.0, x)
+        gap = np.divide(1.0, x, out=buffers("scratch", x.shape))
         np.log1p(gap, out=gap)
         gap *= e
         np.expm1(gap, out=gap)
         x **= e
         x *= gap
-    x[zero] = 1.0
+    np.copyto(x, 1.0, where=zero)
     return x
 
 
@@ -311,7 +315,9 @@ class Chunk(NamedTuple):
 
     Each ``params`` value is a scalar or an array that broadcasts to
     ``slack``'s shape, and so is each side.  A side is None when the
-    statement lacks it and NaN where one instance lacks it.
+    statement lacks it and NaN where one instance lacks it.  The arrays are
+    valid only until the next chunk of their iterable is drawn: an evaluator
+    may overwrite them with the next block's.
     """
 
     name: str
@@ -351,18 +357,22 @@ def _aggregate(chunks: Iterable[Chunk], tolerance: float):
     minimum-slack instance (None if no slack is below infinity).
 
     A later chunk takes over the minimum only on a strictly smaller slack.
+    The violations are looked for only in a chunk whose minimum fails.  A
+    chunk's arrays need only live until the next chunk is drawn: what is
+    kept of it is copied out as Python scalars.
     """
     count, violations = 0, []
     min_slack, min_inst = math.inf, None
     for chunk in chunks:
         slack = chunk.slack
         count += slack.size
-        violations.extend(
-            _instance(chunk, flat) for flat in np.flatnonzero(~(slack >= -tolerance))
-        )
-        flat = int(np.argmin(slack))
-        if math.isnan(slack.flat[flat]) and not np.isnan(slack).all():
-            flat = int(np.nanargmin(slack))  # argmin stops at the first NaN
+        flat = int(np.argmin(slack))  # the first NaN, if there is one
+        if not slack.flat[flat] >= -tolerance:  # some slack fails, or is NaN
+            violations.extend(
+                _instance(chunk, at) for at in np.flatnonzero(~(slack >= -tolerance))
+            )
+            if math.isnan(slack.flat[flat]) and not np.isnan(slack).all():
+                flat = int(np.nanargmin(slack))
         if slack.flat[flat] < min_slack:
             min_slack = float(slack.flat[flat])
             min_inst = _instance(chunk, flat)
@@ -448,52 +458,89 @@ def _grid_blocks(first: int, last: int, columns: int):
         yield lo, min(lo + rows - 1, last)
 
 
-def _window_ratios(ends, starts, terms, w_k) -> np.ndarray:
-    """``(W_{s+k} - W_s) / W_k`` from the prefix sums at the window ends and
-    starts.  The first column has ``k = 1``: it is set to the single
-    terms ``terms``, one per row, before the division."""
-    ratio = ends - starts
+class _Buffers:
+    """Named arrays for a streamed check's block temporaries, allocated on
+    first use and reused after.
+
+    ``buffers(name, shape, dtype)`` is the leading ``shape`` of the array
+    ``name`` (one dtype per name), reallocated only when it is too small.  A
+    streamed check makes one for its whole grid or cell, so its first, largest
+    block allocates them and no later block does; what a call returns is
+    valid until the next call for the same name.  A fresh one gives freshly
+    allocated arrays.
+    """
+
+    def __init__(self):
+        self._arrays: Dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        array = self._arrays.get(name)
+        if array is None or array.size < size:
+            array = self._arrays[name] = np.empty(size, dtype)
+        return array[:size].reshape(shape)
+
+
+def _window_ratios(ends, starts, terms, w_k, out) -> np.ndarray:
+    """``(W_{s+k} - W_s) / W_k`` into ``out`` (which may be ``ends``) from the
+    prefix sums at the window ends and starts.  The first column has ``k =
+    1``: it is set to the single terms ``terms``, one per row, before the
+    division."""
+    ratio = np.subtract(ends, starts, out=out)
     ratio[:, 0] = terms
     ratio /= w_k
     return ratio
 
 
-def _lemma_3_1_chunk(theta: float, j, k, ratio) -> Chunk:
-    """Instances at window starts ``j`` (a column of consecutive integers) and
-    lengths ``k`` (a row) from their ratios ``(w_{j+1} + ... + w_{j+k}) / W_k``;
-    one power gap over rows ``j, ..., j_last + 1`` gives both sides."""
+def _gather(sums, index, out) -> np.ndarray:
+    """``sums[index]`` into ``out``, for an ``index`` that grows along its rows
+    and its columns.  ``mode="clip"`` writes ``out`` directly (``"raise"``
+    goes through a copy), so the last index, the largest, is checked here."""
+    if index[-1, -1] >= sums.size:
+        raise IndexError(f"index {index[-1, -1]} is past {sums.size} prefix sums")
+    return np.take(sums, index, out=out, mode="clip")
+
+
+def _lemma_3_1_chunk(theta: float, rows, k, ratio, buffers: _Buffers) -> Chunk:
+    """Instances at window starts ``j = rows[:-1]`` (``rows`` a column of
+    consecutive integers) and lengths ``k`` (a row) from their ratios
+    ``(w_{j+1} + ... + w_{j+k}) / W_k``; one power gap over ``rows`` gives
+    both sides."""
     e = 1.0 - theta
-    rows = np.arange(j[0, 0], j[-1, 0] + 2)[:, None]
-    gap = _power_gap(rows / k, e)
+    x = np.divide(rows, k, out=buffers("gap", (rows.shape[0], k.shape[1])))
+    gap = _power_gap(x, e, buffers)
     lhs = gap[1:]
-    rhs = gap[:-1] / (2.0 ** e - 1.0)
-    params = {"theta": theta, "j": j, "k": k}
-    slack = ratio - lhs
-    np.minimum(slack, rhs - ratio, out=slack)
+    rhs = np.divide(gap[:-1], 2.0 ** e - 1.0, out=buffers("rhs", lhs.shape))
+    params = {"theta": theta, "j": rows[:-1], "k": k}
+    slack = np.subtract(ratio, lhs, out=buffers("slack", lhs.shape))
+    np.minimum(slack, np.subtract(rhs, ratio, out=buffers("scratch", lhs.shape)), out=slack)
     return Chunk("lemma-3-1", params, lhs, ratio, rhs, slack)
 
 
 def check_lemma_3_1(theta: float, j: int, k: int) -> InequalityInstance:
     """Check the shifted power-sum ratio sandwich at one ``(theta, j, k)``."""
-    j = np.array([[_check_int("j", j, 0)]])
+    j = _check_int("j", j, 0)
     k = np.array([[_check_int("k", k, 1)]])
     w = WeightSequence(theta)
-    return _instance(_lemma_3_1_chunk(w.theta, j, k, w._averaged(j, k)), 0)
+    rows = np.array([[j], [j + 1]])
+    return _instance(_lemma_3_1_chunk(w.theta, rows, k, w._averaged(rows[:1], k), _Buffers()), 0)
 
 
-def _lemma_3_1_chunks(w: WeightSequence, j_max: int, k):
-    """One theta's chunks, a block of rows ``j`` at a time: ``W_{j+k}`` is row
-    ``j`` of a sliding window over the prefix sums, read at the columns ``k``."""
+def _lemma_3_1_chunks(w: WeightSequence, j_max: int, k, buffers: _Buffers):
+    """One theta's chunks, a block of rows ``j`` at a time: ``W_{j+k}`` is
+    gathered at ``j + k``."""
     k_last = int(k[0, -1])
     sums = w.partial_sums(j_max + k_last)
     terms = w.weight_values(j_max + 1)
-    windows = np.lib.stride_tricks.sliding_window_view(sums, k_last + 1)
     w_k = sums[k]
+    j_all = np.arange(j_max + 2, dtype=np.int64)[:, None]
     for lo, hi in _grid_blocks(0, j_max, k.shape[1]):
-        j = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
-        ratio = _window_ratios(windows[lo : hi + 1, k[0]], sums[lo : hi + 1, None],
-                               terms[lo : hi + 1], w_k)
-        yield _lemma_3_1_chunk(w.theta, j, k, ratio)
+        rows = j_all[lo : hi + 2]
+        shape = (hi + 1 - lo, k.shape[1])
+        ends = _gather(sums, np.add(rows[:-1], k, out=buffers("index", shape, np.int64)),
+                       buffers("ratio", shape))
+        ratio = _window_ratios(ends, sums[lo : hi + 1, None], terms[lo : hi + 1], w_k, ends)
+        yield _lemma_3_1_chunk(w.theta, rows, k, ratio, buffers)
 
 
 def _lemma_3_1(grid: Dict):
@@ -503,19 +550,21 @@ def _lemma_3_1(grid: Dict):
     # every theta is checked before any prefix sum is built
     weights = [WeightSequence(theta) for theta in grid["theta_values"]]
     desc = {"theta_values": [w.theta for w in weights], "j_max": j_max, "k_values": k[0].tolist()}
+    buffers = _Buffers()  # allocated by the first block, shared by every theta
     return desc, None, [itertools.chain.from_iterable(
-        _lemma_3_1_chunks(w, j_max, k) for w in weights)]
+        _lemma_3_1_chunks(w, j_max, k, buffers) for w in weights)]
 
 
-def _lemma_3_2_chunk(theta: float, i, k, averaged, w_i) -> Chunk:
+def _lemma_3_2_chunk(theta: float, i, k, averaged, w_i, buffers: _Buffers) -> Chunk:
     """Instances at blocks ``i`` and lengths ``k`` (broadcast together) from
     the averaged weights ``w_i^(k)`` and the weights ``w_i``."""
     lower_c, upper_c = _band_constants(theta)
-    lhs = lower_c * w_i
-    rhs = upper_c * w_i
+    lhs = np.multiply(lower_c, w_i, out=buffers("lhs", np.shape(w_i)))
+    rhs = np.multiply(upper_c, w_i, out=buffers("rhs", np.shape(w_i)))
     params = {"theta": theta, "i": i, "k": k}
-    slack = np.asarray(averaged - lhs)
-    np.minimum(slack, rhs - averaged, out=slack)
+    shape = np.shape(averaged)
+    slack = np.subtract(averaged, lhs, out=buffers("slack", shape))
+    np.minimum(slack, np.subtract(rhs, averaged, out=buffers("scratch", shape)), out=slack)
     return Chunk("lemma-3-2", params, lhs, averaged, rhs, slack)
 
 
@@ -525,22 +574,27 @@ def check_lemma_3_2(theta: float, i: int, k: int) -> InequalityInstance:
     k = _check_int("k", k, 1)
     w = WeightSequence(theta)
     averaged = w.averaged_weight(i, k)
-    return _instance(_lemma_3_2_chunk(w.theta, i, k, averaged, w.weight(i)), 0)
+    return _instance(_lemma_3_2_chunk(w.theta, i, k, averaged, w.weight(i), _Buffers()), 0)
 
 
-def _lemma_3_2_chunks(w: WeightSequence, i_max: int, k):
+def _lemma_3_2_chunks(w: WeightSequence, i_max: int, k, buffers: _Buffers):
     """One theta's chunks, a block of rows ``i`` at a time."""
     k_max = k.shape[1]
     sums = w.partial_sums(i_max * k_max)
     terms = w.weight_values(i_max)
     w_k = sums[1 : k_max + 1]
+    i_all = np.arange(i_max + 1, dtype=np.int64)[:, None]
     for lo, hi in _grid_blocks(1, i_max, k_max):
         # the windows of one k tile: W at i*k for i = lo-1..hi, gathered once
-        ends = sums[np.arange(lo - 1, hi + 1, dtype=np.int64)[:, None] * k]
-        averaged = _window_ratios(ends[1:], ends[:-1], terms[lo - 1 : hi], w_k)
-        i = np.arange(lo, hi + 1, dtype=np.int64)[:, None]
+        # into the chunk's scratch buffer, which it overwrites only once they are used
+        tile = i_all[lo - 1 : hi + 1]
+        shape = (tile.shape[0], k_max)
+        ends = _gather(sums, np.multiply(tile, k, out=buffers("index", shape, np.int64)),
+                       buffers("scratch", shape))
+        averaged = _window_ratios(ends[1:], ends[:-1], terms[lo - 1 : hi], w_k,
+                                  buffers("ratio", (shape[0] - 1, k_max)))
         # column 0 is w_i
-        yield _lemma_3_2_chunk(w.theta, i, k, averaged, averaged[:, :1])
+        yield _lemma_3_2_chunk(w.theta, tile[1:], k, averaged, averaged[:, :1], buffers)
 
 
 def _lemma_3_2(grid: Dict):
@@ -550,8 +604,9 @@ def _lemma_3_2(grid: Dict):
     # every theta is checked before any prefix sum is built
     weights = [WeightSequence(theta) for theta in grid["theta_values"]]
     desc = {"theta_values": [w.theta for w in weights], "i_max": i_max, "k_max": k_max}
+    buffers = _Buffers()  # allocated by the first block, shared by every theta
     return desc, None, [itertools.chain.from_iterable(
-        _lemma_3_2_chunks(w, i_max, k) for w in weights)]
+        _lemma_3_2_chunks(w, i_max, k, buffers) for w in weights)]
 
 
 def _remark_3_3_chunk(params: Dict, pow_x, pow_y, pow_union) -> Chunk:
@@ -586,17 +641,18 @@ def _remark_3_3(grid: Dict):
         rng = np.random.default_rng([seed, ti, pi])
         size_x = rng.integers(1, m + 1, size=trials)
         size_y = rng.integers(1, m + 1, size=trials)
-        # buffers reused by every block, so a block faults in no new pages
         rows = min(trials, max(1, _GRID_BLOCK_ENTRIES // (2 * m)))
-        block, values = np.empty((rows, 2 * m)), np.empty(rows * 2 * m)
-        mask = np.empty((rows, 2 * m), dtype=bool)
+        buffers = _Buffers()
         support = np.arange(m)
         for first in range(0, trials, rows):
             sx, sy = size_x[first : first + rows], size_y[first : first + rows]
-            both, used = block[: sx.size], mask[: sx.size]
+            both = buffers("block", (sx.size, 2 * m))
+            used = buffers("mask", (sx.size, 2 * m), bool)
             np.less(support, sx[:, None], out=used[:, :m])
             np.less(support, sy[:, None], out=used[:, m:])
-            # only the normals the trials use, in trial order, each x's before its y's
+            # only the normals the trials use, in trial order, each x's before its
+            # y's; the buffer is asked for at full size, as the count varies
+            values = buffers("values", (rows * 2 * m,))
             drawn = rng.standard_normal(out=values[: int(sx.sum() + sy.sum())])
             with np.errstate(over="ignore"):
                 np.power(np.abs(drawn, out=drawn), p, out=drawn)  # once for x, y and x + y

@@ -494,6 +494,35 @@ class TestOutputDirEnvVar:
         )
 
 
+class TestEmptyOutputPath:
+    # an explicit empty path was taken for an absent option: exit 0, nothing
+    # written (or, for --config, nothing read)
+    @pytest.mark.parametrize("args, flag", [
+        (("norm", "--theta", "0.5", "--dense", "1"), "--out"),
+        (("verify", "lemma-3-2", "--i-max", "2", "--k-max", "2"), "--out"),
+        (("verify", "lemma-3-2", "--i-max", "2", "--k-max", "2"), "--csv"),
+        (("construct", "--corollary-levels", "2"), "--out"),
+        (("equiv", "--pair", "d-vs-lp", "--theta", "0.5", "--N", "3"), "--out"),
+    ])
+    def test_is_a_usage_error(self, tmp_path, capsys, args, flag):
+        assert run(*args, flag, "") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: empty path\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:]} =\n")
+        assert run(*args, "--config", str(cfg)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} (config key {flag[2:]}): empty path\n"
+
+    def test_empty_config_path_is_a_usage_error(self, capsys):
+        assert run("norm", "--theta", "0.5", "--dense", "1", "--config", "") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith("error: argument --config: empty path\n")
+
+
 class TestOutOfMemory:
     @pytest.mark.parametrize(
         "name,args",

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import sys
 import time
 
@@ -110,13 +111,16 @@ class TestDenseGrids:
     def assert_part_equals(part, thetas, want):
         """Check a grid's one part against ``want(theta)`` theta by theta, and
         return the number of chunks of each theta."""
+        sides = ("lhs", "mid", "rhs", "slack")
         by_theta = {}
         for chunk in part:
-            by_theta.setdefault(chunk.params["theta"], []).append(chunk)
+            # a chunk's arrays are valid only until the next chunk is drawn
+            columns = [np.array(getattr(chunk, side)) for side in sides]
+            by_theta.setdefault(chunk.params["theta"], []).append(columns)
         assert list(by_theta) == thetas  # every theta's blocks, in theta order
         for theta, chunks in by_theta.items():
-            for side, expected in zip(("lhs", "mid", "rhs", "slack"), want(theta)):
-                stacked = np.concatenate([getattr(chunk, side) for chunk in chunks])
+            for n, expected in enumerate(want(theta)):
+                stacked = np.concatenate([columns[n] for columns in chunks])
                 np.testing.assert_array_equal(stacked, expected, strict=True)
         return [len(chunks) for chunks in by_theta.values()]
 
@@ -274,6 +278,38 @@ class TestDenseGrids:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2**20
+
+    @pytest.mark.parametrize("statement, grid", [
+        ("lemma-3-1", lambda blocks: {"j_max": 65 * blocks - 1, "k_max": 1000, "k_samples": 1000}),
+        ("lemma-3-2", lambda blocks: {"i_max": 65 * blocks, "k_max": 1000}),
+    ], ids=["lemma-3-1", "lemma-3-2"])
+    def test_blocks_after_the_first_allocate_no_block(self, statement, grid):
+        # the block arrays are allocated by the grid's first block and shared by
+        # every later block and theta; a draw that allocated them afresh would
+        # take several 512 KiB blocks (numpy's ufunc loops still take 64 KiB
+        # buffers for broadcast operands, call by call)
+        import tracemalloc
+
+        import lorentzkit.verify as verify
+
+        block_bytes = verify._GRID_BLOCK_ENTRIES * 8
+        for blocks in (2, 40):  # 65 rows of 1000 columns make one block
+            evaluate = verify.STATEMENTS[statement].evaluate
+            (part,) = evaluate({**grid(blocks), "theta_values": [0.25, 0.75]})[2]
+            allocated = []
+            tracemalloc.start()
+            try:
+                while True:
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    if next(part, None) is None:
+                        break
+                    allocated.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+            assert len(allocated) == 2 * blocks
+            # the second theta's first draw builds its prefix sums, which are small here
+            assert max(allocated[1:]) < block_bytes // 2, (blocks, allocated)
 
     def test_pointwise_sides_match_grid(self):
         import lorentzkit.verify as verify
@@ -643,6 +679,46 @@ class TestAggregate:
         assert count == 6
         assert [v.params["n"] for v in violations] == [1, 2, 3, 5]
         assert first.params == {"n": 1} and first.slack == -1.0
+
+    @staticmethod
+    def full_scan(chunks, tolerance):
+        """Instance count, violations and first minimum-slack instance, from
+        every instance of every chunk in turn."""
+        import lorentzkit.verify as verify
+
+        count, violations, first = 0, [], None
+        for chunk in chunks:
+            for flat in range(chunk.slack.size):
+                inst = verify._instance(chunk, flat)
+                count += 1
+                if not inst.slack >= -tolerance:
+                    violations.append(inst)
+                if inst.slack < (math.inf if first is None else first.slack):
+                    first = inst
+        return count, violations, first
+
+    @pytest.mark.parametrize("slacks, violating", [
+        # the minimum exactly at -tolerance passes, just below it fails
+        ([[1.0, -DEFAULT_TOLERANCE, 0.5]], []),
+        ([[1.0, np.nextafter(-DEFAULT_TOLERANCE, -1.0), 0.5]], [1]),
+        # a NaN first: argmin stops there, so every violation is looked for
+        ([[np.nan, -1.0, 2.0, np.nan]], [0, 1, 3]),
+        ([[np.nan, 3.0, 2.0]], [0]),
+        # a violating chunk after passing ones, which hold the minimum at first
+        ([[1.0, 2.0], [0.5, 3.0], [4.0, -1.0, -2.0, 5.0]], [5, 6]),
+        ([[1.0, 2.0], [0.5, np.inf], [np.inf, 7.0]], []),
+    ])
+    def test_matches_full_scan(self, slacks, violating):
+        import lorentzkit.verify as verify
+
+        chunks, first = [], 0
+        for slack in slacks:
+            n = np.arange(first, first + len(slack))
+            chunks.append(verify.Chunk("t", {"n": n}, None, None, None, np.array(slack)))
+            first += len(slack)
+        result = verify._aggregate(iter(chunks), DEFAULT_TOLERANCE)
+        assert [v.params["n"] for v in result[1]] == violating
+        assert repr(result) == repr(self.full_scan(chunks, DEFAULT_TOLERANCE))
 
     def test_nan_slack_is_a_violation(self):
         import lorentzkit.verify as verify
