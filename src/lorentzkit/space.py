@@ -20,7 +20,7 @@ from typing import Iterable, Sequence, Tuple, Union
 import numpy as np
 
 from . import _kernels
-from .weights import WeightSequence, _check_int, _check_p
+from .weights import _EM_BLOCK, WeightSequence, _check_int, _check_p
 
 
 @dataclass(frozen=True)
@@ -267,6 +267,13 @@ def y_norm(y: YVector, params: SpaceParams) -> float:
 # -----------------------------------------------------------------------------
 
 
+def _block_masses(weights: WeightSequence, lengths) -> np.ndarray:
+    """``w_{c+1} + ... + w_{c+l}`` for each block of ``l = lengths[..., m]``
+    indices after the cut ``c`` at the end of the blocks before it in its row:
+    differences of the partial sums at the cuts."""
+    return np.diff(weights.partial_sums_at(np.cumsum(lengths, axis=-1)), axis=-1, prepend=0.0)
+
+
 def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     """p-th norm power of vectors that are constant on disjoint blocks.
 
@@ -275,27 +282,33 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     the multiset).  A 1-D ``values`` is one vector and gives a float; a
     (rows x blocks) ``values`` is a batch of vectors and gives one norm power
     per row, with ``lengths`` either per row or shared by all rows.  The cost
-    is one sort, one cumulative sum of lengths and one vectorized partial-sum
-    lookup for the whole batch, independent of the support size.
+    is independent of the support size: a batch is evaluated in row blocks of
+    about :data:`~lorentzkit.weights._EM_BLOCK` entries, each with one sort,
+    one cumulative sum of lengths and one vectorized partial-sum lookup at
+    the cuts.  Every step is row-local, so a row's bits do not depend on the
+    block it falls in, and no temporary grows with the number of rows.
     """
-    vals = np.abs(np.asarray(values, dtype=np.float64))
+    vals = np.asarray(values, dtype=np.float64)
     single = vals.ndim <= 1
     vals = vals.reshape(1, -1) if single else vals
     lens = np.asarray(lengths, dtype=np.int64)
     if vals.ndim != 2 or lens.shape[-1:] != vals.shape[-1:] or lens.ndim > 2:
         raise ValueError("values and lengths must have equal length")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("block values must be finite")
     if lens.size and lens.min() < 1:
         raise ValueError("block lengths must be >= 1")
     lens = np.broadcast_to(lens, vals.shape)
-    order = np.argsort(-vals, axis=1, kind="stable")
-    vals = np.take_along_axis(vals, order, axis=1)
-    # zero blocks sort last; giving them no length keeps them out of the cuts
-    lens = np.where(vals > 0.0, np.take_along_axis(lens, order, axis=1), 0)
-    sums = params.weights.partial_sums_at(np.cumsum(lens, axis=1))
-    masses = np.diff(sums, axis=1, prepend=0.0)
-    out = _kernels.weighted_pow_sum(vals, masses, params.p)
+    out = np.empty(vals.shape[0])
+    rows = max(1, _EM_BLOCK // max(1, vals.shape[1]))
+    for lo in range(0, vals.shape[0], rows):
+        block = np.abs(vals[lo : lo + rows])
+        if not np.all(np.isfinite(block)):
+            raise ValueError("block values must be finite")
+        order = np.argsort(-block, axis=1, kind="stable")
+        block = np.take_along_axis(block, order, axis=1)
+        # zero blocks sort last; giving them no length keeps them out of the cuts
+        sorted_lens = np.take_along_axis(lens[lo : lo + rows], order, axis=1)
+        masses = _block_masses(params.weights, np.where(block > 0.0, sorted_lens, 0))
+        out[lo : lo + rows] = _kernels.weighted_pow_sum(block, masses, params.p)
     return float(out[0]) if single else out
 
 

@@ -41,8 +41,10 @@ PREFIX_CACHE_LIMIT = 1 << 25
 INDEX_LIMIT = 1 << 53
 #: power-law weights summed term by term before Euler–Maclaurin takes over
 HEAD = 64
-#: array evaluations run in blocks of this many entries to bound temporaries
-_EM_BLOCK = 1 << 15
+#: array evaluations (Euler–Maclaurin tails here, run-length norm batches in
+#: :mod:`lorentzkit.space`) run in blocks of this many entries to bound
+#: their temporaries
+_EM_BLOCK = 1 << 12
 
 # B_2i / (2i)! for i = 1..4
 _BERNOULLI_TERMS = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from lorentzkit.space import (
     y_norm,
     y_pnorm_pow,
 )
+from lorentzkit import space, weights
 from lorentzkit.weights import WeightSequence
 
 import _oracles as oracle
@@ -273,6 +275,71 @@ class TestRunLengthNorm:
         assert got.tolist() == want
         per_row = lorentz_pnorm_pow_runlength(values, np.tile(lengths, (7, 1)), params)
         assert per_row.tolist() == want
+
+    @pytest.mark.parametrize("block, columns", [(None, 55), (7, 3), (7, 9)])
+    def test_row_blocks_match_single_calls(self, half, monkeypatch, block, columns):
+        if block is not None:
+            monkeypatch.setattr(space, "_EM_BLOCK", block)
+            monkeypatch.setattr(weights, "_EM_BLOCK", block)
+        per_block = max(1, space._EM_BLOCK // columns)
+        rows = 3 * per_block + (per_block // 2 or 1)  # three blocks and a remainder
+        params = SpaceParams(p=1.5, weights=half)
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((rows, columns))
+        values[rng.random(values.shape) < 0.2] = 0.0
+        values[::5] = 0.0
+        shared = rng.integers(1, 10**6, columns)
+        shared[0] = 10**9
+        per_row = rng.integers(1, 10**6, (rows, columns))
+        got = lorentz_pnorm_pow_runlength(values, shared, params)
+        want = [lorentz_pnorm_pow_runlength(row, shared, params) for row in values]
+        assert got.tolist() == want
+        assert got[::5].tolist() == [0.0] * len(got[::5])
+        got = lorentz_pnorm_pow_runlength(values, per_row, params)
+        want = [lorentz_pnorm_pow_runlength(v, l, params) for v, l in zip(values, per_row)]
+        assert got.tolist() == want
+
+    def test_zero_row_batch(self, half):
+        params = SpaceParams(p=2.0, weights=half)
+        for lengths in (np.arange(1, 5), np.ones((0, 4), dtype=np.int64)):
+            got = lorentz_pnorm_pow_runlength(np.empty((0, 4)), lengths, params)
+            assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_peak_memory_does_not_grow_with_rows(self, half):
+        import tracemalloc
+
+        params = SpaceParams(p=2.0, weights=half)
+        lengths = np.arange(1, 56)
+
+        def peak(rows):
+            values = np.random.default_rng(5).standard_normal((rows, 55))
+            tracemalloc.start()
+            try:
+                lorentz_pnorm_pow_runlength(values, lengths, params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2_000)  # first-call caches
+        small = peak(2_000)
+        # only the output vector, one float per row, grows, plus a page of
+        # Python objects; evaluated whole, the batch grew by about 170 bytes
+        # per coefficient
+        assert peak(20_000) - small <= 8 * 18_000 + 4096
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="block masses are differences of partial sums, which cancel: at K=10 "
+        "a length-1 block cut at 19,958,399 is 9.6e-9 off and a length-12 block cut "
+        "at 1e7 2.1e-10, where window_sums gets 4e-17 and 2.5e-16",
+    )
+    @pytest.mark.parametrize("cut, length", [(19_958_399, 1), (10**7, 12)])
+    def test_block_masses_at_deep_cuts_match_hurwitz_zeta(self, half, cut, length):
+        masses = space._block_masses(half, np.array([cut, length]))
+        with mpmath.workdps(60):
+            want = mpmath.zeta(0.5, cut + 1) - mpmath.zeta(0.5, cut + length + 1)
+            assert abs((mpmath.mpf(masses[1]) - want) / want) < 1e-15
 
     def test_negative_values_use_magnitude(self, half):
         params = SpaceParams(p=1.0, weights=half)

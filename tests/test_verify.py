@@ -927,7 +927,8 @@ class TestTheorem35Batched:
 
     def test_memory_at_corollary_K_10(self):
         # 5000 trials at K = 10 peaked at 30.8 MiB traced in chunks of 2^18
-        # coefficients; chunks of 2^16 bound it near 11 MiB
+        # coefficients and at 11.2 MiB in chunks of 2^16; run-length norms
+        # in row blocks of 2^12 entries bound it near 2.7 MiB
         import tracemalloc
 
         tracemalloc.start()
@@ -937,7 +938,7 @@ class TestTheorem35Batched:
         finally:
             tracemalloc.stop()
         assert report.passed and report.instances == 2 * 55 + 5000
-        assert peak <= 16 * 2**20
+        assert peak <= 3 * 2**20
 
     def test_lemma_3_4_mid_matches_hurwitz_zeta(self):
         theta = 0.5
