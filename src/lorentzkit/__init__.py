@@ -15,16 +15,12 @@ from .weights import (
 from .space import (
     FiniteVector,
     SpaceParams,
-    YVector,
     decreasing_rearrangement,
     disjoint_supports,
     lorentz_norm,
     lorentz_pnorm_pow,
-    lorentz_norm_runlength,
     lorentz_pnorm_pow_runlength,
     lp_norm,
-    y_norm,
-    y_pnorm_pow,
 )
 from .blocks import (
     BlockScheme,
@@ -73,16 +69,12 @@ __all__ = [
     "WeightSequence",
     "FiniteVector",
     "SpaceParams",
-    "YVector",
     "decreasing_rearrangement",
     "disjoint_supports",
     "lorentz_norm",
     "lorentz_pnorm_pow",
-    "lorentz_norm_runlength",
     "lorentz_pnorm_pow_runlength",
     "lp_norm",
-    "y_norm",
-    "y_pnorm_pow",
     "BlockScheme",
     "SchemeOverflowError",
     "block_vector",

@@ -8,6 +8,13 @@ with coefficient ``W_k**(-1/p)`` on the ``k`` consecutive indices
 ``J_k = J_{k-1} + counts_k * lengths_k`` and the supports tile an initial
 segment of the index line with no gaps.
 
+A vector of ``Y = (⊕_k d(w,p)^{n_k})_p``, ``n_k = counts[k]``, is a
+*coefficient row*: one coefficient ``a_i^(k)`` per block of the scheme's
+first ``L`` levels, level by level, so its length is ``counts[1] + ... +
+counts[L]``.  :func:`expand` turns a row into the vector ``sum_k sum_i
+a_i^(k) * block(i, k)``, and :func:`expand_runlength` turns a row, or a batch
+of rows, into the ``(values, lengths)`` pair that the run-length norm reads.
+
 The inductive scheme with ``j_1 = 1`` and ``j_{k+1} = J_k`` (each new block as
 long as everything placed so far) gives ``J_k = (k+1)!/2`` and keeps the
 offset-to-length ratio pinned at 1; it is the canonical input for the
@@ -20,7 +27,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .space import FiniteVector, YVector
+from .space import FiniteVector
 from .weights import WeightSequence, _check_int, _check_p
 
 _INT64_MAX = (1 << 63) - 1
@@ -169,72 +176,46 @@ def staggered_family(
     return family
 
 
-def block_scales(
-    scheme: BlockScheme, weights: WeightSequence, p: float, levels: Optional[int] = None
-):
-    """Per-block scale ``W_{j_k}**(-1/p)`` and length ``j_k``: ``(scales, lengths)``.
+def expand_runlength(coeffs, scheme: BlockScheme, weights: WeightSequence, p: float):
+    """Run-length form of coefficient rows: ``(values, lengths)`` arrays.
 
-    One entry per block of the first ``levels`` levels (all by default),
-    level by level, so consecutive entries tile ``1..J_levels``.
+    ``coeffs`` is one coefficient row or a (rows x blocks) batch of them.
+    ``values`` has its shape and holds each coefficient times its block's
+    scale ``W_{j_k}**(-1/p)``; ``lengths`` holds each block's ``j_k``, shared
+    by every row.  Zero blocks stay, since the run-length norm gives them no
+    length.  Feed the pair to
+    :func:`lorentzkit.space.lorentz_pnorm_pow_runlength` to evaluate the
+    norms without materialising the supports.
     """
     p = _check_p(p)
-    levels = scheme.levels if levels is None else levels
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    ends = np.cumsum(scheme.counts).tolist()
+    if coeffs.ndim not in (1, 2) or coeffs.shape[-1] not in ends:
+        raise ValueError(
+            f"coefficient rows need one entry per block of whole levels "
+            f"(a length in {ends}), got shape {coeffs.shape}"
+        )
+    levels = ends.index(coeffs.shape[-1]) + 1
     lengths = np.array(scheme.lengths[:levels], dtype=np.int64)
     counts = scheme.counts[:levels]
     scales = [float(w) ** (-1.0 / p) for w in weights.partial_sums_at(lengths)]
-    return np.repeat(scales, counts), np.repeat(lengths, counts)
+    return coeffs * np.repeat(scales, counts), np.repeat(lengths, counts)
 
 
-def _block_coefficients(y: YVector, scheme: BlockScheme) -> np.ndarray:
-    """``y``'s coefficient per block of its ``len(y)`` levels, level by level;
-    zero for the blocks a component leaves out."""
-    if len(y) > scheme.levels:
-        raise ValueError(
-            f"y has {len(y)} components but the scheme has {scheme.levels} levels"
-        )
-    out = np.zeros(sum(scheme.counts[: len(y)]))
-    first = 0
-    for k, (dim, coeffs) in enumerate(y, start=1):
-        cap = scheme.counts[k - 1]
-        if dim > cap or coeffs.shape[0] > cap:
-            raise ValueError(
-                f"component {k} carries {max(dim, coeffs.shape[0])} slots but "
-                f"level {k} has only {cap} blocks"
-            )
-        out[first : first + coeffs.shape[0]] = coeffs
-        first += cap
-    return out
+def expand(coeffs, scheme: BlockScheme, weights: WeightSequence, p: float) -> FiniteVector:
+    """One coefficient row as the vector ``sum_k sum_i a_i^(k) * block(i, k)``.
 
-
-def expand(
-    y: YVector, scheme: BlockScheme, weights: WeightSequence, p: float
-) -> FiniteVector:
-    """Linear combination ``sum_k sum_i a_i^(k) * block(i, k)`` as a vector.
-
-    Materialises every coefficient; fine for small schemes, but for factorial
-    schemes prefer :func:`expand_runlength` plus the run-length norm path.
+    Materialises every coefficient of the nonzero blocks; fine for small
+    schemes, but for factorial schemes prefer :func:`expand_runlength` plus
+    the run-length norm path.
     """
-    scales, lengths = block_scales(scheme, weights, p, len(y))
-    coeffs = _block_coefficients(y, scheme)
+    if np.ndim(coeffs) != 1:
+        raise ValueError("expand takes one coefficient row")
+    values, lengths = expand_runlength(coeffs, scheme, weights, p)
     ends = np.cumsum(lengths)
-    blocks = np.flatnonzero(coeffs)
+    blocks = np.flatnonzero(values)
     if blocks.size == 0:
         return FiniteVector.empty()
     indices = np.concatenate([np.arange(end - length, end) + 1
                               for end, length in zip(ends[blocks], lengths[blocks])])
-    return FiniteVector(indices, np.repeat(coeffs[blocks] * scales[blocks], lengths[blocks]))
-
-
-def expand_runlength(
-    y: YVector, scheme: BlockScheme, weights: WeightSequence, p: float
-):
-    """Run-length form of :func:`expand`: ``(values, lengths)`` arrays.
-
-    One entry per nonzero block; feed the pair to
-    :func:`lorentzkit.space.lorentz_pnorm_pow_runlength` to evaluate the norm
-    without materialising the support.
-    """
-    scales, lengths = block_scales(scheme, weights, p, len(y))
-    coeffs = _block_coefficients(y, scheme)
-    blocks = np.flatnonzero(coeffs)
-    return coeffs[blocks] * scales[blocks], lengths[blocks]
+    return FiniteVector(indices, np.repeat(values[blocks], lengths[blocks]))

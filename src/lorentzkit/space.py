@@ -6,21 +6,20 @@ The central quantity is the Lorentz-type norm
 
 where ``(a_n)`` is the decreasing rearrangement of ``|x|`` and ``w`` is a
 weight sequence from :mod:`lorentzkit.weights`.  Alongside it live the plain
-``l_p`` norm, the direct-sum norm on stacks of finite components, and a
-run-length evaluation path for vectors that are constant on large blocks
-(those show up in staggered block constructions, where materialising tens of
-millions of equal coefficients would be wasteful).
+``l_p`` norm and a run-length evaluation path for vectors that are constant
+on large blocks (those show up in staggered block constructions, where
+materialising tens of millions of equal coefficients would be wasteful).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from . import _kernels
-from .weights import _EM_BLOCK, WeightSequence, _check_int, _check_p
+from .weights import _EM_BLOCK, WeightSequence, _check_p
 
 
 @dataclass(frozen=True)
@@ -210,59 +209,6 @@ def lp_norm(x: Union[FiniteVector, Sequence[float]], p: float) -> float:
 
 
 # -----------------------------------------------------------------------------
-# Direct sums of finite components.
-# -----------------------------------------------------------------------------
-
-
-class YVector:
-    """Element of a p-direct sum of finite Lorentz spaces.
-
-    Holds a stack of components; component ``k`` lives in a space of declared
-    dimension ``N_k`` and carries at most ``N_k`` coefficients.  The norm is
-
-        ( sum_k ||component_k||_{w,p}^p )^(1/p).
-    """
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Iterable[Tuple[int, Sequence[float]]]):
-        cleaned = []
-        for level, (dim, coeffs) in enumerate(components, start=1):
-            dim = _check_int(f"component {level} dimension", dim, 1)
-            arr = np.asarray(coeffs, dtype=np.float64).ravel()
-            if arr.shape[0] > dim:
-                raise ValueError(
-                    f"component {level} has {arr.shape[0]} coefficients but "
-                    f"declared dimension {dim}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"component {level} has non-finite coefficients")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            cleaned.append((dim, arr))
-        self.components = tuple(cleaned)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        dims = ", ".join(str(d) for d, _ in self.components)
-        return f"YVector(dims=[{dims}])"
-
-
-def y_pnorm_pow(y: YVector, params: SpaceParams) -> float:
-    """p-th power of the direct-sum norm of ``y``."""
-    return sum((lorentz_pnorm_pow(coeffs, params) for _, coeffs in y), 0.0)
-
-
-def y_norm(y: YVector, params: SpaceParams) -> float:
-    return y_pnorm_pow(y, params) ** (1.0 / params.p)
-
-
-# -----------------------------------------------------------------------------
 # Run-length path for block-constant vectors.
 # -----------------------------------------------------------------------------
 
@@ -270,8 +216,9 @@ def y_norm(y: YVector, params: SpaceParams) -> float:
 def _block_masses(weights: WeightSequence, lengths) -> np.ndarray:
     """``w_{c+1} + ... + w_{c+l}`` for each block of ``l = lengths[..., m]``
     indices after the cut ``c`` at the end of the blocks before it in its row:
-    differences of the partial sums at the cuts."""
-    return np.diff(weights.partial_sums_at(np.cumsum(lengths, axis=-1)), axis=-1, prepend=0.0)
+    window sums, which no difference of partial sums can cancel."""
+    cuts = np.cumsum(lengths, axis=-1)
+    return weights.window_sums(cuts - lengths, lengths)
 
 
 def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
@@ -284,9 +231,10 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     per row, with ``lengths`` either per row or shared by all rows.  The cost
     is independent of the support size: a batch is evaluated in row blocks of
     about :data:`~lorentzkit.weights._EM_BLOCK` entries, each with one sort,
-    one cumulative sum of lengths and one vectorized partial-sum lookup at
-    the cuts.  Every step is row-local, so a row's bits do not depend on the
-    block it falls in, and no temporary grows with the number of rows.
+    one cumulative sum of lengths and one vectorized window-sum lookup of
+    every block's weight mass.  Every step is row-local, so a row's bits do
+    not depend on the block it falls in, and no temporary grows with the
+    number of rows.
     """
     vals = np.asarray(values, dtype=np.float64)
     single = vals.ndim <= 1
@@ -310,7 +258,3 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
         masses = _block_masses(params.weights, np.where(block > 0.0, sorted_lens, 0))
         out[lo : lo + rows] = _kernels.weighted_pow_sum(block, masses, params.p)
     return float(out[0]) if single else out
-
-
-def lorentz_norm_runlength(values, lengths, params: SpaceParams) -> float:
-    return lorentz_pnorm_pow_runlength(values, lengths, params) ** (1.0 / params.p)

@@ -30,8 +30,11 @@ theta``, and ``w_i^(k)`` is the block-averaged weight
     With ``M = max(1, sup_k J_{k-1}/j_k)``, the constants
     ``A = (2 - 2^theta)/(2^(1-theta) - 1)`` and
     ``B = (1-theta)/2 * (M+1)^(-theta)`` satisfy the lemma-3-4 conditions, and
-    every coefficient family obeys the two-sided norm bound
-    ``B * ||y||^p <= ||expand(y)||^p <= A^p * ||y||^p``.
+    every coefficient row ``y`` (one coefficient per block, level by level;
+    see :mod:`lorentzkit.blocks`) obeys the two-sided norm bound
+    ``B * ||y||^p <= ||expand(y)||^p <= A^p * ||y||^p``, where ``||y||^p`` is
+    the sum over levels of the Lorentz norm powers of the level's
+    coefficients and ``expand(y)`` is ``sum_k sum_i y_i^(k) * block(i, k)``.
 
 :data:`STATEMENTS` is the one description of each statement: an evaluator
 and the grid keys it takes, each with its default and the command-line
@@ -91,7 +94,7 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .blocks import BlockScheme, block_scales, corollary_scheme
+from .blocks import BlockScheme, corollary_scheme, expand_runlength
 from .options import Option, Param, _parse_float_list, _parse_grid, _parse_int_list
 from .space import (
     FiniteVector,
@@ -815,7 +818,6 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
         space = SpaceParams(p=p, weights=weights)
         edges = np.cumsum((0,) + counts)
         level_weights = [weights.weight_values(c) for c in counts]
-        scales, block_lengths = block_scales(scheme, weights, p, levels)
         with np.errstate(over="ignore"):
             a_pow = np.float64(a) ** p  # inf on overflow, caught with the norms
         rng = np.random.default_rng([seed])
@@ -828,7 +830,8 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
                     _kernels.batch_sorted_pow_sums(block, w, p)
                     for block, w in zip(np.split(coeffs, edges[1:-1], axis=1), level_weights)
                 )
-                x_pow = lorentz_pnorm_pow_runlength(coeffs * scales, block_lengths, space)
+                x_pow = lorentz_pnorm_pow_runlength(
+                    *expand_runlength(coeffs, scheme, weights, p), space)
                 rhs = a_pow * y_pow
             _check_finite("theorem-3-5", p, weights.theta, x_pow, rhs)
             lhs = b * y_pow
@@ -873,10 +876,11 @@ def check_theorem_3_5(
     Computes the stagger ratio ``M``, derives the constants ``(A, B)``, checks
     the lemma-3-4 conditions, and then stress-tests the two-sided norm bound
     ``B * ||y||^p <= ||expand(y)||^p <= A^p * ||y||^p`` on ``trials`` random
-    coefficient families (cycling uniform, geometric-decay and single-spike
-    shapes).  The expanded norms are evaluated through the run-length path,
-    a chunk of trials at a time, so factorial schemes stay cheap and memory
-    does not grow with ``trials``.
+    coefficient rows ``y`` over the first ``levels`` levels (cycling uniform,
+    geometric-decay and single-spike shapes).  A chunk of trials at a time,
+    the rows go through :func:`~lorentzkit.blocks.expand_runlength` and the
+    run-length norm path, so factorial schemes stay cheap and memory does not
+    grow with ``trials``.
     """
     start = time.perf_counter()
     return _report(

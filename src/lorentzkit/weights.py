@@ -9,8 +9,10 @@ A weight sequence here is a nonincreasing, strictly positive sequence with
   nonincreasing.
 
 Window sums ``w_{j+1} + ... + w_{j+k}`` and partial sums ``W_k`` need no
-cache.  The first ``HEAD = 64`` weights (or a longer prefix) are summed left
-to right.  Past them the tail ``c * f(n)``, ``f(x) = x**(-theta)``, is summed
+cache.  The first ``HEAD = 64`` weights (or a longer prefix, of at most
+``PREFIX_MAX = 1023``) are summed left to right from each window's start;
+one table built with the sequence holds every such window.  Past them the
+tail ``c * f(n)``, ``f(x) = x**(-theta)``, is summed
 over ``a <= n < a + k`` by Euler–Maclaurin with four Bernoulli terms (DLMF
 §2.10): ``integral + (f(a) - f(a+k))/2 + sum_i B_2i/(2i)! (f^(2i-1)(a+k) -
 f^(2i-1)(a))``, with the integral ``a^e * expm1(e * log1p(k/a)) / e`` (``e =
@@ -41,6 +43,8 @@ PREFIX_CACHE_LIMIT = 1 << 25
 INDEX_LIMIT = 1 << 53
 #: power-law weights summed term by term before Euler–Maclaurin takes over
 HEAD = 64
+#: longest explicit prefix: its windows fill a (m+1)**2 table, 8 MiB at most
+PREFIX_MAX = 1023
 #: array evaluations (Euler–Maclaurin tails here, run-length norm batches in
 #: :mod:`lorentzkit.space`) run in blocks of this many entries to bound
 #: their temporaries
@@ -98,9 +102,10 @@ class WeightSequence:
         whole sequence, or just the tail when ``prefix`` is given.
     prefix : array_like, optional
         Explicit leading weights.  Must start at 1, be nonincreasing and
-        strictly positive.  The tail continues as
-        ``prefix[-1] * ((m+1)/n)**theta`` for ``n > m = len(prefix)``, which
-        joins the prefix without ever rising above its last entry.
+        strictly positive, with at most ``PREFIX_MAX`` entries.  The tail
+        continues as ``prefix[-1] * ((m+1)/n)**theta`` for
+        ``n > m = len(prefix)``, which joins the prefix without ever rising
+        above its last entry.
     """
 
     def __init__(self, theta: float, prefix=None):
@@ -117,6 +122,10 @@ class WeightSequence:
             arr = np.asarray(prefix, dtype=np.float64).ravel()
             if arr.size == 0:
                 raise ValueError("prefix must contain at least one weight")
+            if arr.size > PREFIX_MAX:
+                raise ValueError(
+                    f"prefix may hold at most PREFIX_MAX = {PREFIX_MAX} weights, got {arr.size}"
+                )
             if not np.all(np.isfinite(arr)):
                 raise ValueError("prefix weights must be finite")
             if arr[0] != 1.0:
@@ -130,18 +139,18 @@ class WeightSequence:
             # the tail is prefix[-1] * ((m+1)/n)**theta = scale * n**-theta
             self._scale = float(arr[-1]) * (arr.size + 1) ** theta
         self._head = HEAD if self.prefix is None else max(HEAD, self.prefix.size)
-        self._head_weights = self.weight_values(self._head)
-        self._head_sums = np.concatenate(([0.0], np.cumsum(self._head_weights)))
+        # row s, column e: w_{s+1} + ... + w_e summed left to right from
+        # w_{s+1} (the zeros before it add exactly), 0 for e <= s
+        head = self._head
+        terms = np.triu(np.broadcast_to(self.weight_values(head), (head + 1, head)))
+        self._head_windows = np.zeros((head + 1, head + 1))
+        np.cumsum(terms, axis=1, out=self._head_windows[:, 1:])
         # B_2i/(2i)! times the constant of f^(2i-1)(x) = c * x**(-theta-2i+1)
         self._em_terms = []
         c = -theta
         for m, bernoulli in zip((1, 3, 5, 7), _BERNOULLI_TERMS):
             self._em_terms.append(bernoulli * c)
             c *= (-theta - m) * (-theta - m - 1)
-
-    @classmethod
-    def power_law(cls, theta: float) -> "WeightSequence":
-        return cls(theta, prefix=None)
 
     # -- element access -----------------------------------------------------
 
@@ -206,14 +215,10 @@ class WeightSequence:
         )
         end = j + k
         _check_index_limit(int(end.max(initial=0)))
-        head_end = np.minimum(end, self._head)
-        out = np.where(j == 0, self._head_sums[head_end], 0.0)
-        for s in set(j[(j > 0) & (j < head_end)].tolist()):
-            # summed left to right from w_{s+1}, not as a difference of W's
-            row_sums = np.concatenate(([0.0], np.cumsum(self._head_weights[s:])))
-            row = j == s
-            out[row] = row_sums[head_end[row] - s]
-        start = np.maximum(j, self._head).ravel()
+        head = self._head
+        # asarray: the table lookup gives a scalar, not a 0-d array, on scalar input
+        out = np.asarray(self._head_windows[np.minimum(j, head), np.minimum(end, head)])
+        start = np.maximum(j, head).ravel()
         count = end.ravel() - start
         tail = np.flatnonzero(count > 0)
         flat = out.reshape(-1)

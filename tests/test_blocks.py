@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,6 @@ from lorentzkit.blocks import (
 from lorentzkit.space import (
     FiniteVector,
     SpaceParams,
-    YVector,
     disjoint_supports,
     lorentz_norm,
     lorentz_pnorm_pow,
@@ -154,6 +155,8 @@ class TestStaggeredFamily:
 
 
 class TestExpand:
+    # corollary K=4: level k holds k blocks, so whole-level rows have 1, 3, 6
+    # or 10 coefficients, and the blocks have lengths 1 | 1 1 | 3 3 3 | 12 x4
     @pytest.fixture
     def setting(self):
         w = WeightSequence(0.5)
@@ -161,52 +164,84 @@ class TestExpand:
 
     def test_single_unit_coefficient(self, setting):
         w, scheme, params = setting
-        y = YVector([(1, np.array([1.0]))])
-        x = expand(y, scheme, w, 1.0)
+        x = expand(np.array([1.0]), scheme, w, 1.0)
         assert lorentz_norm(x, params) == pytest.approx(1.0, rel=1e-14)
 
     def test_linear_combination_matches_manual(self, setting):
-        # components attach to scheme levels by position
+        # coefficients attach to the scheme's blocks level by level
         w, scheme, params = setting
-        y = YVector(
-            [
-                (1, np.array([0.0])),
-                (2, np.array([1.0, -2.0])),
-                (3, np.array([0.5])),
-            ]
-        )
-        x = expand(y, scheme, w, 1.0)
+        row = np.array([0.0, 1.0, -2.0, 0.5, 0.0, 0.0])
+        x = expand(row, scheme, w, 1.0)
         family = staggered_family(w, 1.0, scheme)
         manual = family[1][0] * 1.0 + family[1][1] * -2.0 + family[2][0] * 0.5
         assert x == manual
 
     def test_too_many_levels_rejected(self, setting):
         w, scheme, params = setting
-        comps = [(1, np.array([1.0]))] * (scheme.levels + 1)
-        y = YVector(comps)
-        with pytest.raises(ValueError):
-            expand(y, scheme, w, 1.0)
+        for fn in (expand, expand_runlength):
+            with pytest.raises(ValueError):
+                fn(np.ones(11), scheme, w, 1.0)
 
     def test_too_many_blocks_in_level_rejected(self, setting):
+        # a row must end at a level's last block
         w, scheme, params = setting
-        # second positional level holds only two blocks in this scheme
-        y = YVector([(1, np.array([1.0])), (3, np.array([1.0, 1.0, 1.0]))])
-        with pytest.raises(ValueError):
-            expand(y, scheme, w, 1.0)
+        for size in (0, 2, 4, 5, 9):
+            for fn in (expand, expand_runlength):
+                with pytest.raises(ValueError, match="whole levels"):
+                    fn(np.ones(size), scheme, w, 1.0)
+            with pytest.raises(ValueError, match="whole levels"):
+                expand_runlength(np.ones((3, size)), scheme, w, 1.0)
+
+    def test_nonfinite_rejected(self, setting):
+        w, scheme, params = setting
+        for bad in (np.inf, np.nan):
+            row = np.array([1.0, bad, 0.0])
+            with pytest.raises(ValueError, match="finite"):
+                expand(row, scheme, w, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                lorentz_pnorm_pow_runlength(*expand_runlength(row, scheme, w, 1.0), params)
+
+    def test_expand_takes_one_row(self, setting):
+        w, scheme, params = setting
+        with pytest.raises(ValueError, match="one coefficient row"):
+            expand(np.ones((2, 3)), scheme, w, 1.0)
 
     def test_runlength_agrees_with_materialized(self, setting):
+        w, scheme, _ = setting
+        full = np.array([0.7, 1.0, 0.0, -3.0, 2.0, 0.0, 0.25, -0.5, 0.0, 4.0])
+        for p, size in itertools.product([1.0, 1.5, 3.0], [1, 3, 6, 10]):
+            params = SpaceParams(p=p, weights=w)
+            row = full[:size]
+            values, lengths = expand_runlength(row, scheme, w, p)
+            # zero blocks keep their place and their length
+            assert values.shape == lengths.shape == row.shape
+            assert np.array_equal(values == 0.0, row == 0.0)
+            assert lengths.tolist() == [1, 1, 1, 3, 3, 3, 12, 12, 12, 12][: row.size]
+            want = lorentz_pnorm_pow(expand(row, scheme, w, p), params)
+            got = lorentz_pnorm_pow_runlength(values, lengths, params)
+            assert abs(got - want) <= 4 * np.spacing(want)
+
+    def test_zero_row(self, setting):
         w, scheme, params = setting
-        y = YVector(
-            [
-                (1, np.array([0.7])),
-                (2, np.array([1.0, 0.0])),
-                (3, np.array([-3.0, 2.0])),
-            ]
-        )
-        x = expand(y, scheme, w, 1.0)
-        values, lengths = expand_runlength(y, scheme, w, 1.0)
-        want = lorentz_pnorm_pow(x, params)
+        row = np.zeros(6)
+        assert expand(row, scheme, w, 1.0) == FiniteVector.empty()
+        values, lengths = expand_runlength(row, scheme, w, 1.0)
+        assert values.tolist() == [0.0] * 6 and lengths.tolist() == [1, 1, 1, 3, 3, 3]
+        assert lorentz_pnorm_pow_runlength(values, lengths, params) == 0.0
+
+    def test_batch_rows_match_single_calls(self, setting):
+        w, scheme, _ = setting
+        params = SpaceParams(p=1.5, weights=w)
+        rng = np.random.default_rng(4)
+        batch = rng.standard_normal((9, 10))
+        batch[rng.random(batch.shape) < 0.3] = 0.0
+        batch[4] = 0.0
+        values, lengths = expand_runlength(batch, scheme, w, 1.5)
+        single = [expand_runlength(row, scheme, w, 1.5) for row in batch]
+        assert values.tobytes() == np.array([v for v, _ in single]).tobytes()
+        assert all(np.array_equal(lengths, l) for _, l in single)
         got = lorentz_pnorm_pow_runlength(values, lengths, params)
-        assert got == pytest.approx(want, rel=1e-13)
-        # zero coefficients are dropped from the run-length form
-        assert np.all(values != 0.0)
+        want = [lorentz_pnorm_pow_runlength(v, l, params) for v, l in single]
+        assert got.tolist() == want
+        dense = [lorentz_pnorm_pow(expand(row, scheme, w, 1.5), params) for row in batch]
+        assert np.all(np.abs(got - dense) <= 4 * np.spacing(dense))

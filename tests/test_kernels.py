@@ -1,4 +1,7 @@
+import importlib
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,10 +127,18 @@ class TestAscent:
 
 class TestDispatch:
     def test_names_the_benchmark_reads(self):
-        # perfbench's provenance and tracing look these up by name
+        # perfbench/run.py records USING_NUMBA as provenance, and the traced
+        # runs wrap every TRACED row, looked up as tracing.install does; a
+        # missing name would fail every `--trace 1` run of the benchmark
         assert _kernels.USING_NUMBA is False
-        assert callable(_kernels.ascent)
-        assert callable(_kernels.ratio_scan)
+        root = Path(__file__).resolve().parents[1]
+        tracing = runpy.run_path(str(root / "perfbench" / "tracing.py"))
+        for row in tracing["TRACED"]:
+            owner = importlib.import_module(row.module)
+            *cls_path, attr = row.attr.split(".")
+            for part in cls_path:
+                owner = getattr(owner, part)
+            assert callable(vars(owner).get(attr)), f"{row.module}.{row.attr}"
 
     def test_public_names_are_callable(self):
         vals = np.array([2.0, 1.0])

@@ -6,8 +6,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from lorentzkit.weights import (
+    HEAD,
     INDEX_LIMIT,
     PREFIX_CACHE_LIMIT,
+    PREFIX_MAX,
     THETA_MAX,
     THETA_MIN,
     WeightSequence,
@@ -17,11 +19,6 @@ import _oracles as oracle
 
 
 class TestConstruction:
-    def test_power_law_factory(self):
-        w = WeightSequence.power_law(0.5)
-        assert w.theta == 0.5
-        assert w.weight(1) == 1.0
-
     @pytest.mark.parametrize("theta", [0.0, 1.0, -0.3, 2.0, THETA_MIN - 1e-9, THETA_MAX + 1e-9])
     def test_theta_out_of_range(self, theta):
         with pytest.raises(ValueError):
@@ -42,6 +39,13 @@ class TestConstruction:
     def test_explicit_prefix_must_decrease(self):
         with pytest.raises(ValueError):
             WeightSequence(0.5, prefix=[1.0, 0.5, 0.7])
+
+    def test_explicit_prefix_length_limit(self):
+        prefix = np.linspace(1.0, 0.5, PREFIX_MAX + 1)
+        w = WeightSequence(0.5, prefix=prefix[:-1])
+        assert w.partial_sum(PREFIX_MAX) == np.cumsum(prefix[:-1])[-1]
+        with pytest.raises(ValueError, match=f"PREFIX_MAX = {PREFIX_MAX}"):
+            WeightSequence(0.5, prefix=prefix)
 
     def test_explicit_prefix_used_then_tail_formula(self):
         w = WeightSequence(0.5, prefix=[1.0, 0.9, 0.8])
@@ -170,6 +174,17 @@ class TestWindowSums:
         w = WeightSequence(0.5)
         assert w.window_sum(4, 4) == pytest.approx(1.586979749566322, rel=1e-14)
         assert w.window_sum(0, 1) == 1.0
+
+    def test_head_windows_summed_from_their_start(self):
+        # every window inside the head is summed left to right from its first
+        # weight, bit for bit, not taken as a difference of partial sums
+        for w, size in ((WeightSequence(0.5), HEAD),
+                        (WeightSequence(0.4, prefix=np.linspace(1.0, 0.3, 100)), 100)):
+            head = w.weight_values(size)
+            j, k = np.triu_indices(head.size + 1)
+            got = w.window_sums(j, k - j)
+            want = [0.0 if a == b else np.cumsum(head[a:b])[-1] for a, b in zip(j, k)]
+            assert got.tobytes() == np.array(want).tobytes()
 
     def test_window_equals_partial_sum_difference(self):
         w = WeightSequence(0.3)
