@@ -192,6 +192,17 @@ class TestExpand:
             with pytest.raises(ValueError, match="whole levels"):
                 expand_runlength(np.ones((3, size)), scheme, w, 1.0)
 
+    def test_too_many_coefficients_rejected(self, setting):
+        # level 2 holds two blocks: a row giving it a third coefficient is
+        # rejected, not truncated or carried into level 3
+        w, scheme, params = setting
+        row = np.array([1.0, 1.0, 1.0, 1.0])
+        for fn in (expand, expand_runlength):
+            with pytest.raises(ValueError, match="whole levels"):
+                fn(row, scheme, w, 1.0)
+        with pytest.raises(ValueError, match="whole levels"):
+            expand_runlength(np.tile(row, (2, 1)), scheme, w, 1.0)
+
     def test_nonfinite_rejected(self, setting):
         w, scheme, params = setting
         for bad in (np.inf, np.nan):
