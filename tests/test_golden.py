@@ -1,0 +1,69 @@
+"""Golden bytes: small CLI calls whose ``--out`` JSON and stdout are pinned.
+
+Each case runs ``cli.main`` in process and compares the SHA-256 of the
+report file and of everything printed to stdout with the digests recorded
+below, along with the exit code.  A refactor that is meant to leave the
+reports alone must keep every digest; a change that moves a report on
+purpose updates its digests and says so in CHANGES.md.  The digests were
+recorded with numpy 2.4.6; another numpy may round a last bit differently.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from lorentzkit import cli
+
+PINNED_NUMPY = "2.4.6"
+
+# (arguments, exit code, sha256 of the --out bytes, sha256 of stdout)
+GOLDEN = [
+    ("verify lemma-3-1 --j-max 200 --k-max 200", 0,
+     "38cec5c8f311a2bec92dfe09f36af0039b0604016dc49be301ffc3afca01b8a6",
+     "9a2fa914f591622547c32de320500c9a79321d535d28330755a06588b1ec25a7"),
+    ("verify lemma-3-2 --i-max 200 --k-max 200", 0,
+     "6784087268133355c6e87b9d85d5bed8860fbdc23de248c327e9776e470c689e",
+     "6c365796eaccbf40900de35184b2ca971a0cf0edc1374e8b32b1168340ada66f"),
+    ("verify remark-3-3 --trials 200", 0,
+     "bb3885e235f545ca77224feb481d822851f138de9ae0430de9091339a91b1c93",
+     "71881161f0e2a4157904fcb91307f14cdc4a2707be6a68a189f43484c0f30e7b"),
+    ("verify lemma-3-4 --corollary-K 9", 0,
+     "2e250a319e55b05a1b9287bd6d391ce1f00a3fec5a73bf99906b5639bd8698e4",
+     "849544dac447b9244f41982f9fedd6276accac73c65ce54ec6dc297341cfb5ae"),
+    ("verify theorem-3-5 --corollary-K 10 --p 2 --trials 300", 0,
+     "c5b2076464763ae46efb01f656bfccf9df1d925e634a0377410ccc0942dd2390",
+     "06e9e1c54c5ac1b671ad9bd640655c683f724de78a07c2b5af5a9ef6fbd93015"),
+    ("construct --corollary-K 6", 0,
+     "653162593b4cce8bc83eb122bb33f68ce09387a49cee132bd76010ddc638952e",
+     "888395a7f688af1b2d549584a33cf89909b074b5efb260861f563fa59f6c2d48"),
+    ("construct --select-counts-K 5 --theta 0.5 --p 1.5", 0,
+     "b9cb6249d1c4cda78b43b756310639b14a259d2253e3acac9548d8c1b499756b",
+     "a9dde57f6406342e35cb53fc55515b9e3fa1b4c65aec366b78f3e11166d1e15c"),
+    ("equiv --pair dk-vs-d --theta 0.3 --p 2 --dimension 200 --k 3", 0,
+     "4a49f4c287120371c5487225a73c5b194dcdb8a05fe2da1bf5d6a77575c00837",
+     "49bfcd2f658b2df410a2e210c9ded2dbfc8e4768408bfa9c7bca306e00113075"),
+    ("equiv --pair d-vs-lp --theta 0.5 --p 1.5 --dimension 64", 0,
+     "0c70fcee4752476b938e8c34309290e425647c84d0a7871de7c3d1ff9c4200fd",
+     "1f5b88f73da2597a8775a1c0f97f4510033217412aacad6df7027706f38c5a52"),
+    ("norm --theta 0.5 --p 1.5 --dense 3,-1,2,0.5,0,-2", 0,
+     "2896b15d731d0d965b4987c8e4ff419fc2ca26f210904bb79e0fcacf94937ac8",
+     "b442314b957f4a5d72e7cdf995789d636c00fc9c50f6e7c8a5f938d83300f252"),
+]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("args, code, out_sha, stdout_sha", GOLDEN,
+                         ids=[case[0] for case in GOLDEN])
+def test_report_and_stdout_bytes_are_pinned(args, code, out_sha, stdout_sha,
+                                            tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert cli.main(args.split() + ["--out", str(out)]) == code
+    stdout = capsys.readouterr().out
+    where = (f"`lorentzkit {args}` (digests recorded with numpy {PINNED_NUMPY}, "
+             f"running numpy {np.__version__})")
+    assert _sha256(out.read_bytes()) == out_sha, f"--out bytes changed for {where}"
+    assert _sha256(stdout.encode()) == stdout_sha, f"stdout changed for {where}:\n{stdout}"
