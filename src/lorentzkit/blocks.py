@@ -81,17 +81,6 @@ class BlockScheme:
     def total_support(self) -> int:
         return self.offsets[-1]
 
-    def support_bounds(self, k: int, i: int) -> tuple:
-        """1-based inclusive index range of block ``i`` on level ``k``."""
-        k = _check_int("k", k, 1)
-        if k > self.levels:
-            raise ValueError(f"level {k} out of range (K={self.levels})")
-        i = _check_int("i", i, 1)
-        if i > self.counts[k - 1]:
-            raise ValueError(f"block {i} out of range on level {k}")
-        start = self.offsets[k - 1] + (i - 1) * self.lengths[k - 1] + 1
-        return start, start + self.lengths[k - 1] - 1
-
     def stagger_ratio(self) -> Optional[float]:
         """``max_{k>=2} J_{k-1} / j_k`` — how far blocks sit past their length.
 

@@ -103,28 +103,10 @@ class FiniteVector:
         np.add.at(acc, inverse, val)
         return FiniteVector(uniq, acc)
 
-    def scaled(self, c: float) -> "FiniteVector":
-        return FiniteVector(self.indices, self.values * float(c))
-
-    def __mul__(self, c):
-        return self.scaled(c)
-
-    __rmul__ = __mul__
-
     # inspection ------------------------------------------------------------------
-
-    @property
-    def support(self) -> np.ndarray:
-        return self.indices
 
     def __len__(self) -> int:
         return int(self.indices.shape[0])
-
-    def get(self, index: int) -> float:
-        pos = np.searchsorted(self.indices, index)
-        if pos < self.indices.shape[0] and self.indices[pos] == index:
-            return float(self.values[pos])
-        return 0.0
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteVector):
@@ -132,9 +114,6 @@ class FiniteVector:
         return np.array_equal(self.indices, other.indices) and np.array_equal(
             self.values, other.values
         )
-
-    def __hash__(self):
-        return hash((self.indices.tobytes(), self.values.tobytes()))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         pairs = ", ".join(
@@ -158,11 +137,15 @@ def decreasing_rearrangement(x: Union[FiniteVector, Sequence[float]]) -> np.ndar
 
     Ties between equal absolute values are broken by index, which does not
     change the returned array but keeps downstream reports deterministic.
+    A plain sequence holding NaN or an infinity is refused, as
+    :class:`FiniteVector` refuses it.
     """
     if isinstance(x, FiniteVector):
         vals = x.values
     else:
         vals = np.asarray(x, dtype=np.float64).ravel()
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("coefficients must be finite")
         vals = vals[vals != 0.0]
     return np.ascontiguousarray(np.sort(np.abs(vals))[::-1])
 

@@ -1,18 +1,13 @@
-"""Weight sequences for Lorentz sequence spaces.
+"""Power-law weights ``w_n = n**(-theta)`` for Lorentz sequence spaces.
 
-A weight sequence here is a nonincreasing, strictly positive sequence with
-``w_1 = 1`` that tends to zero but is not summable.  Two kinds are provided:
-
-* power-law: ``w_n = n**(-theta)`` with ``theta`` in ``[0.01, 0.99]``;
-* explicit prefix: finitely many hand-picked leading weights, continued by a
-  power-law tail glued at the last prefix entry so the sequence stays
-  nonincreasing.
+The weights are nonincreasing and strictly positive with ``w_1 = 1``, tend to
+zero and are not summable, for ``theta`` in ``[0.01, 0.99]``: the weights
+for which the paper's lemmas and Theorem 3.5's constants are stated.
 
 Window sums ``w_{j+1} + ... + w_{j+k}`` and partial sums ``W_k`` need no
-cache.  The first ``HEAD = 64`` weights (or a longer prefix, of at most
-``PREFIX_MAX = 1023``) are summed left to right from each window's start;
-one table built with the sequence holds every such window.  Past them the
-tail ``c * f(n)``, ``f(x) = x**(-theta)``, is summed
+cache.  The first ``HEAD = 64`` weights are summed left to right from each
+window's start; one table built with the sequence holds every such window.
+Past them the tail ``f(n) = n**(-theta)`` is summed
 over ``a <= n < a + k`` by Euler–Maclaurin with four Bernoulli terms (DLMF
 §2.10): ``integral + (f(a) - f(a+k))/2 + sum_i B_2i/(2i)! (f^(2i-1)(a+k) -
 f^(2i-1)(a))``, with the integral ``a^e * expm1(e * log1p(k/a)) / e`` (``e =
@@ -43,8 +38,6 @@ PREFIX_CACHE_LIMIT = 1 << 25
 INDEX_LIMIT = 1 << 53
 #: power-law weights summed term by term before Euler–Maclaurin takes over
 HEAD = 64
-#: longest explicit prefix: its windows fill a (m+1)**2 table, 8 MiB at most
-PREFIX_MAX = 1023
 #: array evaluations (Euler–Maclaurin tails here, run-length norm batches in
 #: :mod:`lorentzkit.space`) run in blocks of this many entries to bound
 #: their temporaries
@@ -93,57 +86,25 @@ def _index_array(name: str, values) -> np.ndarray:
 
 
 class WeightSequence:
-    """Nonincreasing positive weights with ``w_1 = 1`` and their sums.
+    """Power-law weights ``w_n = n**(-theta)`` and their sums.
 
     Parameters
     ----------
     theta : float
-        Power-law decay exponent, restricted to ``[0.01, 0.99]``.  Governs the
-        whole sequence, or just the tail when ``prefix`` is given.
-    prefix : array_like, optional
-        Explicit leading weights.  Must start at 1, be nonincreasing and
-        strictly positive, with at most ``PREFIX_MAX`` entries.  The tail
-        continues as ``prefix[-1] * ((m+1)/n)**theta`` for
-        ``n > m = len(prefix)``, which joins the prefix without ever rising
-        above its last entry.
+        Decay exponent, restricted to ``[0.01, 0.99]``.
     """
 
-    def __init__(self, theta: float, prefix=None):
+    def __init__(self, theta: float):
         theta = float(theta)
         if not (THETA_MIN <= theta <= THETA_MAX):
             raise ValueError(
                 f"theta must lie in [{THETA_MIN}, {THETA_MAX}], got {theta}"
             )
         self.theta = theta
-        if prefix is None:
-            self.prefix = None
-            self._scale = 1.0
-        else:
-            arr = np.asarray(prefix, dtype=np.float64).ravel()
-            if arr.size == 0:
-                raise ValueError("prefix must contain at least one weight")
-            if arr.size > PREFIX_MAX:
-                raise ValueError(
-                    f"prefix may hold at most PREFIX_MAX = {PREFIX_MAX} weights, got {arr.size}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("prefix weights must be finite")
-            if arr[0] != 1.0:
-                raise ValueError(f"first weight must equal 1, got {arr[0]}")
-            if np.any(arr <= 0.0):
-                raise ValueError("weights must be strictly positive")
-            if np.any(np.diff(arr) > 0.0):
-                raise ValueError("prefix weights must be nonincreasing")
-            self.prefix = arr.copy()
-            self.prefix.setflags(write=False)
-            # the tail is prefix[-1] * ((m+1)/n)**theta = scale * n**-theta
-            self._scale = float(arr[-1]) * (arr.size + 1) ** theta
-        self._head = HEAD if self.prefix is None else max(HEAD, self.prefix.size)
         # row s, column e: w_{s+1} + ... + w_e summed left to right from
         # w_{s+1} (the zeros before it add exactly), 0 for e <= s
-        head = self._head
-        terms = np.triu(np.broadcast_to(self.weight_values(head), (head + 1, head)))
-        self._head_windows = np.zeros((head + 1, head + 1))
+        terms = np.triu(np.broadcast_to(self.weight_values(HEAD), (HEAD + 1, HEAD)))
+        self._head_windows = np.zeros((HEAD + 1, HEAD + 1))
         np.cumsum(terms, axis=1, out=self._head_windows[:, 1:])
         # B_2i/(2i)! times the constant of f^(2i-1)(x) = c * x**(-theta-2i+1)
         self._em_terms = []
@@ -156,13 +117,7 @@ class WeightSequence:
 
     def _weights_at(self, n: np.ndarray) -> np.ndarray:
         """``w_n`` at a float64 array of integral indices ``n >= 1``."""
-        if self.prefix is None:
-            return n ** np.float64(-self.theta)
-        m = self.prefix.size
-        out = self.prefix[-1] * ((m + 1) / n) ** np.float64(self.theta)
-        inside = n <= m
-        out[inside] = self.prefix[n[inside].astype(np.intp) - 1]
-        return out
+        return n ** np.float64(-self.theta)
 
     def weight(self, n) -> float:
         """``w_n``, equal to ``weight_values(n)[n-1]``."""
@@ -215,17 +170,15 @@ class WeightSequence:
         )
         end = j + k
         _check_index_limit(int(end.max(initial=0)))
-        head = self._head
         # asarray: the table lookup gives a scalar, not a 0-d array, on scalar input
-        out = np.asarray(self._head_windows[np.minimum(j, head), np.minimum(end, head)])
-        start = np.maximum(j, head).ravel()
+        out = np.asarray(self._head_windows[np.minimum(j, HEAD), np.minimum(end, HEAD)])
+        start = np.maximum(j, HEAD).ravel()
         count = end.ravel() - start
         tail = np.flatnonzero(count > 0)
         flat = out.reshape(-1)
         for lo in range(0, tail.size, _EM_BLOCK):  # blocks bound the temporaries
             part = tail[lo : lo + _EM_BLOCK]
-            em = self._em(start[part] + 1.0, count[part].astype(np.float64))
-            flat[part] += self._scale * em
+            flat[part] += self._em(start[part] + 1.0, count[part].astype(np.float64))
         single = k == 1
         out[single] = self._weights_at(end[single].astype(np.float64))
         return out
@@ -252,34 +205,23 @@ class WeightSequence:
         # filled in place: the indices become the weights, then their sums
         sums = np.arange(n_max + 1, dtype=np.float64)
         terms = sums[1:]
-        if self.prefix is None:
-            np.power(terms, np.float64(-self.theta), out=terms)  # as in _weights_at
-        else:
-            terms[:] = self._weights_at(terms)
+        np.power(terms, np.float64(-self.theta), out=terms)  # as in _weights_at
         np.cumsum(terms, out=terms)
         sums.setflags(write=False)
         return sums
 
     # -- averaged weights -------------------------------------------------------
 
-    def averaged_weight(self, i, k, offset=0) -> float:
-        """Mean-type weight: the block-averaged value
-
-        ``w_i^(k) = (w_{offset+(i-1)k+1} + ... + w_{offset+ik}) / W_k``.
-
-        With ``offset = 0`` this is the classical averaged weight; a positive
-        offset shifts the averaging window right, which is what staggered
-        block constructions need.  The path of :meth:`averaged_weight_values`
-        on one block.
-        """
+    def averaged_weight(self, i, k) -> float:
+        """Averaged weight ``w_i^(k) = (w_{(i-1)k+1} + ... + w_{ik}) / W_k``;
+        the path of :meth:`averaged_weight_values` on one block."""
         i = _check_int("i", i, 1)
         k = _check_int("k", k, 1)
-        offset = _check_int("offset", offset, 0)
-        _check_index_limit(offset + i * k)
-        return float(self._averaged(offset + (i - 1) * k, k))
+        _check_index_limit(i * k)
+        return float(self._averaged((i - 1) * k, k))
 
     def averaged_weight_values(self, n_max, k) -> np.ndarray:
-        """Array ``[w_1^(k), ..., w_n_max^(k)]`` (offset zero)."""
+        """Array ``[w_1^(k), ..., w_n_max^(k)]``."""
         n_max = _check_int("n_max", n_max, 1)
         k = _check_int("k", k, 1)
         _check_index_limit(n_max * k)
@@ -292,5 +234,4 @@ class WeightSequence:
     # -- misc -----------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "power-law" if self.prefix is None else f"prefix[{self.prefix.shape[0]}]"
-        return f"WeightSequence({kind}, theta={self.theta})"
+        return f"WeightSequence(theta={self.theta})"

@@ -34,20 +34,6 @@ class TestBlockScheme:
         assert s.offsets == (0, 1, 5, 17)
         assert s.total_support == 17
 
-    def test_support_bounds(self):
-        s = BlockScheme((1, 2, 4))
-        assert s.support_bounds(1, 1) == (1, 1)
-        assert s.support_bounds(2, 1) == (2, 3)
-        assert s.support_bounds(2, 2) == (4, 5)
-        assert s.support_bounds(3, 3) == (14, 17)
-
-    def test_support_bounds_validates(self):
-        s = BlockScheme((1, 2))
-        with pytest.raises(ValueError):
-            s.support_bounds(3, 1)
-        with pytest.raises(ValueError):
-            s.support_bounds(2, 3)
-
     def test_lengths_must_be_positive(self):
         with pytest.raises(ValueError):
             BlockScheme((1, 0, 2))
@@ -173,7 +159,9 @@ class TestExpand:
         row = np.array([0.0, 1.0, -2.0, 0.5, 0.0, 0.0])
         x = expand(row, scheme, w, 1.0)
         family = staggered_family(w, 1.0, scheme)
-        manual = family[1][0] * 1.0 + family[1][1] * -2.0 + family[2][0] * 0.5
+        manual = FiniteVector.empty()
+        for block, c in ((family[1][0], 1.0), (family[1][1], -2.0), (family[2][0], 0.5)):
+            manual = manual + FiniteVector(block.indices, c * block.values)
         assert x == manual
 
     def test_too_many_levels_rejected(self, setting):

@@ -24,6 +24,13 @@ def half():
 
 
 class TestDescriptors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_evaluate_rejects_non_finite_values(self, half, bad):
+        for d in (lp_norm_descriptor(1.5), lorentz_norm_descriptor(half, 1.5),
+                  averaged_norm_descriptor(half, 1.5, 2)):
+            with pytest.raises(ValueError, match="^coefficients must be finite$"):
+                d.evaluate(np.array([bad, 1.0]))
+
     def test_lp_descriptor_evaluates(self):
         d = lp_norm_descriptor(2.0)
         assert d.evaluate(np.array([3.0, -4.0])) == pytest.approx(5.0, rel=1e-15)
@@ -168,16 +175,8 @@ class TestDominationConstant:
         # equal norms tie on every step vector: the first one, the spike, wins
         d = lorentz_norm_descriptor(half, 2.0)
         assert domination_constant(d, d, 6).witness.tolist() == [1.0] + [0.0] * 5
-        # a flat head of three weights puts the maximum inside the range
-        flat = WeightSequence(0.5, prefix=[1.0, 1.0, 1.0, 0.1])
-        est = domination_constant(
-            lorentz_norm_descriptor(flat, 1.0), lorentz_norm_descriptor(half, 1.0), 8
-        )
-        u = np.cumsum([1.0, 1.0, 1.0, 0.1] + [flat.weight(i) for i in range(5, 9)])
-        v = np.cumsum([half.weight(i) for i in range(1, 9)])
-        assert int(np.argmax(u / v)) == 2
-        assert est.witness.tolist() == [1.0] * 3 + [0.0] * 5
-        assert est.estimate == pytest.approx(3.0 / v[2], rel=1e-15)
+        # no pair of power-law profiles peaks strictly inside 1..N; the scan
+        # of an interior maximum is tested on synthetic sums in test_kernels
 
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_averaged_profile_past_dense_limit(self, half, p):

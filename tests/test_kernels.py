@@ -95,6 +95,20 @@ class TestRatioScan:
         assert idx == 0
         assert ratio == 1.0
 
+    def test_interior_maximum_and_first_of_tied_interior_maxima(self):
+        # a flat head of three weights against w = n**-0.5: the ratio rises
+        # while the head lasts and peaks at the step vector of three ones
+        n = np.arange(1, 9.0)
+        flat = np.concatenate(([1.0, 1.0, 1.0, 0.1], 0.1 * (5 / n[4:]) ** 0.5))
+        den = np.cumsum(n**-0.5)
+        idx, ratio = _kernels.ratio_scan(np.cumsum(flat), den)
+        assert idx == 2
+        assert ratio == 3.0 / den[2]
+        # ratios 0.5, 1, 0.8, 1, 0.7: the earlier of the two interior maxima
+        idx, ratio = _kernels.ratio_scan(np.array([1.0, 4.0, 4.8, 8.0, 7.0]),
+                                         np.array([2.0, 4.0, 6.0, 8.0, 10.0]))
+        assert (idx, ratio) == (1, 1.0)
+
 
 class TestAscent:
     def test_improves_or_keeps_start(self):

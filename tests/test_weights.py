@@ -9,7 +9,6 @@ from lorentzkit.weights import (
     HEAD,
     INDEX_LIMIT,
     PREFIX_CACHE_LIMIT,
-    PREFIX_MAX,
     THETA_MAX,
     THETA_MIN,
     WeightSequence,
@@ -31,29 +30,6 @@ class TestConstruction:
     def test_theta_rejects_nan(self):
         with pytest.raises(ValueError):
             WeightSequence(float("nan"))
-
-    def test_explicit_prefix_must_start_at_one(self):
-        with pytest.raises(ValueError):
-            WeightSequence(0.5, prefix=[0.9, 0.8])
-
-    def test_explicit_prefix_must_decrease(self):
-        with pytest.raises(ValueError):
-            WeightSequence(0.5, prefix=[1.0, 0.5, 0.7])
-
-    def test_explicit_prefix_length_limit(self):
-        prefix = np.linspace(1.0, 0.5, PREFIX_MAX + 1)
-        w = WeightSequence(0.5, prefix=prefix[:-1])
-        assert w.partial_sum(PREFIX_MAX) == np.cumsum(prefix[:-1])[-1]
-        with pytest.raises(ValueError, match=f"PREFIX_MAX = {PREFIX_MAX}"):
-            WeightSequence(0.5, prefix=prefix)
-
-    def test_explicit_prefix_used_then_tail_formula(self):
-        w = WeightSequence(0.5, prefix=[1.0, 0.9, 0.8])
-        assert w.weight(2) == 0.9
-        # the tail joins at the seam (weight 4 = last prefix entry) and then
-        # follows the power-law decay
-        assert w.weight(4) == pytest.approx(0.8)
-        assert w.weight(6) == pytest.approx(0.8 * (4 / 6) ** 0.5)
 
 
 class TestScalarValues:
@@ -105,14 +81,6 @@ class TestScalarValues:
         sums = WeightSequence(theta).partial_sums(n_max)
         assert sums.shape == (n_max + 1,) and sums[0] == 0.0
         assert sums[1:].tobytes() == want.tobytes()
-
-    def test_prefix_partial_sums_bits_match_plain_cumsum(self):
-        prefix = [1.0, 0.75, 0.75, 0.5, 0.2]
-        w = WeightSequence(0.3, prefix=prefix)
-        n = np.arange(1, 1001.0)
-        tail = prefix[-1] * ((len(prefix) + 1) / n[len(prefix):]) ** 0.3
-        want = np.cumsum(np.concatenate((prefix, tail)))
-        assert w.partial_sums(1000)[1:].tobytes() == want.tobytes()
 
     def test_monotone_increasing(self):
         w = WeightSequence(0.9)
@@ -178,10 +146,10 @@ class TestWindowSums:
     def test_head_windows_summed_from_their_start(self):
         # every window inside the head is summed left to right from its first
         # weight, bit for bit, not taken as a difference of partial sums
-        for w, size in ((WeightSequence(0.5), HEAD),
-                        (WeightSequence(0.4, prefix=np.linspace(1.0, 0.3, 100)), 100)):
-            head = w.weight_values(size)
-            j, k = np.triu_indices(head.size + 1)
+        for theta in (0.4, 0.5):
+            w = WeightSequence(theta)
+            head = w.weight_values(HEAD)
+            j, k = np.triu_indices(HEAD + 1)
             got = w.window_sums(j, k - j)
             want = [0.0 if a == b else np.cumsum(head[a:b])[-1] for a, b in zip(j, k)]
             assert got.tobytes() == np.array(want).tobytes()
@@ -203,7 +171,8 @@ class TestWindowSums:
         w = WeightSequence(0.5)
         assert w.averaged_weight(2, 2) == pytest.approx(0.631097176264978, rel=1e-14)
         w25 = WeightSequence(0.25)
-        assert w25.averaged_weight(3, 4, offset=7) == pytest.approx(
+        # the block of length 4 that starts after index 7 + 2 * 4
+        assert w25.window_sum(15, 4) / w25.partial_sum(4) == pytest.approx(
             0.5916081548744575, rel=1e-14
         )
 
@@ -258,11 +227,10 @@ class TestCacheBehaviour:
         assert lo <= got <= hi
 
 
-def hurwitz_window(theta, j, k, scale=1.0):
-    """``scale * sum_{n=j+1}^{j+k} n**-theta`` from mpmath's Hurwitz zeta."""
+def hurwitz_window(theta, j, k):
+    """``sum_{n=j+1}^{j+k} n**-theta`` from mpmath's Hurwitz zeta."""
     with mpmath.workdps(60):
-        exact = mpmath.zeta(theta, j + 1) - mpmath.zeta(theta, j + k + 1)
-        return mpmath.mpf(scale) * exact
+        return mpmath.zeta(theta, j + 1) - mpmath.zeta(theta, j + k + 1)
 
 
 def rel_err(got, want):
@@ -309,7 +277,7 @@ class TestEulerMaclaurin:
         lengths = np.concatenate(
             [np.tile(self.LENGTHS, len(self.STARTS)), rng.integers(0, 2**52, 500)]
         )
-        for w in (WeightSequence(0.37), WeightSequence(0.8, prefix=[1.0, 0.6, 0.55])):
+        for w in (WeightSequence(0.37), WeightSequence(0.8)):
             vec = w.window_sums(starts, lengths)
             scalar = [w.window_sum(int(j), int(k)) for j, k in zip(starts, lengths)]
             assert vec.tobytes() == np.array(scalar).tobytes()
@@ -317,29 +285,12 @@ class TestEulerMaclaurin:
             scalar = [w.partial_sum(int(n)) for n in ns]
             assert w.partial_sums_at(ns).tobytes() == np.array(scalar).tobytes()
 
-    def test_prefix_tail_matches_hurwitz_zeta(self):
-        for prefix in ([1.0, 0.8, 0.7, 0.5], np.linspace(1.0, 0.3, 100)):
-            theta = 0.4
-            w = WeightSequence(theta, prefix=prefix)
-            m = len(prefix)
-            scale = float(prefix[-1]) * (m + 1) ** theta
-            head = math.fsum(prefix)
-            for k in (1, 2, 10, 10**3, 10**9, 10**15):
-                # windows past the head are the scaled power law
-                for j in (m, 64, 150, 10**6, 10**12):
-                    if j >= max(m, 64):
-                        want = hurwitz_window(theta, j, k, scale)
-                        assert rel_err(w.window_sum(j, k), want) <= 5e-15
-                # partial sums: the prefix, then the glued tail
-                want = hurwitz_window(theta, m, k, scale) + head
-                assert rel_err(w.partial_sum(m + k), want) <= 5e-15
-
     def test_partial_sums_head_matches_dense_array(self):
-        for w in (WeightSequence(0.5), WeightSequence(0.5, prefix=[1.0, 0.25])):
-            dense = w.partial_sums(1000)
-            for k in range(65):
-                assert dense[k] == w.partial_sum(k)
-            assert dense[1000] == pytest.approx(w.partial_sum(1000), rel=1e-14)
+        w = WeightSequence(0.5)
+        dense = w.partial_sums(1000)
+        for k in range(HEAD + 1):
+            assert dense[k] == w.partial_sum(k)
+        assert dense[1000] == pytest.approx(w.partial_sum(1000), rel=1e-14)
 
     def test_index_limit(self):
         w = WeightSequence(0.5)
