@@ -55,26 +55,35 @@ not grow with the grid, and theorem-3-5 and remark-3-3 a block of trials at
 a time, so memory does not grow with ``--trials`` (bar remark-3-3's two
 sizes per trial).  The lemma grids and remark-3-3's cells write every block
 array into buffers that their first block allocates and every later block
-(and theta) reuses, so a block faults in no new pages.  Hence a chunk's
-arrays are valid only until the next chunk is drawn; the aggregator copies
-out, as Python scalars, whatever it keeps.  Per (theta, p) cell remark-3-3
-draws every x support size, then every y size, then per trial only the
-normals it uses, x's then y's, set into a zeroed row of ``2 * max_support``
-at the start of its left and its right half, so the report does not depend
-on the block size.
+(and theta run by the same process) reuses, so a block faults in no new
+pages.  Hence a chunk's arrays are valid only until the next chunk is drawn;
+the aggregator copies out, as Python scalars, whatever it keeps.  Per
+(theta, p) cell remark-3-3 draws every x support size, then every y size,
+then per trial only the normals it uses, x's then y's, set into a zeroed row
+of ``2 * max_support`` at the start of its left and its right half, so the
+report does not depend on the block size.
 
 An evaluator returns a list of independent parts, each an iterable of
-chunks: remark-3-3 one per (theta, p) cell, every other statement one (for
-lemma-3-1 and lemma-3-2 it runs through every theta's row blocks in theta
-order, so one theta's prefix sums are alive at a time; every theta is
-checked before the first is built).  Each part is aggregated on its own and
-the results are folded in part order, exactly as one pass over all the
-chunks, so the parts may run on a thread pool of one worker per CPU the
-process may use (its CPU affinity; there is no setting) and the report
-stays byte-identical.  With one part or one CPU they run in the calling
-thread and no thread is started.  The weights are always built in the
-calling thread; only remark-3-3's cells and their aggregation run on the
-workers.
+chunks: lemma-3-1 and lemma-3-2 one per theta (every theta is checked before
+the first prefix sum is built), remark-3-3 one per (theta, p) cell, every
+other statement one.  Each part is aggregated on its own and the results are
+folded in part order, exactly as one pass over all the chunks, so the report
+stays byte-identical however the parts run.  With several parts they run on
+forked worker processes, one per CPU of the process's affinity (there is no
+setting), each pinned to its own share of those CPUs, so no two share one:
+the calling process hands out part indices in part order to whichever
+worker is free and does no part work itself.  A worker holds one part's
+prefix sums and block buffers at a time, as the calling process does when
+the parts run serially, and it reuses its buffers from part to part; so the
+call holds as many parts' arrays at once as it has workers (two 1000 x 1000
+lemma-3-2 thetas take about 10 MiB each), and the lemma grids start no more
+workers than keep their prefix sums together within ``PREFIX_CACHE_LIMIT``
+entries.  The parts run in the calling thread, with no fork, when there is
+one part or one CPU (as wherever the platform has no CPU affinity), and
+while another Python thread is alive (forking a threaded process is
+unsafe).  The weights of remark-3-3 are built in the calling process; the
+lemma grids' prefix sums are built by the process that runs the theta's
+part.
 
 Reports are plain dataclasses with canonical JSON output: keys sorted, grid
 aggregation in grid order, and no wall-clock fields unless explicitly
@@ -87,6 +96,8 @@ import itertools
 import json
 import math
 import os
+import pickle
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -103,7 +114,7 @@ from .space import (
     lorentz_pnorm_pow,
     lorentz_pnorm_pow_runlength,
 )
-from .weights import WeightSequence, _check_int, _check_p
+from .weights import PREFIX_CACHE_LIMIT, WeightSequence, _check_int, _check_p
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -402,31 +413,165 @@ def _cpus() -> int:
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        return 1
 
 
-def _aggregate_parts(parts: List[Iterable[Chunk]], tolerance: float):
+def _aggregate_parts(parts: List[Iterable[Chunk]], tolerance: float, part_entries: int):
     """:func:`_aggregate` of each part, in part order.
 
-    With one part or one CPU the parts run in the calling thread and no thread
-    is started; otherwise they run on a thread pool (numpy releases the
-    interpreter lock for the heavy work).  Results are read in part order, so
-    the first failing part raises, as in one pass.
+    The parts run on :func:`_fan_out`'s forked workers, one per CPU the
+    process may use, but no more than there are parts, nor than hold at most
+    ``PREFIX_CACHE_LIMIT`` prefix-sum entries together at ``part_entries``
+    each.  Where that is one worker (also wherever the platform has no CPU
+    affinity, so cannot pin a process), or while another thread is alive
+    (forking a threaded process is unsafe), they run in the calling thread
+    instead, and the first failing part raises before a later one starts.
     """
-    workers = min(_cpus(), len(parts))
-    if workers <= 1:
+    workers = min(_cpus(), len(parts), PREFIX_CACHE_LIMIT // max(part_entries, 1))
+    if workers <= 1 or threading.active_count() > 1:
         return [_aggregate(part, tolerance) for part in parts]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers) as pool:
-        # a failing result cancels the parts not yet started
-        return list(pool.map(_aggregate, parts, itertools.repeat(tolerance)))
+    return _fan_out(parts, tolerance, workers)
 
 
-def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts):
-    """Aggregate one statement's parts, each an iterable of chunks, into its
-    report."""
-    count, violations, min_inst = _fold(_aggregate_parts(parts, tolerance))
+def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
+    """:func:`_aggregate` of each part on ``workers`` forked processes, each
+    pinned to its own share of the process's CPUs (:func:`_worker`): worker n
+    to CPUs n, n + workers, n + 2 * workers, ... of the affinity mask, so no
+    two workers of a call share a CPU, and a worker with several CPUs may
+    still move off one that another process keeps busy.
+
+    The calling process does no part work: it hands out part indices in part
+    order to whichever worker is free and reads back each part's aggregate or
+    exception.  After the first failing part no later part is started; once
+    the started parts are done, the failure of the lowest index is raised, as
+    in one pass.  A worker that exits without sending its part's result fails
+    that part with :class:`ChildProcessError`.  Every worker is reaped before
+    this returns or raises; one still busy then (the caller was interrupted)
+    is killed first.
+    """
+    import select
+    import signal
+
+    cpus = sorted(os.sched_getaffinity(0))
+    outcomes = [None] * len(parts)
+    pipes = {}  # pid -> (task write end, result read end), until reaped
+    running = {}  # result read end -> (pid, part index)
+    try:
+        for n in range(workers):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    inherited = [task_w, result_r, *itertools.chain(*pipes.values())]
+                    _worker(parts, tolerance, cpus[n % len(cpus)::workers], task_r, result_w, inherited)
+            except OSError:  # no worker: the caller's ends go too
+                os.close(task_w)
+                os.close(result_r)
+                raise
+            finally:
+                os.close(task_r)
+                os.close(result_w)
+            pipes[pid] = (task_w, result_r)
+        idle, next_part, failed = list(pipes), 0, False
+        while True:
+            while idle and next_part < len(parts) and not failed:
+                pid = idle.pop()
+                try:
+                    os.write(pipes[pid][0], next_part.to_bytes(4, "little"))
+                except BrokenPipeError:  # the worker is gone: its result pipe says so
+                    pass
+                running[pipes[pid][1]] = (pid, next_part)
+                next_part += 1
+            if not running:
+                break
+            for fd in select.select(list(running), [], [])[0]:
+                pid, index = running.pop(fd)
+                head = _read(fd, 8)
+                payload = head and _read(fd, int.from_bytes(head, "little"))
+                if payload is None:
+                    _, status = os.waitpid(pid, 0)
+                    for end in pipes.pop(pid):
+                        os.close(end)
+                    outcomes[index] = ChildProcessError(
+                        f"the worker of part {index} exited with status "
+                        f"{os.waitstatus_to_exitcode(status)} before sending its result")
+                else:
+                    outcomes[index] = pickle.loads(payload)
+                    idle.append(pid)
+                failed = failed or isinstance(outcomes[index], BaseException)
+    finally:
+        for pid, (task_w, result_r) in pipes.items():
+            os.close(task_w)  # an idle worker reads the end of its tasks and exits
+            os.close(result_r)
+            if result_r in running:
+                os.kill(pid, signal.SIGKILL)
+        for pid in pipes:
+            os.waitpid(pid, 0)
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes
+
+
+def _worker(parts, tolerance: float, cpus, tasks: int, results: int, inherited) -> None:
+    """The life of a forked worker: close the ``inherited`` descriptors of
+    the caller and of earlier workers, pin itself to ``cpus``, then aggregate
+    each part whose index arrives on ``tasks`` and send back its aggregate or
+    exception on ``results``, until ``tasks`` closes.
+
+    It never returns: it leaves through ``os._exit``, so it runs no exit
+    handler and flushes none of the caller's stdio buffers.  A result that
+    cannot be pickled ends the worker without one.
+    """
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        os.sched_setaffinity(0, cpus)
+        while task := os.read(tasks, 4):
+            try:
+                outcome = _aggregate(parts[int.from_bytes(task, "little")], tolerance)
+            except Exception as exc:
+                outcome = _portable(exc)
+            payload = pickle.dumps(outcome)
+            view = memoryview(len(payload).to_bytes(8, "little") + payload)
+            while view:
+                view = view[os.write(results, view):]
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _portable(exc: Exception) -> Exception:
+    """``exc``, or where unpickling would not give back its class and message
+    (numpy's allocation error is one), an exception of its nearest built-in
+    class with the same message."""
+    try:
+        back = pickle.loads(pickle.dumps(exc))
+    except Exception:
+        back = None
+    if type(back) is type(exc) and str(back) == str(exc):
+        return exc
+    builtin = next(c for c in type(exc).__mro__ if c.__module__ == "builtins")
+    return builtin(str(exc))
+
+
+def _read(fd: int, size: int) -> Optional[bytes]:
+    """``size`` bytes from ``fd``, or None if it closes first."""
+    data = bytearray()
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return bytes(data)
+
+
+def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts, part_entries):
+    """Aggregate one statement's parts, each an iterable of chunks and holding
+    ``part_entries`` prefix-sum entries, into its report."""
+    count, violations, min_inst = _fold(_aggregate_parts(parts, tolerance, part_entries))
     return VerificationReport(
         statement=statement,
         grid=desc,
@@ -443,8 +588,9 @@ def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts):
 
 # ---------------------------------------------------------------------------
 # Statements: chunk builders, pointwise checks, and evaluators that check a
-# grid and return the report's grid description, its seed and a list of
-# independent parts, each an iterable of chunks.
+# grid and return the report's grid description, its seed, a list of
+# independent parts, each an iterable of chunks, and the number of prefix-sum
+# entries a part holds (0 for none).
 # ---------------------------------------------------------------------------
 
 
@@ -553,9 +699,9 @@ def _lemma_3_1(grid: Dict):
     # every theta is checked before any prefix sum is built
     weights = [WeightSequence(theta) for theta in grid["theta_values"]]
     desc = {"theta_values": [w.theta for w in weights], "j_max": j_max, "k_values": k[0].tolist()}
-    buffers = _Buffers()  # allocated by the first block, shared by every theta
-    return desc, None, [itertools.chain.from_iterable(
-        _lemma_3_1_chunks(w, j_max, k, buffers) for w in weights)]
+    buffers = _Buffers()  # allocated by a process's first block, shared by its later thetas
+    n_max = j_max + int(k[0, -1])
+    return desc, None, [_lemma_3_1_chunks(w, j_max, k, buffers) for w in weights], n_max
 
 
 def _lemma_3_2_chunk(theta: float, i, k, averaged, w_i, buffers: _Buffers) -> Chunk:
@@ -607,9 +753,8 @@ def _lemma_3_2(grid: Dict):
     # every theta is checked before any prefix sum is built
     weights = [WeightSequence(theta) for theta in grid["theta_values"]]
     desc = {"theta_values": [w.theta for w in weights], "i_max": i_max, "k_max": k_max}
-    buffers = _Buffers()  # allocated by the first block, shared by every theta
-    return desc, None, [itertools.chain.from_iterable(
-        _lemma_3_2_chunks(w, i_max, k, buffers) for w in weights)]
+    buffers = _Buffers()  # allocated by a process's first block, shared by its later thetas
+    return desc, None, [_lemma_3_2_chunks(w, i_max, k, buffers) for w in weights], i_max * k_max
 
 
 def _remark_3_3_chunk(params: Dict, pow_x, pow_y, pow_union) -> Chunk:
@@ -667,7 +812,7 @@ def _remark_3_3(grid: Dict):
             params = {"theta": theta, "p": p, "trial": trial, "support_x": sx, "support_y": sy}
             yield _remark_3_3_chunk(params, *pows)
 
-    # the weights are built here, in the calling thread; the cells may run on others
+    # the weights are built here, in the calling process, once for every cell
     weights = [WeightSequence(theta).weight_values(2 * m) for theta in thetas]
     parts = [
         cell(ti, theta, w_vals, pi, p)
@@ -675,7 +820,7 @@ def _remark_3_3(grid: Dict):
         for pi, p in enumerate(ps)
     ]
     desc = {"theta_values": thetas, "p_values": ps, "trials": trials, "max_support": m}
-    return desc, seed, parts
+    return desc, seed, parts, 0
 
 
 def _scheme_from_grid(grid: Dict) -> BlockScheme:
@@ -761,7 +906,7 @@ def _lemma_3_4(grid: Dict):
         "A": a,
         "B": b,
     }
-    return desc, None, [_lemma_3_4_chunks(scheme, weights, a, b, levels)]
+    return desc, None, [_lemma_3_4_chunks(scheme, weights, a, b, levels)], 0
 
 
 _TRIAL_DISTRIBUTIONS = ("uniform", "geometric", "spike")
@@ -859,7 +1004,7 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
         "trials": trials,
         "distributions": list(_TRIAL_DISTRIBUTIONS),
     }
-    return desc, seed, [chunks()]
+    return desc, seed, [chunks()], 0
 
 
 def check_theorem_3_5(
@@ -898,7 +1043,7 @@ def check_theorem_3_5(
 class Statement:
     """How to evaluate a statement, and the grid keys it takes."""
 
-    evaluate: Callable[[Dict], Tuple[Dict, Optional[int], List[Iterable[Chunk]]]]
+    evaluate: Callable[[Dict], Tuple[Dict, Optional[int], List[Iterable[Chunk]], int]]
     params: Tuple[Param, ...]
 
 

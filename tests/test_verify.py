@@ -1,7 +1,10 @@
 import csv
+import itertools
 import json
 import math
-import sys
+import os
+import signal
+import threading
 import time
 
 import mpmath
@@ -16,6 +19,7 @@ from lorentzkit.space import (
     lorentz_pnorm_pow_runlength,
 )
 from lorentzkit.verify import (
+    _cpus,
     _draw_trial_coefficients,
     DEFAULT_TOLERANCE,
     STATEMENT_IDS,
@@ -30,6 +34,50 @@ from lorentzkit.verify import (
 from lorentzkit.weights import PREFIX_CACHE_LIMIT, WeightSequence
 
 import _oracles as oracle
+
+
+def _append_line(path, *fields):
+    """Append one line to ``path`` from whichever process calls it, a forked
+    worker too, whose memory the test cannot see (short ``O_APPEND`` writes
+    do not interleave)."""
+    fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+    try:
+        os.write(fd, (" ".join(map(str, fields)) + "\n").encode())
+    finally:
+        os.close(fd)
+
+
+def _lines(path):
+    """The lines :func:`_append_line` wrote, each split into its fields."""
+    return [line.split() for line in path.read_text().splitlines()] if path.exists() else []
+
+
+def _log_parts(monkeypatch, log):
+    """Make every part's aggregation append ``pid peak_bytes`` to ``log``, its
+    pid and the peak of the traced memory it adds to what its process held
+    before it, measured in the process that runs it (a worker forked while
+    the caller traces memory goes on tracing)."""
+    import tracemalloc
+
+    import lorentzkit.verify as verify
+
+    aggregate = verify._aggregate
+
+    def spy(chunks, tolerance):
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            result = aggregate(chunks, tolerance)
+            _append_line(log, os.getpid(), tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        return result
+
+    monkeypatch.setattr(verify, "_aggregate", spy)
 
 
 class TestLemma31Pointwise:
@@ -108,15 +156,18 @@ class TestDenseGrids:
     thetas = [0.05, 0.5, 0.95]
 
     @staticmethod
-    def assert_part_equals(part, thetas, want):
-        """Check a grid's one part against ``want(theta)`` theta by theta, and
-        return the number of chunks of each theta."""
+    def assert_parts_equal(parts, thetas, want):
+        """Check a grid's parts, one per theta, against ``want(theta)`` theta by
+        theta, and return the number of chunks of each theta."""
         sides = ("lhs", "mid", "rhs", "slack")
         by_theta = {}
-        for chunk in part:
-            # a chunk's arrays are valid only until the next chunk is drawn
-            columns = [np.array(getattr(chunk, side)) for side in sides]
-            by_theta.setdefault(chunk.params["theta"], []).append(columns)
+        assert len(parts) == len(thetas)
+        for n, part in enumerate(parts):
+            for chunk in part:
+                # a chunk's arrays are valid only until the next chunk is drawn
+                columns = [np.array(getattr(chunk, side)) for side in sides]
+                assert chunk.params["theta"] == thetas[n]  # part n holds theta n's blocks alone
+                by_theta.setdefault(chunk.params["theta"], []).append(columns)
         assert list(by_theta) == thetas  # every theta's blocks, in theta order
         for theta, chunks in by_theta.items():
             for n, expected in enumerate(want(theta)):
@@ -130,13 +181,13 @@ class TestDenseGrids:
         grid = {"theta_values": self.thetas, "j_max": 70, "k_max": 300, "k_samples": 12}
         default = verify._GRID_BLOCK_ENTRIES
         for rows in (1, 7, None):  # one row per block, seven (odd), the default
-            desc, _, (part,) = verify._lemma_3_1(grid)  # the part reads the block size when run
+            desc, _, parts, _ = verify._lemma_3_1(grid)  # the parts read the block size when run
             k_values = np.array(desc["k_values"])
             assert k_values[0] == 1 and k_values.size >= 12
             entries = default if rows is None else rows * k_values.size + 1
             monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", entries)
-            counts = self.assert_part_equals(
-                part, self.thetas, lambda theta: oracle.lemma_3_1_grid(theta, 70, 300, k_values))
+            counts = self.assert_parts_equal(
+                parts, self.thetas, lambda theta: oracle.lemma_3_1_grid(theta, 70, 300, k_values))
             assert counts == [-(-71 // (rows or 71))] * len(self.thetas)
 
     def test_lemma_3_2_matches_two_gather_grid(self, monkeypatch):
@@ -147,9 +198,9 @@ class TestDenseGrids:
         for rows in (1, 7, None):
             entries = default if rows is None else rows * 90 + 1
             monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", entries)
-            (part,) = verify._lemma_3_2(grid)[2]
-            counts = self.assert_part_equals(
-                part, self.thetas, lambda theta: oracle.lemma_3_2_grid(theta, 40, 90))
+            parts = verify._lemma_3_2(grid)[2]
+            counts = self.assert_parts_equal(
+                parts, self.thetas, lambda theta: oracle.lemma_3_2_grid(theta, 40, 90))
             assert counts == [-(-40 // (rows or 40))] * len(self.thetas)
 
     @pytest.mark.parametrize("i_max, k_max", [
@@ -166,9 +217,9 @@ class TestDenseGrids:
         for rows in (1, 7, None):  # one row per block, seven (odd), the default
             entries = default if rows is None else rows * k_max
             monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", entries)
-            (part,) = verify._lemma_3_2(grid)[2]
-            counts = self.assert_part_equals(
-                part, self.thetas, lambda theta: oracle.lemma_3_2_grid(theta, i_max, k_max))
+            parts = verify._lemma_3_2(grid)[2]
+            counts = self.assert_parts_equal(
+                parts, self.thetas, lambda theta: oracle.lemma_3_2_grid(theta, i_max, k_max))
             rows = rows or max(1, default // k_max)
             assert counts == [-(-i_max // rows)] * len(self.thetas)
 
@@ -192,36 +243,34 @@ class TestDenseGrids:
 
         default = verify._GRID_BLOCK_ENTRIES
         serial = reports(1, default)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # threads switch as often as they can
-        try:
-            for cpus in (1, 2, 4):  # 4: more workers than a two-CPU host has CPUs
-                for entries in (1, 7 * 20 + 3, default):  # one row, an odd count, the default
-                    assert reports(cpus, entries) == serial, (cpus, entries)
-        finally:
-            sys.setswitchinterval(interval)
+        for cpus in (1, 2, 4):  # 4: more workers than a two-CPU host has CPUs
+            for entries in (1, 7 * 20 + 3, default):  # one row, an odd count, the default
+                assert reports(cpus, entries) == serial, (cpus, entries)
 
-    def test_weights_are_built_in_the_calling_thread(self, monkeypatch):
-        # the benchmark's tracer keeps one span stack, so a traced weights call
-        # on a worker would corrupt it; the lemma grids start no thread at all,
-        # and only remark-3-3's cells are aggregated on workers
-        import threading
-
+    def test_weights_are_built_in_the_calling_thread(self, monkeypatch, tmp_path):
+        # the benchmark's tracer keeps one span stack per process, so no thread
+        # may make a traced call: none is started and every process builds its
+        # weights in its one thread; the caller builds each theta's sequence
+        # (with its head weights) and remark-3-3's weights, while a lemma
+        # part's prefix sums, weights and aggregate come from its worker
         import lorentzkit.verify as verify
 
-        calls, aggregates, started = [], [], []
+        log = tmp_path / "calls"
+        started = []
         for name in ("partial_sums", "weight_values"):
             method = getattr(WeightSequence, name)
 
             def spy(self, *args, _method=method, _name=name):
-                calls.append((_name, threading.current_thread()))
+                main = threading.current_thread() is threading.main_thread()
+                _append_line(log, "weights", _name, os.getpid(), main)
                 return _method(self, *args)
 
             monkeypatch.setattr(WeightSequence, name, spy)
         aggregate = verify._aggregate
 
         def aggregate_spy(chunks, tolerance):
-            aggregates.append(threading.current_thread())
+            main = threading.current_thread() is threading.main_thread()
+            _append_line(log, "aggregate", "-", os.getpid(), main)
             return aggregate(chunks, tolerance)
 
         start = threading.Thread.start
@@ -233,15 +282,24 @@ class TestDenseGrids:
         monkeypatch.setattr(verify, "_aggregate", aggregate_spy)
         monkeypatch.setattr(threading.Thread, "start", start_spy)
         monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        caller = str(os.getpid())
         thetas = [0.25, 0.5, 0.75]
         run_grid("lemma-3-1", {"theta_values": thetas, "j_max": 30, "k_max": 40})
         run_grid("lemma-3-2", {"theta_values": thetas, "i_max": 20, "k_max": 30})
-        assert started == [] and aggregates == [threading.current_thread()] * 2
+        lemma = _lines(log)
+        assert started == [] and len(lemma) == 6 + 6 * 3
+        assert [name for _, name, pid, _ in lemma if pid == caller] == ["weight_values"] * 6
         run_grid("remark-3-3", {"theta_values": thetas, "p_values": [1.0], "trials": 10})
-        assert started  # the spy sees the pool's workers start
-        assert {name for name, _ in calls} == {"partial_sums", "weight_values"}
-        assert {thread for _, thread in calls} == {threading.current_thread()}
-        assert len(aggregates) == 5 and threading.current_thread() not in aggregates[2:]
+        remark = _lines(log)[len(lemma):]
+        assert started == []
+        assert [(name, pid) for kind, name, pid, _ in remark if kind == "weights"] == [
+            ("weight_values", caller)] * 6
+        calls = lemma + remark
+        assert {name for kind, name, *_ in calls if kind == "weights"} == {
+            "partial_sums", "weight_values"}
+        assert {main for *_, main in calls} == {"True"}
+        aggregates = [pid for kind, _, pid, _ in calls if kind == "aggregate"]
+        assert len(aggregates) == 9 and caller not in aggregates
 
     @pytest.mark.parametrize("statement, grid", [
         ("lemma-3-1", {"j_max": 10, "k_max": 10}),
@@ -260,24 +318,36 @@ class TestDenseGrids:
             run_grid(statement, {**grid, "theta_values": [0.5, 0.6, 1.5]})
         assert calls == []
 
-    def test_memory_with_one_theta_in_flight(self, monkeypatch):
+    def test_memory_with_one_theta_in_flight(self, monkeypatch, tmp_path):
         # one 1000 x 1000 theta held its whole grid and several full-size
-        # temporaries (46 MiB traced); two thetas on two workers held two
-        # prefix-sum arrays (7.6 MiB each) and a few blocks (20 MiB); in the
-        # calling thread one theta's prefix sums and blocks are alive at a time
+        # temporaries (46 MiB traced); each process holds one theta's prefix
+        # sums (7.6 MiB) and blocks at a time, so a serial run stays within
+        # 12 MiB, and the call on two workers within twice that, in total
         import tracemalloc
 
         import lorentzkit.verify as verify
 
-        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        log = tmp_path / "parts"
+        _log_parts(monkeypatch, log)
         grid = {"theta_values": [0.25, 0.5], "i_max": 1000, "k_max": 1000}
-        tracemalloc.start()
-        try:
-            assert run_grid("lemma-3-2", grid).instances == 2_000_000
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * 2**20
+        totals = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(verify, "_cpus", lambda: cpus)
+            log.unlink(missing_ok=True)
+            tracemalloc.start()
+            try:
+                assert run_grid("lemma-3-2", grid).instances == 2_000_000
+                caller = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks = {}  # pid -> the largest peak of its parts
+            for pid, peak in _lines(log):
+                peaks[pid] = max(peaks.get(pid, 0), int(peak))
+            assert len(peaks) == cpus and (str(os.getpid()) in peaks) == (cpus == 1)
+            assert max(peaks.values()) <= 12 * 2**20
+            # a worker's peak comes on top of the caller's; serially it is in it
+            totals[cpus] = caller + sum(peaks.values()) if cpus > 1 else caller
+        assert totals[1] <= 12 * 2**20 and totals[2] <= 2 * 12 * 2**20
 
     @pytest.mark.parametrize("statement, grid", [
         ("lemma-3-1", lambda blocks: {"j_max": 65 * blocks - 1, "k_max": 1000, "k_samples": 1000}),
@@ -295,7 +365,9 @@ class TestDenseGrids:
         block_bytes = verify._GRID_BLOCK_ENTRIES * 8
         for blocks in (2, 40):  # 65 rows of 1000 columns make one block
             evaluate = verify.STATEMENTS[statement].evaluate
-            (part,) = evaluate({**grid(blocks), "theta_values": [0.25, 0.75]})[2]
+            # the parts of one process, one theta each, in turn
+            part = itertools.chain.from_iterable(
+                evaluate({**grid(blocks), "theta_values": [0.25, 0.75]})[2])
             allocated = []
             tracemalloc.start()
             try:
@@ -399,7 +471,7 @@ class TestRemark33Blocks:
         # or fewer normals than its trials use shifts every later trial
         for entries in (verify._GRID_BLOCK_ENTRIES, 4 * 2 * max_support):
             monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", entries)
-            _, _, parts = verify._remark_3_3(grid)
+            _, _, parts, _ = verify._remark_3_3(grid)
             assert len(parts) == len(thetas) * len(ps)  # one part per cell, in grid order
             got = [verify._instance(c, f) for part in parts for c in part
                    for f in range(c.slack.size)]
@@ -441,30 +513,36 @@ class TestRemark33Blocks:
             for block in (1, 7, default):
                 assert reports(cpus, block) == serial, (cpus, block)
 
-    def test_one_part_or_one_cpu_runs_in_the_calling_thread(self, monkeypatch):
-        import threading
-
+    def test_one_part_or_one_cpu_runs_in_the_calling_thread(self, monkeypatch, tmp_path):
         import lorentzkit.verify as verify
 
-        threads = []
-        aggregate = verify._aggregate
+        log, forks = tmp_path / "parts", []
+        fork = os.fork
 
-        def spy(chunks, tolerance):
-            threads.append(threading.current_thread())
-            return aggregate(chunks, tolerance)
+        def fork_spy():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-        monkeypatch.setattr(verify, "_aggregate", spy)
+        _log_parts(monkeypatch, log)
+        monkeypatch.setattr(os, "fork", fork_spy)
+        caller = str(os.getpid())
         remark = {"theta_values": [0.25], "p_values": [1.0, 3.0], "trials": 10}
-        lemma = {"theta_values": [0.25, 0.5], "i_max": 3, "k_max": 3}  # one part for both thetas
+        lemma = {"theta_values": [0.25], "i_max": 3, "k_max": 3}  # one theta, one part
         monkeypatch.setattr(verify, "_cpus", lambda: 2)
         run_grid("remark-3-3", {**remark, "p_values": [1.0]})
         run_grid("lemma-3-2", lemma)
+        run_grid("theorem-3-5", {"corollary_levels": 3, "trials": 3})
+        run_grid("lemma-3-4", {"corollary_levels": 3})
         monkeypatch.setattr(verify, "_cpus", lambda: 1)
         run_grid("remark-3-3", remark)
-        assert threads == [threading.current_thread()] * 4
+        run_grid("lemma-3-2", {**lemma, "theta_values": [0.25, 0.5]})
+        assert forks == [] and [pid for pid, _ in _lines(log)] == [caller] * 8
         monkeypatch.setattr(verify, "_cpus", lambda: 2)
         run_grid("remark-3-3", remark)
-        assert len(threads) == 6 and threading.current_thread() not in threads[4:]
+        parts = _lines(log)[8:]
+        assert len(forks) == 2 and len(parts) == 2 and caller not in {pid for pid, _ in parts}
 
     def test_first_overflowing_cell_names_the_error(self, monkeypatch):
         import lorentzkit.verify as verify
@@ -475,20 +553,26 @@ class TestRemark33Blocks:
         with pytest.raises(ValueError, match=r"at p=5000\.0, theta=0\.5$"):
             run_grid("remark-3-3", grid)
 
-    def test_memory_with_two_cells_in_flight(self, monkeypatch):
+    def test_memory_with_two_cells_in_flight(self, monkeypatch, tmp_path):
+        # the two workers that run the cells and the caller together stay
+        # within the bound that two cells on two threads kept
         import tracemalloc
 
         import lorentzkit.verify as verify
 
+        log = tmp_path / "parts"
+        _log_parts(monkeypatch, log)
         monkeypatch.setattr(verify, "_cpus", lambda: 2)
         grid = {"theta_values": [0.25, 0.5], "p_values": [1.5], "trials": 80_000}
         tracemalloc.start()
         try:
             assert run_grid("remark-3-3", grid).instances == 160_000
-            peak = tracemalloc.get_traced_memory()[1]
+            caller = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        parts = _lines(log)
+        assert len({pid for pid, _ in parts}) == 2 and str(os.getpid()) not in parts[0]
+        assert caller + sum(int(peak) for _, peak in parts) <= 16 * 2**20
 
     def test_memory_does_not_grow_with_trials(self):
         import tracemalloc
@@ -743,20 +827,20 @@ class TestAggregate:
             [chunk(8, [0.5, -3e-12])],
         ]
         monkeypatch.setattr(verify, "_cpus", lambda: 2)
-        count, violations, first = verify._fold(verify._aggregate_parts(parts, DEFAULT_TOLERANCE))
+        count, violations, first = verify._fold(verify._aggregate_parts(parts, DEFAULT_TOLERANCE, 0))
         assert count == 10
         assert [v.params["n"] for v in violations] == [1, 2, 4, 5, 6, 9]
         assert first.params == {"n": 1} and first.slack == -1.0
         one_pass = verify._aggregate([c for part in parts for c in part], DEFAULT_TOLERANCE)
         assert repr((count, violations, first)) == repr(one_pass)
 
-    def test_failing_part_cancels_the_parts_not_yet_started(self, monkeypatch):
+    def test_failing_part_cancels_the_parts_not_yet_started(self, monkeypatch, tmp_path):
         import lorentzkit.verify as verify
 
-        started = []
+        log = tmp_path / "started"
 
         def part(n):
-            started.append(n)
+            _append_line(log, n)  # from the worker that starts the part
             if n == 0:
                 raise ValueError("part 0 fails")
             time.sleep(0.3)
@@ -764,9 +848,10 @@ class TestAggregate:
 
         monkeypatch.setattr(verify, "_cpus", lambda: 2)
         with pytest.raises(ValueError, match="part 0 fails"):
-            verify._aggregate_parts([part(n) for n in range(12)], DEFAULT_TOLERANCE)
+            verify._aggregate_parts([part(n) for n in range(12)], DEFAULT_TOLERANCE, 0)
         # besides part 0, each of the two workers starts at most one part before
         # the failure is read; the other parts never start
+        started = [int(n) for n, in _lines(log)]
         assert 0 in started and len(started) <= 3
 
     def test_nan_only_part_never_holds_the_minimum(self):
@@ -782,6 +867,143 @@ class TestAggregate:
         count, violations, first = verify._fold([nan_only, later])
         assert count == 3 and [v.params["n"] for v in violations] == [0, 1]
         assert first.params == {"n": 2} and first.slack == 2.0
+
+
+class ShapedMemoryError(MemoryError):
+    """Like numpy's allocation error: unpickling gives back another message."""
+
+    def __init__(self, shape):
+        super().__init__(f"cannot allocate an array of shape {shape}")
+
+
+class TestWorkers:
+    """When parts stay in the calling thread, and how a failing part or an
+    interrupt ends the forked workers."""
+
+    grid = {"theta_values": [0.25, 0.5, 0.75], "i_max": 30, "k_max": 20}  # 600 prefix sums a part
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        """The pids :func:`os.fork` returns to the caller, on two CPUs; the test
+        must leave no more descriptors open than it found."""
+        import lorentzkit.verify as verify
+
+        pids, fork = [], os.fork
+
+        def spy():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", spy)
+        monkeypatch.setattr(verify, "_cpus", lambda: 2)
+        descriptors = sorted(os.listdir("/proc/self/fd"))
+        yield pids
+        assert sorted(os.listdir("/proc/self/fd")) == descriptors
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_parts_stay_serial_where_forking_is_unsafe_or_too_large(self, monkeypatch, forks):
+        import lorentzkit.verify as verify
+
+        fanned = run_grid("lemma-3-2", self.grid).to_json()
+        assert len(forks) == 2
+        # two workers may hold 2 * 600 prefix sums together, but not one fewer
+        monkeypatch.setattr(verify, "PREFIX_CACHE_LIMIT", 2 * 600)
+        assert run_grid("lemma-3-2", self.grid).to_json() == fanned and len(forks) == 4
+        monkeypatch.setattr(verify, "PREFIX_CACHE_LIMIT", 2 * 600 - 1)
+        assert run_grid("lemma-3-2", self.grid).to_json() == fanned
+        monkeypatch.setattr(verify, "PREFIX_CACHE_LIMIT", PREFIX_CACHE_LIMIT)
+        reports = []
+        thread = threading.Thread(target=lambda: reports.append(run_grid("lemma-3-2", self.grid)))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and reports[0].to_json() == fanned
+        # a platform without CPU affinity counts one CPU, and cannot pin either
+        monkeypatch.setattr(verify, "_cpus", _cpus)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert verify._cpus() == 1
+        assert run_grid("lemma-3-2", self.grid).to_json() == fanned
+        assert len(forks) == 4
+
+    def test_workers_pin_to_disjoint_shares_of_the_mask(self, monkeypatch, forks, tmp_path):
+        # worker n takes CPUs n, n + workers, ... of the sorted mask, so the
+        # workers of one call never share a CPU and all of the mask is used
+        import lorentzkit.verify as verify
+
+        log = tmp_path / "pins"
+        monkeypatch.setattr(verify, "_cpus", _cpus)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {9, 0, 7, 2, 5})
+        monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: _append_line(log, *cpus))
+        run_grid("lemma-3-2", self.grid)  # three parts, so three of the five CPUs' workers
+        assert len(forks) == 3
+        assert sorted(_lines(log)) == [["0", "7"], ["2", "9"], ["5"]]
+
+    @pytest.mark.parametrize("death, status", [("killed", -signal.SIGKILL), ("unpicklable", 1)])
+    def test_worker_that_dies_fails_its_part(self, forks, death, status):
+        import lorentzkit.verify as verify
+
+        caller = os.getpid()
+
+        def part(n):
+            if n == 1:
+                assert os.getpid() != caller  # never kill the test's own process
+                if death == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                # the aggregate keeps the params, which cannot be pickled
+                yield verify.Chunk("t", {"hook": lambda: None}, None, None, None, np.zeros(1))
+            yield verify.Chunk("t", {"n": n}, None, None, None, np.zeros(1))
+
+        message = f"^the worker of part 1 exited with status {status} before sending its result$"
+        with pytest.raises(ChildProcessError, match=message):
+            verify._aggregate_parts([part(n) for n in range(4)], DEFAULT_TOLERANCE, 0)
+        assert len(forks) == 2
+        self.assert_no_child_left()
+
+    def test_part_errors_keep_their_class_and_message(self, forks):
+        import lorentzkit.verify as verify
+
+        unpicklable = ValueError("a hook that cannot be pickled")
+        unpicklable.hook = lambda: None
+        cases = [
+            (ValueError("partial-sum arrays are limited to 33554432 entries"), ValueError),
+            (ShapedMemoryError((1 << 40,)), MemoryError),
+            (unpicklable, ValueError),
+        ]
+        for error, want in cases:
+            def part(n, error=error):
+                if n == 2:
+                    raise error
+                yield from ()
+
+            with pytest.raises(want) as raised:
+                verify._aggregate_parts([part(n) for n in range(4)], DEFAULT_TOLERANCE, 0)
+            assert type(raised.value) is want and str(raised.value) == str(error)
+            self.assert_no_child_left()
+        assert len(forks) == 2 * len(cases)
+
+    def test_interrupted_caller_kills_and_reaps_the_busy_workers(self, monkeypatch, forks):
+        import select
+
+        import lorentzkit.verify as verify
+
+        def part():
+            time.sleep(60)
+            yield from ()
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(select, "select", interrupted)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            verify._aggregate_parts([part(), part()], DEFAULT_TOLERANCE, 0)
+        assert time.perf_counter() - start < 30 and len(forks) == 2
+        self.assert_no_child_left()
 
 
 class TestReportSerialization:
