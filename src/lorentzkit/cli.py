@@ -58,7 +58,6 @@ from .verify import (
     THETA,
     dump_json,
     run_grid,
-    _py,
     _scheme_from_grid,
 )
 from .weights import WeightSequence
@@ -125,7 +124,7 @@ def _verify(statement: str, values: Dict, given: Dict) -> Outcome:
     print(f"violations    {len(report.violations)}")
     print(f"min slack     {report.min_slack:.6e}")
     if report.min_slack_instance is not None:
-        print(f"at            {_py(report.min_slack_instance.params)}")
+        print(f"at            {report.min_slack_instance.params}")
     if values["timing"]:
         print(f"runtime_ms    {report.runtime_ms:.1f}")
     print(f"result        {'PASS' if report.passed else 'FAIL'}")

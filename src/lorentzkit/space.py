@@ -151,9 +151,15 @@ def decreasing_rearrangement(x: Union[FiniteVector, Sequence[float]]) -> np.ndar
 
 
 def lorentz_pnorm_pow(x: Union[FiniteVector, Sequence[float]], params: SpaceParams) -> float:
-    """``sum_n a_n^p w_n`` — the p-th power of the Lorentz norm."""
+    """``sum_n a_n^p w_n`` — the p-th power of the Lorentz norm.  A power
+    beyond float64 raises a ``ValueError`` that names ``p`` and theta."""
     vals = decreasing_rearrangement(x)
-    return _kernels.weighted_pow_sum(vals, params.weights.weight_values(vals.shape[0]), params.p)
+    with np.errstate(over="ignore"):
+        power = _kernels.weighted_pow_sum(vals, params.weights.weight_values(vals.shape[0]), params.p)
+    if not np.isfinite(power):
+        raise ValueError(f"Lorentz norm power overflows float64 at p={params.p}, "
+                         f"theta={params.weights.theta}")
+    return power
 
 
 def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float, name: str) -> float:

@@ -72,8 +72,9 @@ stays byte-identical however the parts run.  With several parts they run on
 forked worker processes, one per CPU of the process's affinity (there is no
 setting), each pinned to its own share of those CPUs, so no two share one:
 the calling process hands out part indices in part order to whichever
-worker is free and does no part work itself.  A worker holds one part's
-prefix sums and block buffers at a time, as the calling process does when
+worker is free, loads each part's aggregate or exception as one pickle from
+the worker's result pipe, and does no part work itself.  A worker holds one
+part's prefix sums and block buffers at a time, as the calling process does when
 the parts run serially, and it reuses its buffers from part to part; so the
 call holds as many parts' arrays at once as it has workers (two 1000 x 1000
 lemma-3-2 thetas take about 10 MiB each), and the lemma grids start no more
@@ -85,21 +86,22 @@ unsafe).  The weights of remark-3-3 are built in the calling process; the
 lemma grids' prefix sums are built by the process that runs the theta's
 part.
 
-Reports are plain dataclasses with canonical JSON output: keys sorted, grid
-aggregation in grid order, and no wall-clock fields unless explicitly
-requested, so a fixed seed yields byte-identical files run after run.
+Reports are plain dataclasses, turned into JSON by :func:`dataclasses.asdict`
+with numpy values as the Python values they hold, in canonical form: keys
+sorted, grid aggregation in grid order, and no wall-clock fields unless
+explicitly requested, so a fixed seed yields byte-identical files run after
+run.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
 import pickle
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 import numpy as np
@@ -124,24 +126,17 @@ DEFAULT_TOLERANCE = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def _py(value):
-    """Recursively convert numpy scalars/arrays for JSON serialisation."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_py(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _py(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_py(v) for v in value]
-    return value
+def _plain(value):
+    """``json``'s ``default`` hook: a numpy scalar or array as the Python
+    value or nested list it holds."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _dumps(doc: Dict) -> str:
     """Canonical JSON: keys sorted, no NaN or infinity."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
 
 
 def dump_json(path, doc: Dict) -> None:
@@ -173,15 +168,7 @@ class InequalityInstance:
     approximate: bool = False
 
     def to_dict(self) -> Dict:
-        return {
-            "name": self.name,
-            "params": _py(self.params),
-            "lhs": _py(self.lhs),
-            "mid": _py(self.mid),
-            "rhs": _py(self.rhs),
-            "slack": _py(self.slack),
-            "approximate": self.approximate,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -205,24 +192,13 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self, include_timing: bool = False) -> Dict:
-        return {
-            "statement": self.statement,
-            "grid": _py(self.grid),
-            "tolerance": _py(self.tolerance),
-            "seed": _py(self.seed),
-            "instances": int(self.instances),
-            "violations": [v.to_dict() for v in self.violations],
-            "min_slack": _py(self.min_slack),
-            "min_slack_instance": (
-                self.min_slack_instance.to_dict() if self.min_slack_instance else None
-            ),
-            "approximate_instances": int(self.approximate_instances),
-            "passed": self.passed,
-            "config": _py(self.config),
+        doc = asdict(self)
+        doc["passed"] = self.passed
+        if not include_timing:
             # wall time varies run to run; it is nulled by default so that
             # repeated runs with one config stay byte-identical
-            "runtime_ms": _py(self.runtime_ms) if include_timing else None,
-        }
+            doc["runtime_ms"] = None
+        return doc
 
     def to_json(self, include_timing: bool = False) -> str:
         return _dumps(self.to_dict(include_timing))
@@ -244,12 +220,12 @@ class VerificationReport:
                     [
                         self.statement,
                         v.name,
-                        repr(_py(v.slack)),
-                        "" if v.lhs is None else repr(_py(v.lhs)),
-                        "" if v.mid is None else repr(_py(v.mid)),
-                        "" if v.rhs is None else repr(_py(v.rhs)),
+                        repr(float(v.slack)),
+                        "" if v.lhs is None else repr(float(v.lhs)),
+                        "" if v.mid is None else repr(float(v.mid)),
+                        "" if v.rhs is None else repr(float(v.rhs)),
                         v.approximate,
-                        json.dumps(_py(v.params), sort_keys=True),
+                        json.dumps(v.params, sort_keys=True, default=_plain),
                     ]
                 )
 
@@ -441,11 +417,16 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
     still move off one that another process keeps busy.
 
     The calling process does no part work: it hands out part indices in part
-    order to whichever worker is free and reads back each part's aggregate or
-    exception.  After the first failing part no later part is started; once
-    the started parts are done, the failure of the lowest index is raised, as
-    in one pass.  A worker that exits without sending its part's result fails
-    that part with :class:`ChildProcessError`.  Every worker is reaped before
+    order to whichever worker is free and loads each part's aggregate or
+    exception with :func:`pickle.load` from one buffered reader per result
+    pipe.  A worker has at most one result in flight, so no bytes wait in a
+    reader's buffer once its result is loaded, and ``select`` on the pipes
+    sees every result.  After the first failing part no later part is
+    started; once the started parts are done, the failure of the lowest index
+    is raised, as in one pass.  A worker whose pipe ends before a whole
+    pickle (it exited without sending its part's result) fails that part
+    with :class:`ChildProcessError`.  A failing ``os.pipe`` or ``os.fork``
+    raises once the ends made are closed.  Every worker is reaped before
     this returns or raises; one still busy then (the caller was interrupted)
     is killed first.
     """
@@ -454,25 +435,27 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
 
     cpus = sorted(os.sched_getaffinity(0))
     outcomes = [None] * len(parts)
-    pipes = {}  # pid -> (task write end, result read end), until reaped
-    running = {}  # result read end -> (pid, part index)
+    pipes = {}  # pid -> (task write end, result reader), until reaped
+    running = {}  # result reader -> (pid, part index)
     try:
         for n in range(workers):
-            task_r, task_w = os.pipe()
-            result_r, result_w = os.pipe()
+            ends = []  # this worker's pipe ends made so far
             try:
+                ends += os.pipe()
+                ends += os.pipe()
+                task_r, task_w, result_r, result_w = ends
                 pid = os.fork()
                 if pid == 0:
-                    inherited = [task_w, result_r, *itertools.chain(*pipes.values())]
+                    inherited = [task_w, result_r,
+                                 *(fd for w, r in pipes.values() for fd in (w, r.fileno()))]
                     _worker(parts, tolerance, cpus[n % len(cpus)::workers], task_r, result_w, inherited)
-            except OSError:  # no worker: the caller's ends go too
-                os.close(task_w)
-                os.close(result_r)
+            except BaseException:  # no worker: every end made goes
+                for end in ends:
+                    os.close(end)
                 raise
-            finally:
-                os.close(task_r)
-                os.close(result_w)
-            pipes[pid] = (task_w, result_r)
+            os.close(task_r)
+            os.close(result_w)
+            pipes[pid] = (task_w, open(result_r, "rb"))
         idle, next_part, failed = list(pipes), 0, False
         while True:
             while idle and next_part < len(parts) and not failed:
@@ -485,26 +468,24 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
                 next_part += 1
             if not running:
                 break
-            for fd in select.select(list(running), [], [])[0]:
-                pid, index = running.pop(fd)
-                head = _read(fd, 8)
-                payload = head and _read(fd, int.from_bytes(head, "little"))
-                if payload is None:
+            for reader in select.select(list(running), [], [])[0]:
+                pid, index = running.pop(reader)
+                try:
+                    outcomes[index] = pickle.load(reader)
+                    idle.append(pid)
+                except (EOFError, pickle.UnpicklingError):  # the worker died
                     _, status = os.waitpid(pid, 0)
-                    for end in pipes.pop(pid):
-                        os.close(end)
+                    os.close(pipes.pop(pid)[0])
+                    reader.close()
                     outcomes[index] = ChildProcessError(
                         f"the worker of part {index} exited with status "
                         f"{os.waitstatus_to_exitcode(status)} before sending its result")
-                else:
-                    outcomes[index] = pickle.loads(payload)
-                    idle.append(pid)
                 failed = failed or isinstance(outcomes[index], BaseException)
     finally:
-        for pid, (task_w, result_r) in pipes.items():
+        for pid, (task_w, reader) in pipes.items():
             os.close(task_w)  # an idle worker reads the end of its tasks and exits
-            os.close(result_r)
-            if result_r in running:
+            reader.close()
+            if reader in running:
                 os.kill(pid, signal.SIGKILL)
         for pid in pipes:
             os.waitpid(pid, 0)
@@ -534,8 +515,7 @@ def _worker(parts, tolerance: float, cpus, tasks: int, results: int, inherited) 
                 outcome = _aggregate(parts[int.from_bytes(task, "little")], tolerance)
             except Exception as exc:
                 outcome = _portable(exc)
-            payload = pickle.dumps(outcome)
-            view = memoryview(len(payload).to_bytes(8, "little") + payload)
+            view = memoryview(pickle.dumps(outcome))
             while view:
                 view = view[os.write(results, view):]
         code = 0
@@ -557,17 +537,6 @@ def _portable(exc: Exception) -> Exception:
     return builtin(str(exc))
 
 
-def _read(fd: int, size: int) -> Optional[bytes]:
-    """``size`` bytes from ``fd``, or None if it closes first."""
-    data = bytearray()
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return bytes(data)
-
-
 def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts, part_entries):
     """Aggregate one statement's parts, each an iterable of chunks and holding
     ``part_entries`` prefix-sum entries, into its report."""
@@ -582,7 +551,7 @@ def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts, pa
         min_slack=math.inf if min_inst is None else min_inst.slack,
         min_slack_instance=min_inst,
         runtime_ms=(time.perf_counter() - start) * 1e3,
-        config={"statement": statement, "tolerance": tolerance, **_py(desc)},
+        config={"statement": statement, "tolerance": tolerance, **desc},
     )
 
 

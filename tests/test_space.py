@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -133,6 +134,16 @@ class TestNorms:
     def test_p_below_one_rejected(self, half):
         with pytest.raises(ValueError):
             SpaceParams(p=0.5, weights=half)
+
+    def test_overflowing_norm_power_names_p_and_theta(self, half):
+        # a ValueError, not inf with only a RuntimeWarning
+        params = SpaceParams(p=2.0, weights=half)
+        message = r"^Lorentz norm power overflows float64 at p=2\.0, theta=0\.5$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                lorentz_pnorm_pow([1e200, 1e200], params)
+            assert lorentz_pnorm_pow([1e100, 1e100], params) == pytest.approx((1 + 2 ** -0.5) * 1e200)
 
     def test_norm_dominated_by_lp(self, half):
         # weights are <= 1, so the weighted norm never exceeds the plain one

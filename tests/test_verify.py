@@ -1,11 +1,16 @@
 import csv
+import errno
 import itertools
 import json
 import math
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -34,6 +39,15 @@ from lorentzkit.verify import (
 from lorentzkit.weights import PREFIX_CACHE_LIMIT, WeightSequence
 
 import _oracles as oracle
+
+
+def _running(pid):
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
 
 
 def _append_line(path, *fields):
@@ -1005,6 +1019,57 @@ class TestWorkers:
         assert time.perf_counter() - start < 30 and len(forks) == 2
         self.assert_no_child_left()
 
+    @pytest.mark.parametrize("call, failing", [("pipe", 1), ("pipe", 2), ("pipe", 4), ("fork", 2)])
+    def test_failing_start_up_closes_what_it_made(self, monkeypatch, forks, call, failing):
+        # the first worker's task pipe, its result pipe, the second worker's
+        # result pipe, the second worker's fork: each failure leaves no
+        # descriptor open (the fixture checks) and no child behind
+        import lorentzkit.verify as verify
+
+        calls, real = [], getattr(os, call)
+
+        def flaky():
+            calls.append(call)
+            if len(calls) == failing:
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return real()
+
+        monkeypatch.setattr(os, call, flaky)
+        with pytest.raises(OSError) as raised:
+            verify._aggregate_parts([iter(()), iter(())], DEFAULT_TOLERANCE, 0)
+        assert raised.value.errno == errno.EMFILE and len(calls) == failing
+        self.assert_no_child_left()
+
+    def test_killed_caller_leaves_no_worker(self):
+        # each worker closes the pipe ends it inherits, so once the caller is
+        # gone a worker's write of its result fails and the worker exits
+        import lorentzkit
+
+        script = textwrap.dedent("""
+            import os, time
+            import lorentzkit.verify as verify
+
+            def part():
+                os.write(1, b"%d\\n" % os.getpid())
+                time.sleep(2)
+                yield from ()
+
+            verify._cpus = lambda: 2
+            verify._aggregate_parts([part(), part()], 0.0, 0)
+        """)
+        src = Path(lorentzkit.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+        with subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, env=env) as caller:
+            workers = [int(caller.stdout.readline()) for _ in range(2)]
+            caller.kill()
+        deadline = time.monotonic() + 10
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        left = [pid for pid in workers if _running(pid)]
+        for pid in left:
+            os.kill(pid, signal.SIGKILL)  # no orphan outlives a failure
+        assert not left
+
 
 class TestReportSerialization:
     @pytest.fixture()
@@ -1057,6 +1122,30 @@ class TestReportSerialization:
         assert len(rows) == len(rep.violations)
         assert rows[0]["statement"] == "lemma-3-4"
         assert float(rows[0]["slack"]) < 0
+
+    def test_numpy_values_serialize_as_python_values(self, tmp_path):
+        from lorentzkit.verify import InequalityInstance, VerificationReport
+
+        def written(params, grid, number):
+            inst = InequalityInstance("t", params, number(0.5), None, number(1.5), number(-0.25))
+            rep = VerificationReport("t", grid, 0.0, None, 1, [inst], number(-0.25), inst,
+                                     config=grid)
+            rep.write_csv(tmp_path / "violations.csv")
+            return rep.to_json(), (tmp_path / "violations.csv").read_bytes()
+
+        as_numpy = written(
+            {"i": np.int64(3), "theta": np.float64(0.25), "k": np.array([[1, 2]]),
+             "w": np.float32(0.5), "upper": np.bool_(True), "condition": np.str_("a")},
+            {"theta_values": np.array([0.25, 0.5]), "k_max": np.int64(4)},
+            np.float64,
+        )
+        as_python = written(
+            {"i": 3, "theta": 0.25, "k": [[1, 2]], "w": 0.5, "upper": True, "condition": "a"},
+            {"theta_values": [0.25, 0.5], "k_max": 4},
+            float,
+        )
+        assert as_numpy == as_python
+        assert json.loads(as_python[0])["violations"][0]["params"]["k"] == [[1, 2]]
 
 
 class TestTheorem35Batched:
