@@ -19,6 +19,7 @@ memory runs out.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from functools import partial
@@ -343,5 +344,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     return EXIT_USAGE
 
 
+def entry() -> int:
+    """:func:`main` as a process; the frozen collector leaves exit's cleanup to the OS."""
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(entry())

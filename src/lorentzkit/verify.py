@@ -114,7 +114,7 @@ from .space import (
     SpaceParams,
     disjoint_supports,
     lorentz_pnorm_pow,
-    lorentz_pnorm_pow_runlength,
+    _runlength_pows,
 )
 from .weights import PREFIX_CACHE_LIMIT, WeightSequence, _check_int, _check_p
 
@@ -944,8 +944,7 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
                     _kernels.batch_sorted_pow_sums(block, w, p)
                     for block, w in zip(np.split(coeffs, edges[1:-1], axis=1), level_weights)
                 )
-                x_pow = lorentz_pnorm_pow_runlength(
-                    *expand_runlength(coeffs, scheme, weights, p), space)
+                x_pow = _runlength_pows(*expand_runlength(coeffs, scheme, weights, p), space)
                 rhs = a_pow * y_pow
             _check_finite("theorem-3-5", p, weights.theta, x_pow, rhs)
             lhs = b * y_pow

@@ -58,6 +58,11 @@ class TestDescriptors:
         wv = lorentz_norm_descriptor(half, 1.0).weight_vector(4)
         assert wv[0] == 1.0 and wv.shape == (4,)
 
+    def test_averaged_window_is_at_least_one(self, half):
+        assert averaged_norm_descriptor(half, 1.0, 1).k == 1
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            averaged_norm_descriptor(half, 1.0, 0)
+
     def test_labels_carry_parameters(self, half):
         assert "0.5" in lorentz_norm_descriptor(half, 2.0).label
         assert "k=3" in averaged_norm_descriptor(half, 1.0, 3).label

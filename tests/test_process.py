@@ -1,0 +1,94 @@
+"""The CLI as a process, ``python -W error -m lorentzkit.cli``, against
+``cli.main`` in process: the same ``--out`` and ``--csv`` bytes, stdout and
+exit code, and nothing on stderr but a usage message.  The process entry
+freezes the garbage collector before exit; ``cli.main`` does not."""
+
+import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from lorentzkit import cli
+
+SRC = Path(cli.__file__).resolve().parents[1]
+
+CALLS = [
+    ("verify remark-3-3 --trials 200 --out r.json --csv r.csv", 0),
+    ("verify lemma-3-4 --bound-upper 0.9 --bound-lower 0.9 --out r.json --csv r.csv", 1),
+    ("verify remark-3-3 --trials 200 --bogus 1 --out r.json", 2),
+]
+
+
+def _python(*args, cwd):
+    """Run a fresh interpreter on ``args`` with warnings as errors, with this
+    ``lorentzkit`` importable and no output directory set."""
+    env = {k: v for k, v in os.environ.items() if k != cli.OUT_DIR_ENV_VAR}
+    env["PYTHONPATH"] = str(SRC)
+    return subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _outputs(directory):
+    return {name: (directory / name).read_bytes()
+            for name in ("r.json", "r.csv") if (directory / name).exists()}
+
+
+@pytest.mark.parametrize("args, code", CALLS, ids=[args for args, _ in CALLS])
+def test_process_matches_main(args, code, tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.OUT_DIR_ENV_VAR, raising=False)
+    inproc, proc = tmp_path / "main", tmp_path / "process"
+    inproc.mkdir()
+    proc.mkdir()
+    monkeypatch.chdir(inproc)
+    assert cli.main(args.split()) == code
+    want = capsys.readouterr()
+    child = _python("-m", "lorentzkit.cli", *args.split(), cwd=proc)
+    assert child.returncode == code
+    assert (child.stdout, child.stderr) == (want.out, want.err)
+    assert _outputs(proc) == _outputs(inproc)
+    assert len(_outputs(proc)) == (0 if code == 2 else 2)
+    if code == 2:
+        assert child.stderr.startswith("usage: lorentzkit")
+    else:
+        assert child.stderr == ""
+
+
+#: a child that runs a process entry and, at exit, reports whether the
+#: collector was frozen; ``{entry}`` runs the CLI on ``construct --corollary-K 3``
+PROBE = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, flush=True))
+sys.argv = ["lorentzkit", "construct", "--corollary-K", "3"]
+{entry}
+"""
+
+ENTRIES = {
+    "python -m": 'import runpy; runpy.run_module("lorentzkit.cli", run_name="__main__")',
+    # what the [project.scripts] wrapper runs
+    "script": "from lorentzkit.cli import entry; sys.exit(entry())",
+}
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_process_entry_freezes_the_collector(entry, tmp_path):
+    child = _python("-c", PROBE.format(entry=ENTRIES[entry]), cwd=tmp_path)
+    assert (child.returncode, child.stderr) == (0, "")
+    assert child.stdout.endswith("frozen True\n")
+
+
+def test_script_target_is_the_process_entry():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = SRC.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("lorentzkit is not running from its source tree")
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts == {"lorentzkit": "lorentzkit.cli:entry"}
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    assert cli.main(["construct", "--corollary-K", "3"]) == 0
+    assert gc.get_freeze_count() == 0
+    assert gc.isenabled()

@@ -26,6 +26,7 @@ from lorentzkit.space import (
 from lorentzkit.verify import (
     _cpus,
     _draw_trial_coefficients,
+    _gather,
     DEFAULT_TOLERANCE,
     STATEMENT_IDS,
     check_lemma_3_1,
@@ -161,6 +162,17 @@ class TestLemma32Grid:
         mid = chunk.mid[row, 597]
         assert chunk.params["i"][row, 0] == 852 and chunk.params["k"][0, 597] == 598
         assert mid == pytest.approx(check_lemma_3_2(0.05, 852, 598).mid, abs=DEFAULT_TOLERANCE)
+
+
+class TestGather:
+    def test_index_past_the_sums_raises(self):
+        sums = np.arange(5.0)
+        out = np.empty((2, 2))
+        got = _gather(sums, np.array([[0, 1], [3, 4]]), out)
+        np.testing.assert_array_equal(got, [[0.0, 1.0], [3.0, 4.0]])
+        # mode="clip" would quietly read index 5 as the last sum, 4.0
+        with pytest.raises(IndexError, match="^index 5 is past 5 prefix sums$"):
+            _gather(sums, np.array([[0, 1], [3, 5]]), out)
 
 
 class TestDenseGrids:
