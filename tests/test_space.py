@@ -136,14 +136,23 @@ class TestNorms:
             SpaceParams(p=0.5, weights=half)
 
     def test_overflowing_norm_power_names_p_and_theta(self, half):
-        # a ValueError, not inf with only a RuntimeWarning
+        # a ValueError, not inf with only a RuntimeWarning: dense, and run-length
+        # for one vector or any row of a batch
         params = SpaceParams(p=2.0, weights=half)
         message = r"^Lorentz norm power overflows float64 at p=2\.0, theta=0\.5$"
+        batch = np.ones((5, 2))
+        batch[3, 0] = 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 lorentz_pnorm_pow([1e200, 1e200], params)
+            with pytest.raises(ValueError, match=message):
+                lorentz_pnorm_pow_runlength([1e200], [3], params)
+            with pytest.raises(ValueError, match=message):
+                lorentz_pnorm_pow_runlength(batch, [3, 4], params)
             assert lorentz_pnorm_pow([1e100, 1e100], params) == pytest.approx((1 + 2 ** -0.5) * 1e200)
+            assert lorentz_pnorm_pow_runlength([1e100], [3], params) == pytest.approx(
+                half.partial_sum(3) * 1e200, rel=1e-14)
 
     def test_norm_dominated_by_lp(self, half):
         # weights are <= 1, so the weighted norm never exceeds the plain one
@@ -346,22 +355,6 @@ class TestRunLengthNorm:
         a = lorentz_pnorm_pow_runlength(np.array([-2.0]), np.array([3]), params)
         b = lorentz_pnorm_pow_runlength(np.array([2.0]), np.array([3]), params)
         assert a == b
-
-    def test_overflowing_power_names_p_and_theta(self, half):
-        # the dense path's ValueError, for one vector or any row of a batch,
-        # not inf with only a RuntimeWarning
-        params = SpaceParams(p=2.0, weights=half)
-        message = r"^Lorentz norm power overflows float64 at p=2\.0, theta=0\.5$"
-        batch = np.ones((5, 2))
-        batch[3, 0] = 1e200
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
-                lorentz_pnorm_pow_runlength([1e200], [3], params)
-            with pytest.raises(ValueError, match=message):
-                lorentz_pnorm_pow_runlength(batch, [3, 4], params)
-            assert lorentz_pnorm_pow_runlength([1e100], [3], params) == pytest.approx(
-                half.partial_sum(3) * 1e200, rel=1e-14)
 
     def test_bad_lengths_rejected(self, half):
         params = SpaceParams(p=1.0, weights=half)
