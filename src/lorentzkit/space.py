@@ -151,9 +151,15 @@ def decreasing_rearrangement(x: Union[FiniteVector, Sequence[float]]) -> np.ndar
 
 
 def lorentz_pnorm_pow(x: Union[FiniteVector, Sequence[float]], params: SpaceParams) -> float:
-    """``sum_n a_n^p w_n``: the run-length power on blocks of one index, overflow error included."""
+    """``sum_n a_n^p w_n`` — the p-th power of the Lorentz norm.  A power
+    beyond float64 raises a ``ValueError`` that names ``p`` and theta."""
     vals = decreasing_rearrangement(x)
-    return lorentz_pnorm_pow_runlength(vals, np.ones(vals.shape, dtype=np.int64), params)
+    with np.errstate(over="ignore"):
+        power = _kernels.weighted_pow_sum(vals, params.weights.weight_values(vals.shape[0]), params.p)
+    if not np.isfinite(power):
+        raise ValueError(f"Lorentz norm power overflows float64 at p={params.p}, "
+                         f"theta={params.weights.theta}")
+    return power
 
 
 def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float, name: str) -> float:
@@ -211,14 +217,13 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     consecutive indices (block placement is irrelevant: the norm only sees
     the multiset).  A 1-D ``values`` is one vector and gives a float; a
     (rows x blocks) ``values`` is a batch of vectors and gives one norm power
-    per row, with ``lengths`` either per row or shared by all rows.  A power
-    beyond float64, in any row, raises a ``ValueError`` naming ``p`` and theta.
-    The cost is independent of the support size: a batch is evaluated in row
-    blocks of about :data:`~lorentzkit.weights._EM_BLOCK` entries, each with
-    one sort, one cumulative sum of lengths and one vectorized window-sum
-    lookup of every block's weight mass.  Every step is row-local, so a row's
-    bits do not depend on the block it falls in, and no temporary grows with
-    the number of rows.
+    per row, with ``lengths`` either per row or shared by all rows.  A power beyond
+    float64, in any row, raises a ``ValueError`` naming ``p`` and theta.  The cost is
+    independent of the support size: a batch is evaluated in row blocks of about
+    :data:`~lorentzkit.weights._EM_BLOCK` entries, each with one sort, one cumulative sum
+    of lengths and one vectorized window-sum lookup of every block's weight mass.  Every
+    step is row-local, so a row's bits do not depend on the block it falls in, and no
+    temporary grows with the number of rows.
     """
     vals = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore"):
