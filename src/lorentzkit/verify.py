@@ -70,21 +70,22 @@ other statement one.  Each part is aggregated on its own and the results are
 folded in part order, exactly as one pass over all the chunks, so the report
 stays byte-identical however the parts run.  With several parts they run on
 forked worker processes, one per CPU of the process's affinity (there is no
-setting), each pinned to its own share of those CPUs, so no two share one:
-the calling process hands out part indices in part order to whichever
-worker is free, loads each part's aggregate or exception as one pickle from
-the worker's result pipe, and does no part work itself.  A worker holds one
-part's prefix sums and block buffers at a time, as the calling process does when
-the parts run serially, and it reuses its buffers from part to part; so the
-call holds as many parts' arrays at once as it has workers (two 1000 x 1000
-lemma-3-2 thetas take about 10 MiB each), and the lemma grids start no more
-workers than keep their prefix sums together within ``PREFIX_CACHE_LIMIT``
-entries.  The parts run in the calling thread, with no fork, when there is
-one part or one CPU (as wherever the platform has no CPU affinity), and
-while another Python thread is alive (forking a threaded process is
-unsafe).  The weights of remark-3-3 are built in the calling process; the
-lemma grids' prefix sums are built by the process that runs the theta's
-part.
+setting), each pinned to its own share of those CPUs, so no two share one.
+Worker n runs the fixed share n, n + workers, n + 2 * workers, ... of the
+parts in order and writes each one's aggregate or exception as one pickle to
+its own result pipe; the calling process does no part work, and loads the
+results in part order, raising the first exception it loads.  A worker
+holds one part's prefix sums and block buffers at a time, as the calling
+process does when the parts run serially, and it reuses its buffers from
+part to part; so the call holds as many parts' arrays at once as it has
+workers (two 1000 x 1000 lemma-3-2 thetas take about 10 MiB each), and the
+lemma grids start no more workers than keep their prefix sums together
+within ``PREFIX_CACHE_LIMIT`` entries.  The parts run in the calling thread,
+with no fork, when there is one part or one CPU (as wherever the platform
+has no CPU affinity), and while another Python thread is alive (forking a
+threaded process is unsafe).  The weights of remark-3-3 are built in the
+calling process; the lemma grids' prefix sums are built by the process that
+runs the theta's part.
 
 Reports are plain dataclasses, turned into JSON by :func:`dataclasses.asdict`
 with numpy values as the Python values they hold, in canonical form: keys
@@ -398,7 +399,9 @@ def _aggregate_parts(parts: List[Iterable[Chunk]], tolerance: float, part_entrie
     The parts run on :func:`_fan_out`'s forked workers, one per CPU the
     process may use, but no more than there are parts, nor than hold at most
     ``PREFIX_CACHE_LIMIT`` prefix-sum entries together at ``part_entries``
-    each.  Where that is one worker (also wherever the platform has no CPU
+    each.  Each worker runs a fixed share of the parts, so a part after a
+    failing one may have run, but the failure of the lowest index is the one
+    raised.  Where that is one worker (also wherever the platform has no CPU
     affinity, so cannot pin a process), or while another thread is alive
     (forking a threaded process is unsafe), they run in the calling thread
     instead, and the first failing part raises before a later one starts.
@@ -416,90 +419,66 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
     two workers of a call share a CPU, and a worker with several CPUs may
     still move off one that another process keeps busy.
 
-    The calling process does no part work: it hands out part indices in part
-    order to whichever worker is free and loads each part's aggregate or
-    exception with :func:`pickle.load` from one buffered reader per result
-    pipe.  A worker has at most one result in flight, so no bytes wait in a
-    reader's buffer once its result is loaded, and ``select`` on the pipes
-    sees every result.  After the first failing part no later part is
-    started; once the started parts are done, the failure of the lowest index
-    is raised, as in one pass.  A worker whose pipe ends before a whole
+    Worker n runs parts n, n + workers, n + 2 * workers, ... in order and
+    writes each one's aggregate or exception to its own result pipe.  The
+    calling process does no part work: it loads the results in part order
+    with :func:`pickle.load`, part i from worker ``i % workers``, and raises
+    the first exception it loads, which is the failure of the lowest index,
+    as in one pass.  A worker blocks only on its own pipe, and the caller
+    reads each pipe in the order it is written, so no read waits on a worker
+    that waits on the caller.  A worker whose pipe ends before a whole
     pickle (it exited without sending its part's result) fails that part
     with :class:`ChildProcessError`.  A failing ``os.pipe`` or ``os.fork``
-    raises once the ends made are closed.  Every worker is reaped before
-    this returns or raises; one still busy then (the caller was interrupted)
-    is killed first.
+    raises once the ends made are closed.  Every worker is killed and reaped
+    before this returns or raises, so none outlives a failure or an
+    interrupt.
     """
-    import select
     import signal
 
     cpus = sorted(os.sched_getaffinity(0))
-    outcomes = [None] * len(parts)
-    pipes = {}  # pid -> (task write end, result reader), until reaped
-    running = {}  # result reader -> (pid, part index)
+    pids, readers, outcomes = [], [], []  # readers[n] is worker pids[n]'s result pipe
     try:
         for n in range(workers):
-            ends = []  # this worker's pipe ends made so far
+            result_r, result_w = os.pipe()
             try:
-                ends += os.pipe()
-                ends += os.pipe()
-                task_r, task_w, result_r, result_w = ends
                 pid = os.fork()
                 if pid == 0:
-                    inherited = [task_w, result_r,
-                                 *(fd for w, r in pipes.values() for fd in (w, r.fileno()))]
-                    _worker(parts, tolerance, cpus[n % len(cpus)::workers], task_r, result_w, inherited)
-            except BaseException:  # no worker: every end made goes
-                for end in ends:
-                    os.close(end)
+                    inherited = [result_r, *(reader.fileno() for reader in readers)]
+                    _worker(parts[n::workers], tolerance, cpus[n % len(cpus)::workers], result_w, inherited)
+            except BaseException:  # no worker: its read end goes too
+                os.close(result_r)
                 raise
-            os.close(task_r)
-            os.close(result_w)
-            pipes[pid] = (task_w, open(result_r, "rb"))
-        idle, next_part, failed = list(pipes), 0, False
-        while True:
-            while idle and next_part < len(parts) and not failed:
-                pid = idle.pop()
-                try:
-                    os.write(pipes[pid][0], next_part.to_bytes(4, "little"))
-                except BrokenPipeError:  # the worker is gone: its result pipe says so
-                    pass
-                running[pipes[pid][1]] = (pid, next_part)
-                next_part += 1
-            if not running:
-                break
-            for reader in select.select(list(running), [], [])[0]:
-                pid, index = running.pop(reader)
-                try:
-                    outcomes[index] = pickle.load(reader)
-                    idle.append(pid)
-                except (EOFError, pickle.UnpicklingError):  # the worker died
-                    _, status = os.waitpid(pid, 0)
-                    os.close(pipes.pop(pid)[0])
-                    reader.close()
-                    outcomes[index] = ChildProcessError(
-                        f"the worker of part {index} exited with status "
-                        f"{os.waitstatus_to_exitcode(status)} before sending its result")
-                failed = failed or isinstance(outcomes[index], BaseException)
+            finally:
+                os.close(result_w)
+            pids.append(pid)
+            readers.append(open(result_r, "rb"))
+        for index in range(len(parts)):
+            try:
+                outcome = pickle.load(readers[index % workers])
+            except (EOFError, pickle.UnpicklingError):  # the worker died
+                # reaped here for its status, so the clean-up leaves it out
+                _, status = os.waitpid(pids.pop(index % workers), 0)
+                raise ChildProcessError(
+                    f"the worker of part {index} exited with status "
+                    f"{os.waitstatus_to_exitcode(status)} before sending its result") from None
+            if isinstance(outcome, BaseException):
+                raise outcome
+            outcomes.append(outcome)
     finally:
-        for pid, (task_w, reader) in pipes.items():
-            os.close(task_w)  # an idle worker reads the end of its tasks and exits
+        for reader in readers:
             reader.close()
-            if reader in running:
-                os.kill(pid, signal.SIGKILL)
-        for pid in pipes:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)  # one still busy after a failure or an interrupt
             os.waitpid(pid, 0)
-    for outcome in outcomes:
-        if isinstance(outcome, BaseException):
-            raise outcome
     return outcomes
 
 
-def _worker(parts, tolerance: float, cpus, tasks: int, results: int, inherited) -> None:
-    """The life of a forked worker: close the ``inherited`` descriptors of
-    the caller and of earlier workers, pin itself to ``cpus``, then aggregate
-    each part whose index arrives on ``tasks`` and send back its aggregate or
-    exception on ``results``, until ``tasks`` closes.
+def _worker(parts, tolerance: float, cpus, results: int, inherited) -> None:
+    """The life of a forked worker: close the ``inherited`` descriptors (the
+    read ends of its own and of earlier workers' result pipes), pin itself
+    to ``cpus``, then aggregate ``parts`` in order and write each one's
+    aggregate or exception to ``results``, stopping after the first
+    exception.
 
     It never returns: it leaves through ``os._exit``, so it runs no exit
     handler and flushes none of the caller's stdio buffers.  A result that
@@ -510,14 +489,16 @@ def _worker(parts, tolerance: float, cpus, tasks: int, results: int, inherited) 
         for fd in inherited:
             os.close(fd)
         os.sched_setaffinity(0, cpus)
-        while task := os.read(tasks, 4):
+        for part in parts:
             try:
-                outcome = _aggregate(parts[int.from_bytes(task, "little")], tolerance)
+                outcome = _aggregate(part, tolerance)
             except Exception as exc:
                 outcome = _portable(exc)
             view = memoryview(pickle.dumps(outcome))
             while view:
                 view = view[os.write(results, view):]
+            if isinstance(outcome, BaseException):
+                break
         code = 0
     finally:
         os._exit(code)

@@ -163,7 +163,7 @@ class WeightSequence:
     def window_sums(self, starts, lengths) -> np.ndarray:
         """``w_{j+1} + ... + w_{j+k}`` over broadcast arrays of starts and lengths.
 
-        Single terms (``k == 1``) are read off directly.
+        Single terms (``k == 1``) are read off directly, never summed.
         """
         j, k = np.broadcast_arrays(
             _index_array("starts", starts), _index_array("lengths", lengths)
@@ -174,12 +174,12 @@ class WeightSequence:
         out = np.asarray(self._head_windows[np.minimum(j, HEAD), np.minimum(end, HEAD)])
         start = np.maximum(j, HEAD).ravel()
         count = end.ravel() - start
-        tail = np.flatnonzero(count > 0)
+        single = k == 1
+        tail = np.flatnonzero((count > 0) & ~single.ravel())
         flat = out.reshape(-1)
         for lo in range(0, tail.size, _EM_BLOCK):  # blocks bound the temporaries
             part = tail[lo : lo + _EM_BLOCK]
             flat[part] += self._em(start[part] + 1.0, count[part].astype(np.float64))
-        single = k == 1
         out[single] = self._weights_at(end[single].astype(np.float64))
         return out
 

@@ -285,6 +285,24 @@ class TestEulerMaclaurin:
             scalar = [w.partial_sum(int(n)) for n in ns]
             assert w.partial_sums_at(ns).tobytes() == np.array(scalar).tobytes()
 
+    def test_unit_windows_are_read_off_not_summed(self, monkeypatch):
+        # a length-1 window is its one weight: Euler–Maclaurin never sees it,
+        # and the sums of other windows in the same call still go through it
+        w = WeightSequence(0.37)
+        em, lengths_seen = w._em, []
+
+        def spy(a, k):
+            lengths_seen.append(k.copy())
+            return em(a, k)
+
+        monkeypatch.setattr(w, "_em", spy)
+        n = 3 * 4096 + HEAD  # several Euler–Maclaurin blocks past the head
+        assert w.window_sums(np.arange(n), 1).tobytes() == w.weight_values(n).tobytes()
+        assert lengths_seen == []
+        mixed = w.window_sums([10**6, 10**6, 5], [1, 2, 1])
+        assert [k.tolist() for k in lengths_seen] == [[2.0]]
+        assert mixed[0] == w.weight(10**6 + 1) and mixed[2] == w.weight(6)
+
     def test_partial_sums_head_matches_dense_array(self):
         w = WeightSequence(0.5)
         dense = w.partial_sums(1000)
