@@ -229,7 +229,7 @@ def section_ratio(weights: WeightSequence, p: float, k: int, n: int) -> float:
 
     Uses ``W_N^(k) = W_{Nk} / W_k``, so it needs one prefix-sum lookup.
     """
-    p = float(p)
+    p = _check_p(p)
     k = _check_int("k", k, 1)
     n = _check_int("n", n, 1)
     s_k = weights.partial_sum(k)

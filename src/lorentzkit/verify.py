@@ -42,9 +42,10 @@ and the grid keys it takes, each with its default and the command-line
 ``verify`` flags and config keys from these records).  One chunk builder
 per statement turns sums or norm powers into column chunks (params, lhs,
 mid, rhs, slack); the evaluator feeds it the whole grid, the ``check_*``
-helper one point.  One aggregator turns the chunks of any statement into the
-instance count, the violations in grid order and the first minimum-slack
-instance.  The lemma-3-1 and lemma-3-2 grids take their window ratios from
+helper one point (the scheme statements' helpers run the evaluator on a
+grid of their arguments).  One aggregator turns the chunks of any statement
+into the instance count, the violations in grid order and the first
+minimum-slack instance.  The lemma-3-1 and lemma-3-2 grids take their window ratios from
 one builder over a dense prefix-sum array per theta (far cheaper on a large
 grid), the ``check_*`` helpers from the Euler–Maclaurin sums of
 :mod:`lorentzkit.weights`: lemma-3-1 gathers a block's ``W_{j+k}`` at once,
@@ -117,7 +118,7 @@ from .space import (
     lorentz_pnorm_pow,
     _runlength_pows,
 )
-from .weights import PREFIX_CACHE_LIMIT, WeightSequence, _check_int, _check_p
+from .weights import PREFIX_CACHE_LIMIT, WeightSequence, _check_int, _check_p, _check_theta
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -167,9 +168,6 @@ class InequalityInstance:
     rhs: Optional[float]
     slack: float
     approximate: bool = False
-
-    def to_dict(self) -> Dict:
-        return asdict(self)
 
 
 @dataclass
@@ -265,10 +263,19 @@ def theorem_constants(
 
     Returns ``(A, B)`` with ``A = (2 - 2^theta)/(2^(1-theta) - 1)`` and
     ``B = (1-theta)/2 * (M+1)^(-theta)``; ``M`` is clamped to at least 1,
-    and ``None`` (single-level schemes) is treated as 1.
+    and ``None`` (single-level schemes) is treated as 1.  ``theta`` must lie
+    in ``[0.01, 0.99]``, as for :class:`~lorentzkit.weights.WeightSequence`.
     """
+    theta = _check_theta(theta)
     lower, upper = _band_constants(theta)
     return upper, lower * (_stagger(stagger) + 1.0) ** (-theta)
+
+
+def _check_tolerance(tolerance) -> float:
+    tolerance = float(tolerance)
+    if not np.isfinite(tolerance) or tolerance < 0.0:
+        raise ValueError(f"tolerance must be a finite nonnegative real: {tolerance}")
+    return tolerance
 
 
 def _check_finite(statement: str, p: float, theta: float, *powers) -> None:
@@ -625,11 +632,10 @@ def check_lemma_3_1(theta: float, j: int, k: int) -> InequalityInstance:
     return _instance(_lemma_3_1_chunk(w.theta, rows, k, w._averaged(rows[:1], k), _Buffers()), 0)
 
 
-def _lemma_3_1_chunks(w: WeightSequence, j_max: int, k, buffers: _Buffers):
-    """One theta's chunks, a block of rows ``j`` at a time: ``W_{j+k}`` is
-    gathered at ``j + k``."""
-    k_last = int(k[0, -1])
-    sums = w.partial_sums(j_max + k_last)
+def _lemma_3_1_chunks(w: WeightSequence, j_max: int, k, n_max: int, buffers: _Buffers):
+    """One theta's chunks from its ``n_max = j_max + k_max`` prefix sums, a
+    block of rows ``j`` at a time: ``W_{j+k}`` is gathered at ``j + k``."""
+    sums = w.partial_sums(n_max)
     terms = w.weight_values(j_max + 1)
     w_k = sums[k]
     j_all = np.arange(j_max + 2, dtype=np.int64)[:, None]
@@ -651,7 +657,7 @@ def _lemma_3_1(grid: Dict):
     desc = {"theta_values": [w.theta for w in weights], "j_max": j_max, "k_values": k[0].tolist()}
     buffers = _Buffers()  # allocated by a process's first block, shared by its later thetas
     n_max = j_max + int(k[0, -1])
-    return desc, None, [_lemma_3_1_chunks(w, j_max, k, buffers) for w in weights], n_max
+    return desc, None, [_lemma_3_1_chunks(w, j_max, k, n_max, buffers) for w in weights], n_max
 
 
 def _lemma_3_2_chunk(theta: float, i, k, averaged, w_i, buffers: _Buffers) -> Chunk:
@@ -676,10 +682,11 @@ def check_lemma_3_2(theta: float, i: int, k: int) -> InequalityInstance:
     return _instance(_lemma_3_2_chunk(w.theta, i, k, averaged, w.weight(i), _Buffers()), 0)
 
 
-def _lemma_3_2_chunks(w: WeightSequence, i_max: int, k, buffers: _Buffers):
-    """One theta's chunks, a block of rows ``i`` at a time."""
+def _lemma_3_2_chunks(w: WeightSequence, i_max: int, k, n_max: int, buffers: _Buffers):
+    """One theta's chunks from its ``n_max = i_max * k_max`` prefix sums, a
+    block of rows ``i`` at a time."""
     k_max = k.shape[1]
-    sums = w.partial_sums(i_max * k_max)
+    sums = w.partial_sums(n_max)
     terms = w.weight_values(i_max)
     w_k = sums[1 : k_max + 1]
     i_all = np.arange(i_max + 1, dtype=np.int64)[:, None]
@@ -704,7 +711,8 @@ def _lemma_3_2(grid: Dict):
     weights = [WeightSequence(theta) for theta in grid["theta_values"]]
     desc = {"theta_values": [w.theta for w in weights], "i_max": i_max, "k_max": k_max}
     buffers = _Buffers()  # allocated by a process's first block, shared by its later thetas
-    return desc, None, [_lemma_3_2_chunks(w, i_max, k, buffers) for w in weights], i_max * k_max
+    n_max = i_max * k_max
+    return desc, None, [_lemma_3_2_chunks(w, i_max, k, n_max, buffers) for w in weights], n_max
 
 
 def _remark_3_3_chunk(params: Dict, pow_x, pow_y, pow_union) -> Chunk:
@@ -779,25 +787,31 @@ def _scheme_from_grid(grid: Dict) -> BlockScheme:
     return corollary_scheme(_check_int("corollary_levels", grid["corollary_levels"], 1))
 
 
-def _check_levels(scheme: BlockScheme, levels: Optional[int]) -> int:
-    levels = _check_int("levels", scheme.levels if levels is None else levels, 1)
+def _scheme_grid(grid: Dict, own_keys: Callable[[], object] = lambda: None):
+    """The set-up of a scheme statement's resolved grid: its scheme, weights,
+    checked level count, bounds ``(A, B)`` (:func:`theorem_constants` where
+    the grid's ``A`` or ``B`` is None or absent) and the grid description
+    they share, then what ``own_keys()`` returns.  The inputs are checked in
+    the order scheme, theta, ``own_keys()`` (the statement's own keys),
+    levels, bounds."""
+    scheme = _scheme_from_grid(grid)
+    weights = WeightSequence(float(grid["theta"]))
+    own = own_keys()
+    levels = _check_int("levels", scheme.levels if grid["levels"] is None else grid["levels"], 1)
     if levels > scheme.levels:
         raise ValueError(f"levels={levels} exceeds the scheme's {scheme.levels}")
-    return levels
+    stagger = _stagger(scheme.stagger_ratio())
+    default_a, default_b = theorem_constants(weights.theta, stagger)
+    a = float(default_a if grid.get("A") is None else grid["A"])
+    b = float(default_b if grid.get("B") is None else grid["B"])
+    if not (np.isfinite(a) and np.isfinite(b)) or a <= 0.0 or b <= 0.0:
+        raise ValueError("bounds must be finite and positive")
+    desc = {"theta": weights.theta, "levels": levels, "lengths": list(scheme.lengths),
+            "counts": list(scheme.counts), "stagger_ratio": stagger, "A": a, "B": b}
+    return scheme, weights, levels, (a, b), desc, own
 
 
 _CONDITIONS = np.array(["averaged-upper", "staggered-lower"])
-
-
-def _scheme_bounds(scheme, weights, bound_upper=None, bound_lower=None):
-    """``(M, A, B)``: clamped stagger ratio, bounds defaulting to :func:`theorem_constants`."""
-    stagger = _stagger(scheme.stagger_ratio())
-    default_a, default_b = theorem_constants(weights.theta, stagger)
-    a = float(default_a if bound_upper is None else bound_upper)
-    b = float(default_b if bound_lower is None else bound_lower)
-    if not (np.isfinite(a) and np.isfinite(b)) or a <= 0.0 or b <= 0.0:
-        raise ValueError("bounds must be finite and positive")
-    return stagger, a, b
 
 
 def _lemma_3_4_chunks(scheme, weights, a: float, b: float, levels: int):
@@ -836,26 +850,14 @@ def check_lemma_3_4_conditions(
     Omitted bounds default to the scheme's own band constants (see
     :func:`theorem_constants`).
     """
-    levels = _check_levels(scheme, levels)
-    _, a, b = _scheme_bounds(scheme, weights, bound_upper, bound_lower)
-    chunks = _lemma_3_4_chunks(scheme, weights, a, b, levels)
+    grid = {"lengths": scheme.lengths, "counts": scheme.counts, "theta": weights.theta,
+            "A": bound_upper, "B": bound_lower, "levels": levels}
+    _, _, (chunks,), _ = _lemma_3_4(grid)
     return [_instance(chunk, flat) for chunk in chunks for flat in range(chunk.slack.size)]
 
 
 def _lemma_3_4(grid: Dict):
-    scheme = _scheme_from_grid(grid)
-    weights = WeightSequence(float(grid["theta"]))
-    levels = _check_levels(scheme, grid["levels"])
-    stagger, a, b = _scheme_bounds(scheme, weights, grid["A"], grid["B"])
-    desc = {
-        "theta": weights.theta,
-        "levels": levels,
-        "lengths": list(scheme.lengths),
-        "counts": list(scheme.counts),
-        "stagger_ratio": stagger,
-        "A": a,
-        "B": b,
-    }
+    scheme, weights, levels, (a, b), desc, _ = _scheme_grid(grid)
     return desc, None, [_lemma_3_4_chunks(scheme, weights, a, b, levels)], 0
 
 
@@ -900,13 +902,9 @@ def _draw_trial_coefficients(rng, counts, first: int, stop: int) -> np.ndarray:
     return coeffs
 
 
-def _theorem_3_5(scheme, weights, p, trials, seed, levels):
-    p = _check_p(p)
-    trials = _check_int("trials", trials, 1)
-    seed = _check_int("seed", seed, 0)
-    levels = _check_levels(scheme, levels)
-    stagger, a, b = _scheme_bounds(scheme, weights)
-    lengths = scheme.lengths[:levels]
+def _theorem_3_5(grid: Dict):
+    scheme, weights, levels, (a, b), shared, (p, trials, seed) = _scheme_grid(grid, lambda: (
+        _check_p(grid["p"]), _check_int("trials", grid["trials"], 1), _check_int("seed", grid["seed"], 0)))
     counts = scheme.counts[:levels]
 
     def trial_chunks():
@@ -941,18 +939,10 @@ def _theorem_3_5(scheme, weights, p, trials, seed, levels):
         yield from _lemma_3_4_chunks(scheme, weights, a, b, levels)
         yield from trial_chunks()
 
-    desc = {
-        "theta": weights.theta,
-        "p": p,
-        "levels": levels,
-        "lengths": list(lengths),
-        "counts": list(counts),
-        "stagger_ratio": stagger,
-        "A": a,
-        "B": b,
-        "trials": trials,
-        "distributions": list(_TRIAL_DISTRIBUTIONS),
-    }
+    # lengths and counts keep their places among the shared keys, so the keys
+    # run theta, p, levels, lengths, counts, stagger_ratio, A, B, trials, distributions
+    desc = {"theta": weights.theta, "p": p, **shared, "lengths": list(scheme.lengths[:levels]),
+            "counts": list(counts), "trials": trials, "distributions": list(_TRIAL_DISTRIBUTIONS)}
     return desc, seed, [chunks()], 0
 
 
@@ -975,12 +965,18 @@ def check_theorem_3_5(
     the rows go through :func:`~lorentzkit.blocks.expand_runlength` and the
     run-length norm path, so factorial schemes stay cheap and memory does not
     grow with ``trials``.
+
+    The arguments make a theorem-3-5 grid that the statement's grid
+    evaluator checks, so the report equals :func:`run_grid`'s on that grid;
+    the tolerance is checked first, as :func:`run_grid` checks it (a finite
+    nonnegative real, reported as a float), and unlike there, None for
+    ``p``, ``trials`` or ``seed`` is refused, not a default.
     """
     start = time.perf_counter()
-    return _report(
-        "theorem-3-5", tolerance, start,
-        *_theorem_3_5(scheme, weights, p, trials, seed, levels),
-    )
+    tolerance = _check_tolerance(tolerance)
+    grid = {"lengths": scheme.lengths, "counts": scheme.counts, "theta": weights.theta,
+            "p": p, "trials": trials, "seed": seed, "levels": levels}
+    return _report("theorem-3-5", tolerance, start, *_theorem_3_5(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -1026,13 +1022,6 @@ def _scheme_params(*rest: Param) -> Tuple[Param, ...]:
     )
 
 
-def _theorem_3_5_grid(grid: Dict):
-    return _theorem_3_5(
-        _scheme_from_grid(grid), WeightSequence(float(grid["theta"])),
-        float(grid["p"]), grid["trials"], grid["seed"], grid["levels"],
-    )
-
-
 STATEMENTS = {
     "lemma-3-1": Statement(_lemma_3_1, (
         _theta_values(_DEFAULT_THETAS),
@@ -1059,7 +1048,7 @@ STATEMENTS = {
                                 help="override the lower band constant")),
         Param("levels", None, _LEVELS),
     )),
-    "theorem-3-5": Statement(_theorem_3_5_grid, _scheme_params(
+    "theorem-3-5": Statement(_theorem_3_5, _scheme_params(
         Param("p", 1.0, P),
         Param("trials", 1000, TRIALS),
         Param("seed", 42, SEED),
@@ -1085,9 +1074,7 @@ def run_grid(
         raise ValueError(
             f"unknown statement {statement!r}; expected one of {', '.join(STATEMENT_IDS)}"
         )
-    tolerance = float(tolerance)
-    if not np.isfinite(tolerance) or tolerance < 0.0:
-        raise ValueError(f"tolerance must be a finite nonnegative real: {tolerance}")
+    tolerance = _check_tolerance(tolerance)
     spec = STATEMENTS[statement]
     resolved = {param.key: param.default for param in spec.params}
     for key, value in (grid or {}).items():

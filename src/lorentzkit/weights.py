@@ -58,6 +58,13 @@ def _check_int(name: str, value, minimum: int) -> int:
     return value
 
 
+def _check_theta(theta) -> float:
+    theta = float(theta)
+    if not (THETA_MIN <= theta <= THETA_MAX):
+        raise ValueError(f"theta must lie in [{THETA_MIN}, {THETA_MAX}], got {theta}")
+    return theta
+
+
 def _check_p(p) -> float:
     p = float(p)
     if not np.isfinite(p) or p < 1.0:
@@ -95,12 +102,7 @@ class WeightSequence:
     """
 
     def __init__(self, theta: float):
-        theta = float(theta)
-        if not (THETA_MIN <= theta <= THETA_MAX):
-            raise ValueError(
-                f"theta must lie in [{THETA_MIN}, {THETA_MAX}], got {theta}"
-            )
-        self.theta = theta
+        self.theta = theta = _check_theta(theta)
         # row s, column e: w_{s+1} + ... + w_e summed left to right from
         # w_{s+1} (the zeros before it add exactly), 0 for e <= s
         terms = np.triu(np.broadcast_to(self.weight_values(HEAD), (HEAD + 1, HEAD)))

@@ -152,6 +152,10 @@ class TestVerifyCommand:
         assert run("verify", "theorem-3-5", "--corollary-K", "18", "--trials", "3") == 2
         assert "2**53 = 9007199254740992" in capsys.readouterr().err
 
+    def test_theorem_3_5_reports_theta_before_p(self, capsys):
+        assert run("verify", "theorem-3-5", "--theta", "2", "--p", "0.5") == 2
+        assert capsys.readouterr().err == "error: theta must lie in [0.01, 0.99], got 2.0\n"
+
     @pytest.mark.parametrize("k", ["1", "2"])
     def test_theorem_3_5_short_corollary(self, k, capsys):
         assert run("verify", "theorem-3-5", "--corollary-K", k, "--trials", "6") == 0

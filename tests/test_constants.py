@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -212,6 +214,12 @@ class TestSectionRatio:
         got = section_ratio(half, 2.0, 2, 3)
         want = (3 * oracle.partial_sum(2, 0.5) / oracle.partial_sum(6, 0.5)) ** 0.5
         assert got == pytest.approx(want, rel=1e-14)
+
+    @pytest.mark.parametrize("p", [0.0, -1.0, 0.5, math.nan, math.inf])
+    def test_refuses_p_below_one_or_not_finite(self, half, p):
+        # p = 0 divided by zero; the others returned 0.445, 5.05, nan and 1.0
+        with pytest.raises(ValueError, match=r"^p must be a finite real >= 1, got "):
+            section_ratio(half, p, 2, 3)
 
 
 class TestSelectBlockCounts:

@@ -667,6 +667,12 @@ class TestLemma34AndTheorem35:
         # sub-unit stagger clamps to one; None means a single level
         assert theorem_constants(0.5, 0.3) == theorem_constants(0.5, None)
 
+    @pytest.mark.parametrize("theta", [1.0, 1.5, math.nan])
+    def test_theorem_constants_refuse_theta_outside_the_range(self, theta):
+        # 1.0 divided by zero, 1.5 gave B < 0 and NaN gave (nan, nan)
+        with pytest.raises(ValueError, match=r"^theta must lie in \[0\.01, 0\.99\], got "):
+            theorem_constants(theta, 1.0)
+
     def test_report_passes_on_corollary_scheme(self):
         w = WeightSequence(0.5)
         rep = check_theorem_3_5(corollary_scheme(6), w, 1.0, trials=200, seed=9)
@@ -681,6 +687,40 @@ class TestLemma34AndTheorem35:
         a, b = theorem_constants(0.5, scheme.stagger_ratio())
         # expanding one normalized block: ||x||^p = 1, ||y||^p = 1
         assert b <= 1.0 <= a
+
+    @pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+    def test_theorem_refuses_the_tolerances_run_grid_refuses(self, tolerance):
+        # a NaN tolerance listed every instance as a violation, -1.0 false ones
+        with pytest.raises(ValueError) as grid_error:
+            run_grid("theorem-3-5", {"corollary_levels": 4, "trials": 30}, tolerance)
+        with pytest.raises(ValueError) as point_error:
+            check_theorem_3_5(corollary_scheme(4), WeightSequence(0.5), 2.0, trials=30,
+                              tolerance=tolerance)
+        assert str(point_error.value) == str(grid_error.value)
+        assert str(point_error.value).startswith("tolerance must be a finite nonnegative real: ")
+
+    def test_theorem_report_is_run_grids(self):
+        scheme = BlockScheme((1, 3, 5), (2, 1, 4))
+        point = check_theorem_3_5(scheme, WeightSequence(0.5), 2.5, trials=50, seed=1, levels=2)
+        grid = run_grid("theorem-3-5", {"lengths": [1, 3, 5], "counts": [2, 1, 4], "theta": 0.5,
+                                        "p": 2.5, "trials": 50, "seed": 1, "levels": 2})
+        assert point.to_json() == grid.to_json()
+
+    @pytest.mark.parametrize("key", ["p", "trials", "seed"])
+    def test_theorem_refuses_none_where_run_grid_takes_the_default(self, key):
+        args = {"p": 2.0, "trials": 5, "seed": 1, key: None}
+        with pytest.raises(TypeError):
+            check_theorem_3_5(corollary_scheme(3), WeightSequence(0.5), **args)
+
+    @pytest.mark.parametrize("grid, error", [
+        ({"theta": 2.0, "p": 0.5}, "theta must lie in"),
+        ({"p": 0.5, "trials": 0, "levels": 99}, "p must be"),
+        ({"trials": 0, "seed": -1, "levels": 99}, "trials must be"),
+        ({"seed": -1, "levels": 99}, "seed must be"),
+    ])
+    def test_theorem_checks_theta_p_trials_seed_levels_in_order(self, grid, error):
+        with pytest.raises(ValueError, match=f"^{error}"):
+            run_grid("theorem-3-5", {"corollary_levels": 3, **grid})
 
     def test_trial_reproducibility(self):
         w = WeightSequence(0.25)
@@ -1282,12 +1322,13 @@ class TestTheorem35Batched:
 
         # a tolerance of -1e300 lists every instance as a violation, so the
         # report pins each trial's number and values
-        args = (corollary_scheme(3), WeightSequence(0.25), 4.0, 60, 4, None, -1e300)
-        whole = check_theorem_3_5(*args)
+        grid = {"corollary_levels": 3, "theta": 0.25, "p": 4.0, "trials": 60, "seed": 4,
+                "levels": None}
+        whole = verify._report("theorem-3-5", -1e300, 0.0, *verify._theorem_3_5(grid))
         assert len(whole.violations) == whole.instances
         assert whole.min_slack_instance.params == {"trial": 54, "distribution": "uniform"}
         monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", 1)  # one trial per chunk
-        chunked = check_theorem_3_5(*args)
+        chunked = verify._report("theorem-3-5", -1e300, 0.0, *verify._theorem_3_5(grid))
         for rep in (whole, chunked):
             slacks = [inst.slack for inst in rep.violations]
             assert rep.min_slack == min(slacks)
