@@ -35,7 +35,6 @@ from .constants import (
     BlockCountSelection,
     EquivEstimate,
     GrowthCutoffError,
-    NonFiniteNormError,
     NormDescriptor,
     averaged_norm_descriptor,
     domination_constant,
@@ -85,7 +84,6 @@ __all__ = [
     "BlockCountSelection",
     "EquivEstimate",
     "GrowthCutoffError",
-    "NonFiniteNormError",
     "NormDescriptor",
     "averaged_norm_descriptor",
     "domination_constant",

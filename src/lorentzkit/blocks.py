@@ -33,7 +33,7 @@ from .weights import WeightSequence, _check_int, _check_p
 _INT64_MAX = (1 << 63) - 1
 
 
-class SchemeOverflowError(OverflowError):
+class SchemeOverflowError(OverflowError, ValueError):
     """Scheme offsets would exceed the signed 64-bit index range."""
 
 

@@ -12,8 +12,8 @@ option of another mode is refused (``X does not apply to <mode>``), and so
 is a missing required key (``<mode> requires <flag>``).
 ``LORENTZKIT_OUT_DIR`` supplies a directory for bare output filenames (the
 only environment knob).  Exit codes: 0 on success/pass, 1 when a
-verification found violations, 2 on usage or configuration errors and when
-memory runs out.
+verification found violations, 2 on usage or configuration errors, on every
+library refusal (every refusal is a ``ValueError``) and when memory runs out.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .constants import (
-    GrowthCutoffError,
     averaged_norm_descriptor,
     domination_constant,
     equiv_to_lp_exact,
@@ -34,7 +33,6 @@ from .constants import (
     lp_norm_descriptor,
     select_block_counts,
 )
-from .blocks import SchemeOverflowError
 from .options import (
     REQUIRED,
     Option,
@@ -337,7 +335,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except (ValueError, TypeError, GrowthCutoffError, SchemeOverflowError, OSError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)

@@ -38,12 +38,8 @@ from .space import _weighted_norm, decreasing_rearrangement
 from .weights import INDEX_LIMIT, WeightSequence, _check_int, _check_p
 
 
-class GrowthCutoffError(RuntimeError):
+class GrowthCutoffError(RuntimeError, ValueError):
     """No section up to the index limit escapes in block-count selection."""
-
-
-class NonFiniteNormError(FloatingPointError):
-    """A domination constant or its witness norms came out non-finite."""
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +183,8 @@ def domination_constant(
     m, ratio = _kernels.ratio_scan(norm_a.prefix_sums(n), norm_b.prefix_sums(n))
     witness = np.zeros(n)
     witness[: m + 1] = 1.0
-    denom = norm_b.evaluate(witness)
-    numer = norm_a.evaluate(witness)
-    if not (np.isfinite(ratio) and np.isfinite(numer) and 0.0 < denom < np.inf):
-        raise NonFiniteNormError(
-            f"non-finite ratio while comparing {norm_a.label} against "
-            f"{norm_b.label} in dimension {n}"
-        )
     return EquivEstimate(
-        lower=float(numer / denom),
+        lower=float(norm_a.evaluate(witness) / norm_b.evaluate(witness)),
         estimate=float(ratio ** (1.0 / norm_a.p)),
         witness=witness,
         iterations=n,
@@ -249,9 +238,9 @@ def select_block_counts(
     they come out strictly increasing already).  Level ``k`` searches up to
     ``INDEX_LIMIT // k``, the largest ``N`` whose ``W_{Nk}`` is still
     evaluated.  Raises :class:`GrowthCutoffError` when no section up to that
-    cutoff escapes, which signals a weight sequence that is too close to
-    summable for this construction (``theta = 0.01`` at ``p = 1`` fails on
-    level 2).
+    cutoff escapes (always so when ``k**p`` is beyond float64), which signals
+    a weight sequence that is too close to summable for this construction
+    (``theta = 0.01`` at ``p = 1`` fails on level 2).
     """
     p = _check_p(p)
     levels = _check_int("levels", levels, 1)
@@ -259,8 +248,12 @@ def select_block_counts(
     ratios: List[float] = []
     for k in range(1, levels + 1):
         s_k = weights.partial_sum(k)
-        target = float(k) ** p
         cutoff = INDEX_LIMIT // k
+        try:
+            target = float(k) ** p
+        except OverflowError:
+            raise GrowthCutoffError(f"level {k}: k**p = {k}**{p} overflows float64, so no section "
+                                    f"below the growth cutoff {cutoff} escapes") from None
 
         def ratio_pow(n: int) -> float:
             return n * s_k / weights.partial_sum(n * k)
@@ -283,7 +276,7 @@ def select_block_counts(
         if counts and n < counts[-1]:
             n = counts[-1]
         counts.append(n)
-        ratios.append(ratio_pow(n) ** (1.0 / p))
+        ratios.append(section_ratio(weights, p, k, n))
     return BlockCountSelection(
         counts=tuple(counts), ratios=tuple(ratios), p=p, proxy=(p != 1.0)
     )

@@ -167,16 +167,20 @@ def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float, name:
 
     Evaluated on ``a / 2^e`` with ``2^(e-1) <= a_1 < 2^e`` and rescaled by
     ``2^e`` afterwards (Blue 1978, as in LAPACK's ``dnrm2``), so ``a_n^p``
-    can neither overflow nor underflow to zero unless the norm itself is out
-    of range.  Scaling by a power of two is exact: wherever the unscaled sum
-    stays in range the result is the same for ``p`` = 1 and 2, and within a
-    few ulps otherwise.  A norm beyond float64 raises a ``ValueError`` that
-    names it (``name``).
+    cannot overflow.  Scaling by a power of two is exact: wherever the
+    unscaled sum stays in range the result is the same for ``p`` = 1 and 2,
+    and within a few ulps otherwise.  As ``w_1 = 1`` the scaled sum is at
+    least ``2^-p``, a normal float64 for ``p <= 1022``; a norm beyond float64,
+    or a scaled sum that is subnormal (bits lost) or 0.0, raises a
+    ``ValueError`` that names the norm (``name``) and ``p``.
     """
     if values_desc.shape[0] == 0:
         return 0.0
     _, e = np.frexp(values_desc[0])
     power = _kernels.weighted_pow_sum(np.ldexp(values_desc, -e), weights, p)
+    if power < np.finfo(np.float64).tiny:
+        raise ValueError(f"{name} cannot be evaluated in float64 at p={p}: "
+                         "its scaled power sum underflows")
     with np.errstate(over="ignore"):
         norm = np.ldexp(power ** (1.0 / p), e)
     if not np.isfinite(norm):

@@ -263,8 +263,9 @@ def theorem_constants(
 
     Returns ``(A, B)`` with ``A = (2 - 2^theta)/(2^(1-theta) - 1)`` and
     ``B = (1-theta)/2 * (M+1)^(-theta)``; ``M`` is clamped to at least 1,
-    and ``None`` (single-level schemes) is treated as 1.  ``theta`` must lie
-    in ``[0.01, 0.99]``, as for :class:`~lorentzkit.weights.WeightSequence`.
+    ``None`` (single-level schemes) is treated as 1, and a NaN or infinite
+    ``M`` raises ``ValueError``.  ``theta`` must lie in ``[0.01, 0.99]``, as
+    for :class:`~lorentzkit.weights.WeightSequence`.
     """
     theta = _check_theta(theta)
     lower, upper = _band_constants(theta)
@@ -285,8 +286,12 @@ def _check_finite(statement: str, p: float, theta: float, *powers) -> None:
 
 
 def _stagger(ratio: Optional[float]) -> float:
-    """The stagger ratio ``M`` clamped to at least 1 (1 for a single level)."""
-    return 1.0 if ratio is None else max(1.0, float(ratio))
+    """The stagger ratio ``M`` clamped to at least 1 (1 for a single level);
+    NaN and the infinities are refused."""
+    ratio = 1.0 if ratio is None else float(ratio)
+    if not np.isfinite(ratio):
+        raise ValueError(f"stagger ratio must be finite: {ratio}")
+    return max(1.0, ratio)
 
 
 def _log_sampled_ints(k_max: int, minimum: int) -> np.ndarray:

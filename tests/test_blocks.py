@@ -34,6 +34,10 @@ class TestBlockScheme:
         assert s.offsets == (0, 1, 5, 17)
         assert s.total_support == 17
 
+    def test_needs_a_level(self):
+        with pytest.raises(ValueError, match="^a scheme needs at least one level$"):
+            BlockScheme([])
+
     def test_lengths_must_be_positive(self):
         with pytest.raises(ValueError):
             BlockScheme((1, 0, 2))

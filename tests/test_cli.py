@@ -1,7 +1,9 @@
 import json
+import tracemalloc
 
 import pytest
 
+import lorentzkit
 from lorentzkit import cli
 from lorentzkit.cli import OUT_DIR_ENV_VAR, main
 from lorentzkit.options import REQUIRED
@@ -525,6 +527,114 @@ class TestEmptyOutputPath:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith("error: argument --config: empty path\n")
+
+
+#: (argv, flag, config key, value, message): literals refused while parsing
+PARSE_ERRORS = [
+    (("verify", "lemma-3-2"), "--theta-grid", "theta_grid", "a:b:c",
+     "bad grid literal 'a:b:c': could not convert string to float: 'a'"),
+    (("verify", "lemma-3-2"), "--theta-grid", "theta_grid", "0.9:0.1:0.1",
+     "grid literal '0.9:0.1:0.1' must ascend with positive step"),
+    (("verify", "lemma-3-2"), "--theta-grid", "theta_grid", "0.1:0.95:0.1",
+     "grid literal '0.1:0.95:0.1': step does not divide the range"),
+    (("verify", "remark-3-3"), "--p-grid", "p_grid", ",", "empty float list ','"),
+    (("construct",), "--lengths", "lengths", ",", "empty integer list ','"),
+    (("norm", "--theta", "0.5"), "--sparse", "sparse", "1:x",
+     "bad sparse entry '1:x': could not convert string to float: 'x'"),
+    (("norm", "--theta", "0.5"), "--sparse", "sparse", ",", "empty sparse vector literal ','"),
+    (("norm", "--theta", "0.5"), "--sparse", "sparse", "1:1,1:2",
+     "duplicate indices are not allowed"),
+]
+
+#: (argv, ((flag, config key, value), ...), message): values the library refuses
+LIBRARY_ERRORS = [
+    (("verify", "theorem-3-5", "--corollary-K", "3"), (("--levels", "levels", "4"),),
+     "levels=4 exceeds the scheme's 3"),
+    (("verify", "lemma-3-4"), (("--bound-upper", "bound_upper", "-1"),),
+     "bounds must be finite and positive"),
+    (("verify", "lemma-3-2"), (("--i-max", "i_max", "6000"), ("--k-max", "k_max", "6000")),
+     "partial-sum arrays are limited to 33554432 entries"),
+    (("verify", "lemma-3-1"), (("--j-max", "j_max", "5000000000000000000"),),
+     "j_max is too large to index safely: 5000000000000000000"),
+]
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("argv,flag,key,value,message", PARSE_ERRORS)
+    def test_bad_literal(self, tmp_path, capsys, argv, flag, key, value, message):
+        assert run(*argv, flag, value) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: {message}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert run(*argv, "--config", str(cfg)) == 2
+        assert capsys.readouterr() == ("", f"error: {flag} (config key {key}): {message}\n")
+
+    @pytest.mark.parametrize("argv,options,message", LIBRARY_ERRORS)
+    def test_refused_value(self, tmp_path, capsys, argv, options, message):
+        flags = [arg for flag, _, value in options for arg in (flag, value)]
+        tracemalloc.start()
+        try:
+            assert run(*argv, *flags) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20  # refused before a large array is allocated
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for _, key, value in options))
+        assert run(*argv, "--config", str(cfg)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("value,shown", [("no", False), ("yes", True)])
+    def test_timing_in_config(self, tmp_path, capsys, value, shown):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"timing = {value}\n")
+        out = tmp_path / "t.json"
+        args = ("verify", "lemma-3-2", "--i-max", "2", "--k-max", "2", "--out", str(out))
+        assert run(*args, "--config", str(cfg)) == 0
+        assert ("runtime_ms" in capsys.readouterr().out) is shown
+        assert (json.loads(out.read_text())["runtime_ms"] is not None) is shown
+
+
+class TestLibraryRefusals:
+    """Every input the library cannot evaluate raises a ``ValueError``, which
+    the CLI reports on one line with exit 2."""
+
+    def test_exported_exceptions_are_value_errors(self):
+        exported = [getattr(lorentzkit, name) for name in lorentzkit.__all__]
+        errors = {obj for obj in exported if isinstance(obj, type)
+                  and issubclass(obj, BaseException)}
+        assert errors == {lorentzkit.GrowthCutoffError, lorentzkit.SchemeOverflowError}
+        assert all(issubclass(error, ValueError) for error in errors)
+        assert issubclass(lorentzkit.GrowthCutoffError, RuntimeError)
+        assert issubclass(lorentzkit.SchemeOverflowError, OverflowError)
+
+    @pytest.mark.parametrize("argv,message", [
+        (("norm", "--theta", "0.5", "--p", "1075", "--dense", "1,1"),
+         "Lorentz norm cannot be evaluated in float64 at p=1075.0: "
+         "its scaled power sum underflows"),
+        (("norm", "--theta", "0.5", "--p", "1074", "--dense", "1,1"),
+         "Lorentz norm cannot be evaluated in float64 at p=1074.0: "
+         "its scaled power sum underflows"),
+        (("equiv", "--pair", "d-vs-d", "--theta", "0.5", "--p", "2000", "--N", "5"),
+         "lorentz(theta=0.5, p=2000.0) norm cannot be evaluated in float64 at p=2000.0: "
+         "its scaled power sum underflows"),
+        (("equiv", "--pair", "dk-vs-d", "--theta", "0.5", "--k", "2", "--p", "1500", "--N", "4"),
+         "averaged(theta=0.5, p=1500.0, k=2) norm cannot be evaluated in float64 at "
+         "p=1500.0: its scaled power sum underflows"),
+        (("construct", "--select-counts-K", "2", "--theta", "0.5", "--p", "1e6"),
+         "level 2: k**p = 2**1000000.0 overflows float64, so no section below the "
+         "growth cutoff 4503599627370496 escapes"),
+    ])
+    def test_exit_2_with_one_line(self, tmp_path, capsys, argv, message):
+        # at p = 1074 the norm printed lost bits, and from 1075 on it printed 0.0;
+        # the equiv and construct calls raised out of main
+        out = tmp_path / "r.json"
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
 
 class TestOutOfMemory:

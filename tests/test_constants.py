@@ -6,7 +6,6 @@ import pytest
 
 from lorentzkit.constants import (
     GrowthCutoffError,
-    NonFiniteNormError,
     averaged_norm_descriptor,
     domination_constant,
     equiv_to_lp_exact,
@@ -232,7 +231,7 @@ class TestSelectBlockCounts:
         assert all(b > a for a, b in zip(sel.counts, sel.counts[1:]))
         for k, (n, ratio) in enumerate(zip(sel.counts, sel.ratios), start=1):
             assert ratio > k
-            assert section_ratio(half, 1.0, k, n) == pytest.approx(ratio, rel=1e-15)
+            assert section_ratio(half, 1.0, k, n) == ratio
             # minimality: one step earlier the criterion fails (or the
             # nondecreasing clamp was binding)
             if k == 1 or n > sel.counts[k - 2] + 1:
@@ -250,6 +249,12 @@ class TestSelectBlockCounts:
         # level 2 escapes only near N = 2**100, past the cutoff 2**53 // 2
         with pytest.raises(GrowthCutoffError, match="level 2: .* cutoff 4503599627370496"):
             select_block_counts(WeightSequence(0.01), 1.0, 2)
+
+    def test_target_beyond_float64_is_a_growth_cutoff(self, half):
+        # 2**1e6 raised OverflowError out of the selection
+        message = r"^level 2: k\*\*p = 2\*\*1000000\.0 overflows float64, so no section below"
+        with pytest.raises(GrowthCutoffError, match=message):
+            select_block_counts(half, 1e6, 2)
 
     def test_default_cutoff_reaches_level_six(self):
         # the default cutoff is the index limit, so K = 6 at theta = 1/4,

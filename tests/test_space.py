@@ -54,6 +54,10 @@ class TestFiniteVector:
         with pytest.raises(ValueError):
             FiniteVector.from_pairs([(1, math.nan)])
 
+    def test_indices_and_values_pair_up(self):
+        with pytest.raises(ValueError, match="^indices and values must have equal length$"):
+            FiniteVector([1, 2], [1.0])
+
     def test_arrays_readonly(self):
         v = FiniteVector.from_dense([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -134,6 +138,24 @@ class TestNorms:
     def test_p_below_one_rejected(self, half):
         with pytest.raises(ValueError):
             SpaceParams(p=0.5, weights=half)
+
+    def test_weights_must_be_a_sequence(self):
+        with pytest.raises(TypeError, match="^weights must be a WeightSequence$"):
+            SpaceParams(1.0, object())
+
+    def test_largest_exponent_keeps_its_bits(self, half):
+        # at p = 1022 the scaled sum 2^-p (1 + 2^-1/2) is still a normal float64
+        assert lorentz_norm([1.0, 1.0], SpaceParams(1022.0, half)) == 1.0005234246069195
+
+    @pytest.mark.parametrize("p", [1024.0, 1074.0, 1075.0, 5000.0])
+    def test_subnormal_power_sum_is_refused(self, half, p):
+        # unrefused, p = 1074 gave 1.0006455967442032 (the true value is
+        # 1.0004980755783008) and p >= 1075 gave 0.0
+        for norm, name in [(lambda x: lorentz_norm(x, SpaceParams(p, half)), "Lorentz"),
+                           (lambda x: lp_norm(x, p), "lp")]:
+            with pytest.raises(ValueError, match=f"^{name} norm cannot be evaluated in "
+                               f"float64 at p={p}: its scaled power sum underflows$"):
+                norm([1.0, 1.0])
 
     def test_overflowing_norm_power_names_p_and_theta(self, half):
         # a ValueError, not inf with only a RuntimeWarning: dense, and run-length
@@ -251,6 +273,10 @@ class TestNormProperties:
 
 
 class TestRunLengthNorm:
+    def test_values_and_lengths_pair_up(self, half):
+        with pytest.raises(ValueError, match="^values and lengths must have equal length$"):
+            lorentz_pnorm_pow_runlength([[1.0, 2.0]], [1, 1, 1], SpaceParams(1.0, half))
+
     def test_matches_materialized(self, half):
         params = SpaceParams(p=2.0, weights=half)
         values = np.array([0.5, 2.0, 1.0])

@@ -673,6 +673,12 @@ class TestLemma34AndTheorem35:
         with pytest.raises(ValueError, match=r"^theta must lie in \[0\.01, 0\.99\], got "):
             theorem_constants(theta, 1.0)
 
+    @pytest.mark.parametrize("stagger", [math.nan, math.inf, -math.inf])
+    def test_theorem_constants_refuse_non_finite_stagger(self, stagger):
+        # NaN gave the M = 1 constants and inf gave B = 0.0
+        with pytest.raises(ValueError, match=r"^stagger ratio must be finite: "):
+            theorem_constants(0.5, stagger)
+
     def test_report_passes_on_corollary_scheme(self):
         w = WeightSequence(0.5)
         rep = check_theorem_3_5(corollary_scheme(6), w, 1.0, trials=200, seed=9)
