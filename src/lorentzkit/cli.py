@@ -216,7 +216,6 @@ def _equiv(pair: str, make_a, exact, values: Dict, given: Dict) -> Outcome:
     print(f"dimension     {dimension}")
     print(f"estimate      {estimate.estimate!r}")
     print(f"lower bound   {estimate.lower!r}")
-    print(f"iterations    {estimate.iterations}")
     head = ", ".join(f"{v:.6g}" for v in estimate.witness[:8])
     more = ", ..." if estimate.witness.shape[0] > 8 else ""
     print(f"witness       [{head}{more}]")
@@ -233,7 +232,6 @@ def _equiv(pair: str, make_a, exact, values: Dict, given: Dict) -> Outcome:
         },
         "estimate": estimate.estimate,
         "lower": estimate.lower,
-        "iterations": estimate.iterations,
         "witness": [float(v) for v in estimate.witness],
     }
     if exact is not None:
@@ -261,8 +259,17 @@ _EQUIV_MODES = tuple(
          None, (Param("k", REQUIRED, Option(("--k",), int, help="averaging window for dk-vs-d")),)),
     )
 )
-_PAIR = Param("pair", REQUIRED, Option(("--pair",), str,
-                                       choices=tuple(m.name for m in _EQUIV_MODES)))
+_PAIRS = tuple(mode.name for mode in _EQUIV_MODES)
+
+
+def _parse_pair(text: str) -> str:
+    """A name in :data:`_PAIRS`; any other is refused in argparse's wording."""
+    if text not in _PAIRS:
+        raise UsageError(f"invalid choice: {text!r} (choose from {', '.join(map(repr, _PAIRS))})")
+    return text
+
+
+_PAIR = Param("pair", REQUIRED, Option(("--pair",), _parse_pair, metavar="{%s}" % ",".join(_PAIRS)))
 
 
 # ---------------------------------------------------------------------------

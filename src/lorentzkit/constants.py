@@ -152,7 +152,6 @@ class EquivEstimate:
     lower: float
     estimate: float
     witness: np.ndarray
-    iterations: int
 
     def __post_init__(self):
         w = np.asarray(self.witness, dtype=np.float64)
@@ -170,8 +169,7 @@ def domination_constant(
     vector and equals ``max_m U_m / V_m`` (see the module docstring).  The
     witness is the first maximising step vector, the one with the fewest
     ones; ``lower`` is the ratio re-evaluated on it through
-    :meth:`NormDescriptor.evaluate`, and ``iterations`` counts the ``N``
-    step vectors scanned.  Norms with different exponents raise
+    :meth:`NormDescriptor.evaluate`.  Norms with different exponents raise
     ``ValueError``: their maximum need not sit at a vertex.
     """
     n = _check_int("n", n, 1)
@@ -187,7 +185,6 @@ def domination_constant(
         lower=float(norm_a.evaluate(witness) / norm_b.evaluate(witness)),
         estimate=float(ratio ** (1.0 / norm_a.p)),
         witness=witness,
-        iterations=n,
     )
 
 

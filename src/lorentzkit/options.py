@@ -138,7 +138,6 @@ class Option:
     parse: Callable[[str], Any]
     help: Optional[str] = None
     metavar: Optional[str] = None
-    choices: Optional[Tuple[str, ...]] = None
 
     @property
     def dest(self) -> str:
@@ -181,7 +180,7 @@ def add_options(parser: argparse.ArgumentParser, options: Iterable[Option]) -> N
         else:
             parser.add_argument(
                 *opt.flags, dest=opt.dest, type=opt.parse, help=opt.help,
-                metavar=opt.metavar, choices=opt.choices,
+                metavar=opt.metavar,
             )
     parser.add_argument("--config", type=_parse_path)
 
@@ -223,17 +222,11 @@ class Resolver:
         if text is None:
             return None
         try:
-            value = opt.parse(text)
+            return opt.parse(text)
         except UsageError as exc:
             reason = str(exc)
         except ValueError:
             reason = f"invalid {opt.parse.__name__} value: {text!r}"
-        else:
-            if opt.choices is None or value in opt.choices:
-                return value
-            # argparse's wording for the same option given as a flag
-            choices = ", ".join(map(repr, opt.choices))
-            reason = f"invalid choice: {value!r} (choose from {choices})"
         raise UsageError(f"{opt.flags[0]} (config key {opt.dest}): {reason}")
 
     def lookup(self, *options: Option) -> Tuple[Optional[Option], Any]:

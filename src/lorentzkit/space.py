@@ -150,15 +150,24 @@ def decreasing_rearrangement(x: Union[FiniteVector, Sequence[float]]) -> np.ndar
     return np.ascontiguousarray(np.sort(np.abs(vals))[::-1])
 
 
+def _check_powers(power: np.ndarray, rows: np.ndarray, params: SpaceParams) -> None:
+    """Refuse the norm powers ``power`` of the vectors ``rows`` beyond float64, or below its
+    normal range for a nonzero vector (only those vectors are read), naming p and theta."""
+    over = not np.isfinite(power).all()
+    if over or np.any(rows[power < np.finfo(np.float64).tiny] != 0.0):
+        raise ValueError(f"Lorentz norm power {'overflows' if over else 'underflows'} float64 "
+                         f"at p={params.p}, theta={params.weights.theta}")
+
+
 def lorentz_pnorm_pow(x: Union[FiniteVector, Sequence[float]], params: SpaceParams) -> float:
     """``sum_n a_n^p w_n`` — the p-th power of the Lorentz norm.  A power
-    beyond float64 raises a ``ValueError`` that names ``p`` and theta."""
+    beyond float64, or below its normal range for a nonzero ``x``, raises a
+    ``ValueError`` that names ``p`` and theta."""
     vals = decreasing_rearrangement(x)
+    weights = params.weights.weight_values(vals.shape[0])
     with np.errstate(over="ignore"):
-        power = _kernels.weighted_pow_sum(vals, params.weights.weight_values(vals.shape[0]), params.p)
-    if not np.isfinite(power):
-        raise ValueError(f"Lorentz norm power overflows float64 at p={params.p}, "
-                         f"theta={params.weights.theta}")
+        power = _kernels.weighted_pow_sum(vals.copy(), weights, params.p)  # powers in place
+    _check_powers(np.array([power]), vals[None], params)
     return power
 
 
@@ -222,7 +231,8 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     the multiset).  A 1-D ``values`` is one vector and gives a float; a
     (rows x blocks) ``values`` is a batch of vectors and gives one norm power
     per row, with ``lengths`` either per row or shared by all rows.  A power beyond
-    float64, in any row, raises a ``ValueError`` naming ``p`` and theta.  The cost is
+    float64, or below its normal range for a nonzero row, raises a ``ValueError``
+    naming ``p`` and theta.  The cost is
     independent of the support size: a batch is evaluated in row blocks of about
     :data:`~lorentzkit.weights._EM_BLOCK` entries, each with one sort, one cumulative sum
     of lengths and one vectorized window-sum lookup of every block's weight mass.  Every
@@ -232,9 +242,7 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     vals = np.asarray(values, dtype=np.float64)
     with np.errstate(over="ignore"):
         power = _runlength_pows(np.atleast_2d(vals), lengths, params)
-    if not np.isfinite(power).all():
-        raise ValueError(f"Lorentz norm power overflows float64 at p={params.p}, "
-                         f"theta={params.weights.theta}")
+    _check_powers(power, np.atleast_2d(vals), params)
     return float(power[0]) if vals.ndim <= 1 else power
 
 

@@ -155,10 +155,7 @@ class InequalityInstance:
 
     ``lhs <= mid <= rhs`` is the general shape; statements without a third
     side leave the unused field as None.  ``slack`` is the smallest margin,
-    negative on violation.  Every weight sum is evaluated to near full
-    precision (see :mod:`lorentzkit.weights`), so ``approximate`` is always
-    False; the field, like the report's ``approximate_instances`` (always 0),
-    stays in the schema for stability.
+    negative on violation.
     """
 
     name: str
@@ -167,7 +164,6 @@ class InequalityInstance:
     mid: Optional[float]
     rhs: Optional[float]
     slack: float
-    approximate: bool = False
 
 
 @dataclass
@@ -182,7 +178,6 @@ class VerificationReport:
     violations: List[InequalityInstance]
     min_slack: float
     min_slack_instance: Optional[InequalityInstance]
-    approximate_instances: int = 0
     runtime_ms: Optional[float] = None
     config: Optional[Dict] = None
 
@@ -211,22 +206,11 @@ class VerificationReport:
 
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["statement", "name", "slack", "lhs", "mid", "rhs", "approximate", "params"]
-            )
+            writer.writerow(["statement", "name", "slack", "lhs", "mid", "rhs", "params"])
             for v in self.violations:
-                writer.writerow(
-                    [
-                        self.statement,
-                        v.name,
-                        repr(float(v.slack)),
-                        "" if v.lhs is None else repr(float(v.lhs)),
-                        "" if v.mid is None else repr(float(v.mid)),
-                        "" if v.rhs is None else repr(float(v.rhs)),
-                        v.approximate,
-                        json.dumps(v.params, sort_keys=True, default=_plain),
-                    ]
-                )
+                sides = ["" if x is None else repr(float(x)) for x in (v.lhs, v.mid, v.rhs)]
+                writer.writerow([self.statement, v.name, repr(float(v.slack)), *sides,
+                                 json.dumps(v.params, sort_keys=True, default=_plain)])
 
 
 # ---------------------------------------------------------------------------

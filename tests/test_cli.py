@@ -462,7 +462,7 @@ class TestEquivCommand:
             del doc["config"]["seed"]
         assert docs[0] == docs[1]
         assert set(docs[0]["config"]) == {"theta", "p", "dimension", "k"}
-        assert docs[0]["iterations"] == 6
+        assert len(docs[0]["witness"]) == 6
 
     def test_search_flags_removed(self):
         for flag in ("--samples", "--sweeps", "--grid-points"):

@@ -176,6 +176,32 @@ class TestNorms:
             assert lorentz_pnorm_pow_runlength([1e100], [3], params) == pytest.approx(
                 half.partial_sum(3) * 1e200, rel=1e-14)
 
+    def test_underflowing_norm_power_names_p_and_theta(self, half):
+        # unrefused, the first two gave 0.0 and the third the subnormal 1e-320
+        params = SpaceParams(p=2.0, weights=half)
+        message = r"^Lorentz norm power underflows float64 at p=2\.0, theta=0\.5$"
+        batch = np.ones((5, 2))
+        batch[3] = 1e-200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                lorentz_pnorm_pow([1e-200, 1e-200], params)
+            with pytest.raises(ValueError, match=message):
+                lorentz_pnorm_pow_runlength([1e-200], [3], params)
+            with pytest.raises(ValueError, match=message):
+                lorentz_pnorm_pow([1e-160], params)
+            with pytest.raises(ValueError, match=message):
+                lorentz_pnorm_pow_runlength(batch, [3, 4], params)
+
+    def test_zero_and_empty_norm_powers_are_zero(self, half):
+        params = SpaceParams(p=2.0, weights=half)
+        assert lorentz_pnorm_pow([], params) == 0.0
+        assert lorentz_pnorm_pow([0.0, 0.0], params) == 0.0
+        assert lorentz_pnorm_pow(FiniteVector.empty(), params) == 0.0
+        assert lorentz_pnorm_pow_runlength([0.0], [3], params) == 0.0
+        batch = lorentz_pnorm_pow_runlength([[0.0, 0.0], [1.0, 0.0]], [3, 4], params)
+        assert batch.tolist() == [0.0, half.partial_sum(3)]
+
     def test_norm_dominated_by_lp(self, half):
         # weights are <= 1, so the weighted norm never exceeds the plain one
         rng = np.random.default_rng(42)

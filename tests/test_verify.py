@@ -102,7 +102,6 @@ class TestLemma31Pointwise:
         assert inst.mid == pytest.approx(0.5699422619400522, rel=1e-13)
         assert inst.rhs == pytest.approx(1.0, rel=1e-13)
         assert inst.slack > 0
-        assert not inst.approximate
 
     def test_j_zero_ratio_is_one(self):
         # the first window is the partial sum itself; the upper bound is
@@ -121,7 +120,6 @@ class TestLemma31Pointwise:
         j = PREFIX_CACHE_LIMIT + 5
         k = 2_000_000
         inst = check_lemma_3_1(0.5, j, k)
-        assert inst.approximate is False
         assert "ratio_bracket" not in inst.params
         with mpmath.workdps(40):
             want = (mpmath.zeta(0.5, j + 1) - mpmath.zeta(0.5, j + k + 1)) / (
@@ -620,6 +618,14 @@ class TestRemark33Blocks:
         x = FiniteVector.from_pairs([(1, 1e200)])
         y = FiniteVector.from_pairs([(2, 1.0)])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="p=2.0, theta=0.5"):
+            check_remark_3_3(x, y, params)
+
+    def test_underflowing_norm_powers_are_rejected(self):
+        # unrefused, every power was 0.0 and the check reported slack 0.0
+        params = SpaceParams(p=2.0, weights=WeightSequence(0.5))
+        x = FiniteVector.from_dense([1e-200])
+        y = FiniteVector([2], [1e-200])
+        with pytest.raises(ValueError, match="underflows float64 at p=2.0, theta=0.5"):
             check_remark_3_3(x, y, params)
 
 
@@ -1187,23 +1193,29 @@ class TestReportSerialization:
             "lemma-3-2", {"theta_values": [0.5], "i_max": 4, "k_max": 4}
         )
 
-    def test_json_schema_fields(self, report):
+    def test_json_schema_fields(self, report, tmp_path):
+        # exact key sets, so that no field comes back unnoticed
         doc = json.loads(report.to_json())
-        for field in (
-            "statement",
-            "grid",
-            "tolerance",
-            "seed",
-            "instances",
-            "violations",
-            "min_slack",
-            "runtime_ms",
-            "config",
-            "passed",
-        ):
-            assert field in doc
+        assert set(doc) == {
+            "statement", "grid", "tolerance", "seed", "instances", "violations",
+            "min_slack", "min_slack_instance", "runtime_ms", "config", "passed",
+        }
+        assert set(doc["min_slack_instance"]) == {"name", "params", "lhs", "mid", "rhs", "slack"}
         assert doc["runtime_ms"] is None  # only emitted with include_timing
         assert doc["statement"] == "lemma-3-2"
+        report.write_csv(tmp_path / "violations.csv")
+        with open(tmp_path / "violations.csv", newline="") as fh:
+            assert next(csv.reader(fh)) == [
+                "statement", "name", "slack", "lhs", "mid", "rhs", "params"]
+        from lorentzkit import cli
+
+        out = tmp_path / "equiv.json"
+        assert cli.main(["equiv", "--pair", "d-vs-lp", "--theta", "0.5", "--N", "4",
+                         "--out", str(out)]) == 0
+        assert set(json.loads(out.read_text())) == {
+            "command", "pair", "config", "estimate", "lower", "witness", "exact",
+            "abs_difference",
+        }
 
     def test_non_finite_values_are_not_serialized(self, report):
         report.min_slack = float("inf")
