@@ -125,6 +125,14 @@ def corollary_scheme(levels: int) -> BlockScheme:
     return BlockScheme(lengths)
 
 
+def _scheme_from_grid(grid) -> BlockScheme:
+    """The scheme of a resolved grid: its ``lengths`` (and ``counts``), else
+    the corollary scheme of ``corollary_levels`` levels."""
+    if grid.get("lengths") is not None:
+        return BlockScheme(grid["lengths"], grid.get("counts"))
+    return corollary_scheme(_check_int("corollary_levels", grid["corollary_levels"], 1))
+
+
 def block_vector(
     weights: WeightSequence, p: float, i: int, k: int, offset: int = 0
 ) -> FiniteVector:

@@ -4,11 +4,13 @@ Each subcommand is a tuple of :class:`Mode` records, each naming the
 :class:`~lorentzkit.options.Param` keys it takes: ``verify`` has one mode
 per statement of :data:`lorentzkit.verify.STATEMENTS`, ``equiv`` one per
 ``--pair``, ``construct`` one per selecting option and ``norm`` just one.
-The parser is generated from the records, and one rule resolves every
-mode's keys (:meth:`lorentzkit.options.Resolver.resolve`): flag, then
-``key = value`` line in the ``--config`` file, then default, where a flag
-for one of two alternatives wins over the file's value for the other.  An
-option of another mode is refused (``X does not apply to <mode>``), and so
+The parser is generated from the records of the subcommand run alone, and
+each runner imports the library module it calls, so a call loads only the
+modules it runs (``verify``'s records load :mod:`lorentzkit.verify`).  One
+rule resolves every mode's keys (:meth:`lorentzkit.options.Resolver.resolve`):
+flag, then ``key = value`` line in the ``--config`` file, then default, where
+a flag for one of two alternatives wins over the file's value for the other.
+An option of another mode is refused (``X does not apply to <mode>``), and so
 is a missing required key (``<mode> requires <flag>``).
 ``LORENTZKIT_OUT_DIR`` supplies a directory for bare output filenames (the
 only environment knob).  Exit codes: 0 on success/pass, 1 when a
@@ -22,19 +24,17 @@ import argparse
 import gc
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from .constants import (
-    averaged_norm_descriptor,
-    domination_constant,
-    equiv_to_lp_exact,
-    lorentz_norm_descriptor,
-    lp_norm_descriptor,
-    select_block_counts,
-)
 from .options import (
+    COROLLARY_LEVELS,
+    COUNTS,
+    DEFAULT_TOLERANCE,
+    LENGTHS,
+    P,
     REQUIRED,
+    THETA,
     Option,
     Param,
     Resolver,
@@ -44,22 +44,8 @@ from .options import (
     _parse_path,
     _parse_sparse,
     add_options,
-)
-from .space import SpaceParams, lorentz_norm, lp_norm
-from .verify import (
-    COROLLARY_LEVELS,
-    COUNTS,
-    DEFAULT_TOLERANCE,
-    LENGTHS,
-    P,
-    STATEMENT_IDS,
-    STATEMENTS,
-    THETA,
     dump_json,
-    run_grid,
-    _scheme_from_grid,
 )
-from .weights import WeightSequence
 
 OUT_DIR_ENV_VAR = "LORENTZKIT_OUT_DIR"
 
@@ -89,6 +75,9 @@ def _resolve_out_path(path: str) -> str:
 
 
 def _norm(values: Dict, given: Dict) -> Outcome:
+    from .space import SpaceParams, lorentz_norm, lp_norm
+    from .weights import WeightSequence
+
     theta, p, vector = values["theta"], values["p"], values["vector"]
     value = lorentz_norm(vector, SpaceParams(p=p, weights=WeightSequence(theta)))
     plain = lp_norm(vector, p)
@@ -117,6 +106,8 @@ _NORM_MODES = (Mode("norm", (
 
 
 def _verify(statement: str, values: Dict, given: Dict) -> Outcome:
+    from .verify import run_grid
+
     report = run_grid(statement, given, values["tol"])
     print(f"statement     {report.statement}")
     print(f"instances     {report.instances}")
@@ -133,13 +124,20 @@ def _verify(statement: str, values: Dict, given: Dict) -> Outcome:
     return code, partial(report.write_json, include_timing=values["timing"])
 
 
-_VERIFY_MODES = tuple(
-    Mode(statement, spec.params, partial(_verify, statement))
-    for statement, spec in STATEMENTS.items()
-)
+@cache
+def _verify_modes() -> Tuple[Mode, ...]:
+    """One mode per statement of :data:`lorentzkit.verify.STATEMENTS`."""
+    from .verify import STATEMENTS
+
+    return tuple(
+        Mode(statement, spec.params, partial(_verify, statement))
+        for statement, spec in STATEMENTS.items()
+    )
 
 
 def _scheme(values: Dict, given: Dict) -> Outcome:
+    from .blocks import _scheme_from_grid
+
     scheme = _scheme_from_grid(values)
     print(f"{'level':>6}  {'length':>14}  {'count':>6}  {'offset_end':>16}")
     for k in range(1, scheme.levels + 1):
@@ -162,6 +160,9 @@ def _scheme(values: Dict, given: Dict) -> Outcome:
 
 
 def _select_counts(values: Dict, given: Dict) -> Outcome:
+    from .constants import select_block_counts
+    from .weights import WeightSequence
+
     weights = WeightSequence(values["theta"])
     selection = select_block_counts(weights, values["p"], values["select_counts"])
     print(f"{'k':>4}  {'N_k':>10}  {'ratio':>18}")
@@ -207,11 +208,14 @@ def _construct_mode(res: Resolver) -> str:
 
 
 def _equiv(pair: str, make_a, exact, values: Dict, given: Dict) -> Outcome:
+    from . import constants
+    from .weights import WeightSequence
+
     theta, p, dimension = values["theta"], values["p"], values["dimension"]
     weights = WeightSequence(theta)
-    norm_a = make_a(weights, p, values)
-    norm_b = lorentz_norm_descriptor(weights, p)
-    estimate = domination_constant(norm_a, norm_b, dimension)
+    norm_a = make_a(constants, weights, p, values)
+    norm_b = constants.lorentz_norm_descriptor(weights, p)
+    estimate = constants.domination_constant(norm_a, norm_b, dimension)
     print(f"pair          {pair}  (A={norm_a.label}, B={norm_b.label})")
     print(f"dimension     {dimension}")
     print(f"estimate      {estimate.estimate!r}")
@@ -235,7 +239,7 @@ def _equiv(pair: str, make_a, exact, values: Dict, given: Dict) -> Outcome:
         "witness": [float(v) for v in estimate.witness],
     }
     if exact is not None:
-        exact = exact(weights, p, dimension)
+        exact = exact(constants, weights, p, dimension)
         print(f"exact         {exact!r}")
         print(f"difference    {abs(exact - estimate.estimate)!r}")
         doc.update(exact=exact, abs_difference=abs(exact - estimate.estimate))
@@ -248,14 +252,17 @@ _EQUIV_PARAMS = (
     Param("dimension", REQUIRED, Option(("--dimension", "-N", "--N"), int)),
     Param("seed", None, Option(("--seed",), int, help="echoed in the report; changes nothing")),
 )
-#: each pair: norm A of ``(weights, p, values)`` against the Lorentz norm B,
-#: the closed form printed next to the constant, and the pair's own keys
+#: each pair: norm A of ``(constants, weights, p, values)`` against the
+#: Lorentz norm B, the closed form of ``(constants, weights, p, dimension)``
+#: printed next to the constant, and the pair's own keys; ``constants`` is
+#: the module :mod:`lorentzkit.constants`, imported by the call
 _EQUIV_MODES = tuple(
     Mode(pair, _EQUIV_PARAMS + extra, partial(_equiv, pair, make_a, exact))
     for pair, make_a, exact, extra in (
-        ("d-vs-lp", lambda weights, p, values: lp_norm_descriptor(p), equiv_to_lp_exact, ()),
-        ("d-vs-d", lambda weights, p, values: lorentz_norm_descriptor(weights, p), None, ()),
-        ("dk-vs-d", lambda weights, p, values: averaged_norm_descriptor(weights, p, values["k"]),
+        ("d-vs-lp", lambda c, weights, p, values: c.lp_norm_descriptor(p),
+         lambda c, weights, p, dimension: c.equiv_to_lp_exact(weights, p, dimension), ()),
+        ("d-vs-d", lambda c, weights, p, values: c.lorentz_norm_descriptor(weights, p), None, ()),
+        ("dk-vs-d", lambda c, weights, p, values: c.averaged_norm_descriptor(weights, p, values["k"]),
          None, (Param("k", REQUIRED, Option(("--k",), int, help="averaging window for dk-vs-d")),)),
     )
 )
@@ -278,13 +285,18 @@ _PAIR = Param("pair", REQUIRED, Option(("--pair",), _parse_pair, metavar="{%s}" 
 
 
 class Command(NamedTuple):
-    """A subcommand: its modes, the name of the one to run, and the keys all take."""
+    """A subcommand: its modes (``load()`` returns them, importing the module
+    that declares them), the name of the one to run, and the keys all take."""
 
     name: str
     help: str
-    modes: Tuple[Mode, ...]
+    load: Callable[[], Tuple[Mode, ...]]
     choose: Callable[[Resolver], str]
     shared: Tuple[Param, ...] = (_OUT,)
+
+    @property
+    def modes(self) -> Tuple[Mode, ...]:
+        return self.load()
 
     def options(self, *extra: Param) -> Tuple[Option, ...]:
         """The options of every mode's keys and of ``extra``, once each."""
@@ -303,8 +315,8 @@ class Command(NamedTuple):
 
 
 _COMMANDS = (
-    Command("norm", "evaluate norms of one vector", _NORM_MODES, lambda res: "norm"),
-    Command("verify", "run a statement's verification grid", _VERIFY_MODES,
+    Command("norm", "evaluate norms of one vector", lambda: _NORM_MODES, lambda res: "norm"),
+    Command("verify", "run a statement's verification grid", _verify_modes,
             lambda res: res.args.statement, (
                 Param("tol", DEFAULT_TOLERANCE, Option(("--tol",), float)),
                 Param("csv", None, Option(("--csv",), _parse_path)),
@@ -312,30 +324,38 @@ _COMMANDS = (
                 _OUT,
             )),
     Command("construct", "print a block scheme or selected section sizes",
-            _CONSTRUCT_MODES, _construct_mode),
+            lambda: _CONSTRUCT_MODES, _construct_mode),
     Command("equiv", "exact norm-domination constant: the best of the N step vectors",
-            _EQUIV_MODES, lambda res: res.lookup(_PAIR.option)[1], (_PAIR, _OUT)),
+            lambda: _EQUIV_MODES, lambda res: res.lookup(_PAIR.option)[1], (_PAIR, _OUT)),
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, but the arguments of ``command``'s
+    alone (of every subcommand's when it is None), so that only its modes
+    are loaded."""
     parser = argparse.ArgumentParser(
         prog="lorentzkit",
         description="Lorentz sequence space norms, block constructions and "
         "inequality verification grids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _COMMANDS:
-        sub_parser = sub.add_parser(command.name, help=command.help)
-        if command.modes is _VERIFY_MODES:
-            sub_parser.add_argument("statement", choices=STATEMENT_IDS)
-        add_options(sub_parser, command.options(*command.shared))
-        sub_parser.set_defaults(run=command.run)
+    for cmd in _COMMANDS:
+        sub_parser = sub.add_parser(cmd.name, help=cmd.help)
+        if command in (None, cmd.name):
+            if cmd.name == "verify":
+                sub_parser.add_argument("statement", choices=[mode.name for mode in cmd.modes])
+            add_options(sub_parser, cmd.options(*cmd.shared))
+            sub_parser.set_defaults(run=cmd.run)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # the top-level parser takes no option but -h, so argparse runs the
+    # subcommand that the first argument naming one names
+    names = [cmd.name for cmd in _COMMANDS]
+    parser = _build_parser(next((arg for arg in argv if arg in names), ""))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -7,11 +7,14 @@ and a ``key = value`` config line goes through the same parser, so a flag
 and its config key cannot disagree.  A :class:`Param` is a key with its
 default and the options that set it, and :meth:`Resolver.resolve` looks
 every key up by one rule: flag, then config file, then default.
+:func:`dump_json` writes every ``--out`` document, the CLI's and
+:mod:`lorentzkit.verify`'s reports alike, as canonical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -145,6 +148,21 @@ class Option:
         return self.flags[0].lstrip("-").replace("-", "_")
 
 
+#: the options that both ``verify``'s statements and the other subcommands take
+THETA = Option(("--theta",), float)
+P = Option(("--p",), float)
+TRIALS = Option(("--trials",), int)
+SEED = Option(("--seed",), int)
+COROLLARY_LEVELS = Option(
+    ("--corollary-levels", "--corollary-K"), int,
+    help="use the inductive scheme with this many levels",
+)
+LENGTHS = Option(("--lengths",), _parse_int_list)
+COUNTS = Option(("--counts",), _parse_int_list)
+
+#: the default of ``--tol``, the slack below zero a verification forgives
+DEFAULT_TOLERANCE = 1e-12
+
 #: the default of a key that must be given
 REQUIRED = object()
 
@@ -266,3 +284,29 @@ class Resolver:
                 flags = " or ".join(opt.flags[0] for opt in param.options)
                 raise UsageError(f"{context} requires {flags}")
         return {**{param.key: param.default for param in params}, **given}, given
+
+
+# ---------------------------------------------------------------------------
+# Canonical JSON, the form of every ``--out`` document.
+# ---------------------------------------------------------------------------
+
+
+def _plain(value):
+    """``json``'s ``default`` hook: a numpy scalar or array as the Python
+    value or nested list it holds."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dumps(doc: Dict) -> str:
+    """Canonical JSON: keys sorted, no NaN or infinity."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
+
+
+def dump_json(path, doc: Dict) -> None:
+    """Write ``doc`` to ``path`` as canonical JSON, serialized before the file
+    is opened, so a document that cannot be serialized leaves no file."""
+    text = _dumps(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)

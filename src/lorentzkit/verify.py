@@ -1,98 +1,13 @@
 """Inequality checkers and grid verification with deterministic reports.
 
-Statement catalog.  The identifiers below are the library's stable keys for
-the inequality families it can check; the CLI accepts the same strings.
-Throughout, ``w_n = n**(-theta)``, ``W_k = w_1 + ... + w_k``, ``e = 1 -
-theta``, and ``w_i^(k)`` is the block-averaged weight
-``(w_{(i-1)k+1} + ... + w_{ik}) / W_k``.
-
-``lemma-3-1``
-    Shifted power-sum ratio sandwich:
-    ``((j+1)/k + 1)^e - ((j+1)/k)^e
-    <= (sum_{n=j+1}^{j+k} n^-theta) / W_k
-    <= ((j/k + 1)^e - (j/k)^e) / (2^e - 1)``.
-
-``lemma-3-2``
-    Averaged weights stay within a constant band of the raw weights:
-    ``(1-theta)/2 * w_i <= w_i^(k) <= (2 - 2^theta)/(2^(1-theta) - 1) * w_i``.
-
-``remark-3-3``
-    Disjointly supported vectors are p-superadditive in the Lorentz norm:
-    ``||x + y||^p <= ||x||^p + ||y||^p``.
-
-``lemma-3-4``
-    Block-scheme conditions: with lengths ``j_k`` and offsets ``J_k``, for all
-    levels ``k`` and block positions ``i``,
-    (upper) ``w_i^(j_k) <= A * w_i`` and
-    (lower) ``B * w_i <= (w_{J_{k-1}+(i-1)j_k+1} + ... + w_{J_{k-1}+i*j_k}) / W_{j_k}``.
-
-``theorem-3-5``
-    With ``M = max(1, sup_k J_{k-1}/j_k)``, the constants
-    ``A = (2 - 2^theta)/(2^(1-theta) - 1)`` and
-    ``B = (1-theta)/2 * (M+1)^(-theta)`` satisfy the lemma-3-4 conditions, and
-    every coefficient row ``y`` (one coefficient per block, level by level;
-    see :mod:`lorentzkit.blocks`) obeys the two-sided norm bound
-    ``B * ||y||^p <= ||expand(y)||^p <= A^p * ||y||^p``, where ``||y||^p`` is
-    the sum over levels of the Lorentz norm powers of the level's
-    coefficients and ``expand(y)`` is ``sum_k sum_i y_i^(k) * block(i, k)``.
-
 :data:`STATEMENTS` is the one description of each statement: an evaluator
 and the grid keys it takes, each with its default and the command-line
-:class:`~lorentzkit.options.Option` that sets it (the CLI generates its
-``verify`` flags and config keys from these records).  One chunk builder
-per statement turns sums or norm powers into column chunks (params, lhs,
-mid, rhs, slack); the evaluator feeds it the whole grid, the ``check_*``
-helper one point (the scheme statements' helpers run the evaluator on a
-grid of their arguments).  One aggregator turns the chunks of any statement
-into the instance count, the violations in grid order and the first
-minimum-slack instance.  The lemma-3-1 and lemma-3-2 grids take their window ratios from
-one builder over a dense prefix-sum array per theta (far cheaper on a large
-grid), the ``check_*`` helpers from the Euler–Maclaurin sums of
-:mod:`lorentzkit.weights`: lemma-3-1 gathers a block's ``W_{j+k}`` at once,
-lemma-3-2 its ``W_{i*k}``, and neither builds a full-grid index array.  Every
-streamed check works in blocks of about :data:`_GRID_BLOCK_ENTRIES` entries:
-the grids a block of rows at a time, so memory beyond the prefix sums does
-not grow with the grid, and theorem-3-5 and remark-3-3 a block of trials at
-a time, so memory does not grow with ``--trials`` (bar remark-3-3's two
-sizes per trial).  The lemma grids and remark-3-3's cells write every block
-array into buffers that their first block allocates and every later block
-(and theta run by the same process) reuses, so a block faults in no new
-pages.  Hence a chunk's arrays are valid only until the next chunk is drawn;
-the aggregator copies out, as Python scalars, whatever it keeps.  Per
-(theta, p) cell remark-3-3 draws every x support size, then every y size,
-then per trial only the normals it uses, x's then y's, set into a zeroed row
-of ``2 * max_support`` at the start of its left and its right half, so the
-report does not depend on the block size.
-
-An evaluator returns a list of independent parts, each an iterable of
-chunks: lemma-3-1 and lemma-3-2 one per theta (every theta is checked before
-the first prefix sum is built), remark-3-3 one per (theta, p) cell, every
-other statement one.  Each part is aggregated on its own and the results are
-folded in part order, exactly as one pass over all the chunks, so the report
-stays byte-identical however the parts run.  With several parts they run on
-forked worker processes, one per CPU of the process's affinity (there is no
-setting), each pinned to its own share of those CPUs, so no two share one.
-Worker n runs the fixed share n, n + workers, n + 2 * workers, ... of the
-parts in order and writes each one's aggregate or exception as one pickle to
-its own result pipe; the calling process does no part work, and loads the
-results in part order, raising the first exception it loads.  A worker
-holds one part's prefix sums and block buffers at a time, as the calling
-process does when the parts run serially, and it reuses its buffers from
-part to part; so the call holds as many parts' arrays at once as it has
-workers (two 1000 x 1000 lemma-3-2 thetas take about 10 MiB each), and the
-lemma grids start no more workers than keep their prefix sums together
-within ``PREFIX_CACHE_LIMIT`` entries.  The parts run in the calling thread,
-with no fork, when there is one part or one CPU (as wherever the platform
-has no CPU affinity), and while another Python thread is alive (forking a
-threaded process is unsafe).  The weights of remark-3-3 are built in the
-calling process; the lemma grids' prefix sums are built by the process that
-runs the theta's part.
-
-Reports are plain dataclasses, turned into JSON by :func:`dataclasses.asdict`
-with numpy values as the Python values they hold, in canonical form: keys
-sorted, grid aggregation in grid order, and no wall-clock fields unless
-explicitly requested, so a fixed seed yields byte-identical files run after
-run.
+:class:`~lorentzkit.options.Option` that sets it.  :func:`run_grid` checks a
+statement over a grid and each ``check_*`` helper at one point, both through
+the statement's one chunk builder.  README.md gives each statement's
+inequality ("Statement catalog"), the report format ("Reports and
+determinism"), and how a grid streams in blocks, splits into parts that run
+on forked workers, and is folded into one report ("Performance notes").
 """
 
 from __future__ import annotations
@@ -109,8 +24,24 @@ from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import _kernels
-from .blocks import BlockScheme, corollary_scheme, expand_runlength
-from .options import Option, Param, _parse_float_list, _parse_grid, _parse_int_list
+from .blocks import BlockScheme, _scheme_from_grid, expand_runlength
+from .options import (
+    COROLLARY_LEVELS,
+    COUNTS,
+    DEFAULT_TOLERANCE,
+    LENGTHS,
+    P,
+    SEED,
+    THETA,
+    TRIALS,
+    Option,
+    Param,
+    _dumps,
+    _parse_float_list,
+    _parse_grid,
+    _plain,
+    dump_json,
+)
 from .space import (
     FiniteVector,
     SpaceParams,
@@ -120,33 +51,9 @@ from .space import (
 )
 from .weights import PREFIX_CACHE_LIMIT, WeightSequence, _check_int, _check_p, _check_theta
 
-DEFAULT_TOLERANCE = 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Report data model.
 # ---------------------------------------------------------------------------
-
-
-def _plain(value):
-    """``json``'s ``default`` hook: a numpy scalar or array as the Python
-    value or nested list it holds."""
-    if isinstance(value, (np.generic, np.ndarray)):
-        return value.tolist()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _dumps(doc: Dict) -> str:
-    """Canonical JSON: keys sorted, no NaN or infinity."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_plain) + "\n"
-
-
-def dump_json(path, doc: Dict) -> None:
-    """Write ``doc`` to ``path`` as canonical JSON, serialized before the file
-    is opened, so a document that cannot be serialized leaves no file."""
-    text = _dumps(doc)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 @dataclass
@@ -753,8 +660,15 @@ def _remark_3_3(grid: Dict):
                 np.power(np.abs(drawn, out=drawn), p, out=drawn)  # once for x, y and x + y
                 both.fill(0.0)
                 both[used] = drawn
-                x, y = both[:, :m], both[:, m:]
-                pows = [_kernels.sorted_weighted_sums(v, w_vals) for v in (x, y, both)]
+                # each half sorted in place as a row of its own (row 2t is trial t's
+                # x, row 2t + 1 its y) and weighted into scratch, then every whole
+                # row sorted in place for x + y: each row is summed as it was sorted
+                halves = both.reshape(-1, m)
+                halves.sort(axis=-1)
+                pow_xy = np.multiply(halves, w_vals[m - 1 :: -1],
+                                     out=buffers("terms", halves.shape)).sum(axis=-1)
+                both.sort(axis=-1)
+                pows = pow_xy[0::2], pow_xy[1::2], _kernels.weighted_sum(both, w_vals[::-1])
             trial = np.arange(first, first + sx.size)
             params = {"theta": theta, "p": p, "trial": trial, "support_x": sx, "support_y": sy}
             yield _remark_3_3_chunk(params, *pows)
@@ -768,12 +682,6 @@ def _remark_3_3(grid: Dict):
     ]
     desc = {"theta_values": thetas, "p_values": ps, "trials": trials, "max_support": m}
     return desc, seed, parts, 0
-
-
-def _scheme_from_grid(grid: Dict) -> BlockScheme:
-    if grid.get("lengths") is not None:
-        return BlockScheme(grid["lengths"], grid.get("counts"))
-    return corollary_scheme(_check_int("corollary_levels", grid["corollary_levels"], 1))
 
 
 def _scheme_grid(grid: Dict, own_keys: Callable[[], object] = lambda: None):
@@ -981,16 +889,6 @@ class Statement:
     params: Tuple[Param, ...]
 
 
-THETA = Option(("--theta",), float)
-P = Option(("--p",), float)
-TRIALS = Option(("--trials",), int)
-SEED = Option(("--seed",), int)
-COROLLARY_LEVELS = Option(
-    ("--corollary-levels", "--corollary-K"), int,
-    help="use the inductive scheme with this many levels",
-)
-LENGTHS = Option(("--lengths",), _parse_int_list)
-COUNTS = Option(("--counts",), _parse_int_list)
 _K_MAX = Option(("--k-max",), int)
 _LEVELS = Option(("--levels",), int)
 

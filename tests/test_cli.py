@@ -651,7 +651,9 @@ class TestOutOfMemory:
         def allocate(*_args, **_kwargs):
             raise MemoryError(reason)
 
-        monkeypatch.setattr(cli, name, allocate)
+        # each runner imports the function from its module when it runs
+        owner = {"run_grid": "lorentzkit.verify", "domination_constant": "lorentzkit.constants"}
+        monkeypatch.setattr(f"{owner[name]}.{name}", allocate)
         out = tmp_path / "o.json"
         assert run(*args, "--out", str(out)) == 2
         assert capsys.readouterr() == ("", f"error: out of memory: {reason}\n")
@@ -809,6 +811,16 @@ class TestCliSurface:
         assert flags - {("-h", "--help")} == SURFACE[command][0]
         positional = [a.dest for a in actions if not a.option_strings]
         assert positional == (["statement"] if command == "verify" else [])
+
+    @pytest.mark.parametrize("command", sorted(SURFACE))
+    def test_one_subcommand_parser_matches_the_full_one(self, command):
+        # main builds only the arguments of the subcommand it runs
+        from lorentzkit.cli import _build_parser
+
+        full, one = _build_parser(), _build_parser(command)
+        assert one.format_help() == full.format_help()
+        subparsers = [p._subparsers._group_actions[0].choices for p in (full, one)]
+        assert subparsers[1][command].format_help() == subparsers[0][command].format_help()
 
     @pytest.mark.parametrize("command", sorted(SURFACE))
     def test_config_keys(self, tmp_path, capsys, command):

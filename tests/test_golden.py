@@ -6,6 +6,14 @@ below, along with the exit code.  A refactor that is meant to leave the
 reports alone must keep every digest; a change that moves a report on
 purpose updates its digests and says so in CHANGES.md.  The digests were
 recorded with numpy 2.4.6; another numpy may round a last bit differently.
+
+They were also recorded on a CPU that runs every one of numpy's dispatch
+targets (``numpy._core._multiarray_umath.__cpu_dispatch__``: X86_V3,
+X86_V4, AVX512_ICL and AVX512_SPR).  numpy's AVX-512 loops for ``power``,
+``exp``, ``log1p`` and ``expm1`` round differently from its fallback loops,
+so another CPU may move a digest: with
+``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` the
+theorem-3-5 and the ``--select-counts-K 5`` cases move, 2 of the 10.
 """
 
 import hashlib

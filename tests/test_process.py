@@ -92,3 +92,52 @@ def test_main_in_process_leaves_the_collector_alone(capsys):
     assert cli.main(["construct", "--corollary-K", "3"]) == 0
     assert gc.get_freeze_count() == 0
     assert gc.isenabled()
+
+
+#: a child that runs ``cli.main`` on its arguments, then prints the
+#: lorentzkit modules loaded
+LOADED = """
+import sys
+from lorentzkit import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("lorentzkit.")))
+"""
+
+#: what every call loads: the CLI, its options and the norms they parse into
+BASE = {"lorentzkit._kernels", "lorentzkit.cli", "lorentzkit.options", "lorentzkit.space",
+        "lorentzkit.weights"}
+
+LOADS = {
+    "norm --theta 0.5 --dense 3,1,2": BASE,
+    "construct --select-counts-K 5 --theta 0.25 --p 2": BASE | {"lorentzkit.constants"},
+    "construct --corollary-K 3": BASE | {"lorentzkit.blocks"},
+    "equiv --pair dk-vs-d --theta 0.5 --k 2 --N 20": BASE | {"lorentzkit.constants"},
+    "verify lemma-3-4": BASE | {"lorentzkit.blocks", "lorentzkit.verify"},
+}
+
+
+@pytest.mark.parametrize("args", LOADS)
+def test_call_loads_only_the_modules_it_runs(args, tmp_path):
+    child = _python("-c", LOADED, *args.split(), cwd=tmp_path)
+    assert child.stderr == ""
+    code, *loaded = child.stdout.splitlines()[-1].split()
+    assert (code, set(loaded)) == ("0", LOADS[args])
+
+
+def test_package_import_loads_no_module(tmp_path):
+    probe = "import sys, lorentzkit; print(*sorted(n for n in sys.modules if 'lorentzkit' in n))"
+    child = _python("-c", probe, cwd=tmp_path)
+    assert (child.returncode, child.stderr, child.stdout) == (0, "", "lorentzkit\n")
+
+
+#: usage errors that argparse (the first two) or the construct mode choice reports
+USAGE_ERRORS = ["bogus", "verify bogus", "construct --theta 1"]
+
+
+@pytest.mark.parametrize("args", USAGE_ERRORS)
+def test_usage_error_matches_main(args, tmp_path, capsys):
+    assert cli.main(args.split()) == 2
+    want = capsys.readouterr()
+    child = _python("-m", "lorentzkit.cli", *args.split(), cwd=tmp_path)
+    assert (child.returncode, child.stdout, child.stderr) == (2, want.out, want.err)
+    assert child.stderr
