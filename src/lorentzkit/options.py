@@ -151,8 +151,6 @@ class Option:
 #: the options that both ``verify``'s statements and the other subcommands take
 THETA = Option(("--theta",), float)
 P = Option(("--p",), float)
-TRIALS = Option(("--trials",), int)
-SEED = Option(("--seed",), int)
 COROLLARY_LEVELS = Option(
     ("--corollary-levels", "--corollary-K"), int,
     help="use the inductive scheme with this many levels",

@@ -31,9 +31,7 @@ from .options import (
     DEFAULT_TOLERANCE,
     LENGTHS,
     P,
-    SEED,
     THETA,
-    TRIALS,
     Option,
     Param,
     _dumps,
@@ -889,6 +887,8 @@ class Statement:
     params: Tuple[Param, ...]
 
 
+TRIALS = Option(("--trials",), int)
+SEED = Option(("--seed",), int)
 _K_MAX = Option(("--k-max",), int)
 _LEVELS = Option(("--levels",), int)
 
