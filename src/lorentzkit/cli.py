@@ -21,9 +21,10 @@ library refusal (every refusal is a ``ValueError``) and when memory runs out.
 from __future__ import annotations
 
 import argparse
-import gc
+import atexit
 import os
 import sys
+import threading
 from functools import cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -370,10 +371,25 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def entry() -> int:
-    """:func:`main` as a process; the frozen collector leaves exit's cleanup to the OS."""
+    """:func:`main` as a process, which ends without interpreter teardown.
+
+    After ``main`` it runs the atexit handlers, flushes stdout and stderr and
+    leaves through ``os._exit``, so the OS reclaims the objects numpy and
+    lorentzkit created instead of finalization freeing them one by one.
+    It returns the exit code instead, for a plain exit, when a flush fails
+    (a reader closed the pipe: the exit then reports it as before) or while
+    another thread is alive (a plain exit joins it first).
+    """
     code = main()
-    gc.freeze()
-    return code
+    if threading.active_count() > 1:
+        return code
+    atexit._run_exitfuncs()  # runs each handler once: it also unregisters them
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        return code
+    os._exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

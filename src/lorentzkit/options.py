@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -129,8 +128,7 @@ def _parse_bool(text: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Option:
+class Option(NamedTuple):
     """A flag with its aliases, the parser of its value, and its config key.
 
     A boolean option (``parse=_parse_bool``) is a switch on the command line
@@ -165,8 +163,7 @@ DEFAULT_TOLERANCE = 1e-12
 REQUIRED = object()
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(NamedTuple):
     """A key, its default (or :data:`REQUIRED`) and the options that set it.
 
     ``point``, if given, is a second option that sets the key to a

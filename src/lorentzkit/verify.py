@@ -228,7 +228,9 @@ def _instance(chunk: Chunk, flat: int) -> InequalityInstance:
     def value(column):
         if not isinstance(column, np.ndarray):
             return column
-        return np.broadcast_to(column, shape)[at].item()
+        # a column broadcasts against the trailing axes, length 1 to any
+        index = at[len(at) - column.ndim:]
+        return column[tuple(i if n > 1 else 0 for i, n in zip(index, column.shape))].item()
 
     def side(column):
         v = value(column)
@@ -879,8 +881,7 @@ def check_theorem_3_5(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Statement:
+class Statement(NamedTuple):
     """How to evaluate a statement, and the grid keys it takes."""
 
     evaluate: Callable[[Dict], Tuple[Dict, Optional[int], List[Iterable[Chunk]], int]]

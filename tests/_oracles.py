@@ -273,3 +273,47 @@ def lemma_3_2_grid(theta: float, i_max: int, k_max: int):
     lower, upper = band_constants(theta)
     lhs, rhs = lower * w_i, upper * w_i
     return lhs, averaged, rhs, np.minimum(averaged - lhs, rhs - averaged)
+
+
+def select_block_counts(weights, p: float, levels: int):
+    """``(counts, ratios)`` of the section selection by one scalar weight sum
+    per probe: each level gallops ``N = 1, 2, 4, ...`` up to the growth
+    cutoff, then bisects the bracket one midpoint at a time.  It reads the
+    library's scalar sums, so the library's array probes must agree with it
+    bit for bit; its refusals carry the library's messages."""
+    from lorentzkit.constants import GrowthCutoffError, section_ratio
+    from lorentzkit.weights import INDEX_LIMIT
+
+    counts, ratios = [], []
+    for k in range(1, levels + 1):
+        s_k = weights.partial_sum(k)
+        cutoff = INDEX_LIMIT // k
+        try:
+            target = float(k) ** p
+        except OverflowError:
+            raise GrowthCutoffError(f"level {k}: k**p = {k}**{p} overflows float64, so no section "
+                                    f"below the growth cutoff {cutoff} escapes") from None
+
+        def ratio_pow(n: int) -> float:
+            return n * s_k / weights.partial_sum(n * k)
+
+        low, n = 0, 1  # ratio_pow(low) <= target < ratio_pow(n) once bracketed
+        while not ratio_pow(n) > target:
+            if n >= cutoff:
+                raise GrowthCutoffError(
+                    f"level {k}: no section below the growth cutoff "
+                    f"{cutoff} escapes {k}-equivalence; the weights "
+                    "decay too slowly for this selection"
+                )
+            low, n = n, min(2 * n, cutoff)
+        while n - low > 1:
+            mid = (low + n) // 2
+            if ratio_pow(mid) > target:
+                n = mid
+            else:
+                low = mid
+        if counts and n < counts[-1]:
+            n = counts[-1]
+        counts.append(n)
+        ratios.append(section_ratio(weights, p, k, n))
+    return tuple(counts), tuple(ratios)

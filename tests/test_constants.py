@@ -273,3 +273,27 @@ class TestSelectBlockCounts:
 
         assert ratio_pow(n) > levels**p
         assert ratio_pow(n - 1) <= levels**p
+
+
+def _selected(weights, p, levels):
+    selection = select_block_counts(weights, p, levels)
+    return selection.counts, selection.ratios
+
+
+def _outcome(select, theta, p, levels):
+    """``select``'s ``(counts, ratios)``, or its refusal's type and message."""
+    try:
+        return select(WeightSequence(theta), p, levels)
+    except GrowthCutoffError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("theta", [0.01, 0.05, 0.25, 0.5, 0.75, 0.99])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 1100.0])
+def test_select_block_counts_matches_the_scalar_search(theta, p):
+    # the array probes make the scalar search's comparisons: the same
+    # counts, ratios (bit for bit) and refusals, at every K <= 6;
+    # p = 1100 overflows k**p on level 2
+    for levels in range(1, 7):
+        want = _outcome(oracle.select_block_counts, theta, p, levels)
+        assert _outcome(_selected, theta, p, levels) == want

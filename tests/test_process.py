@@ -1,7 +1,9 @@
 """The CLI as a process, ``python -W error -m lorentzkit.cli``, against
 ``cli.main`` in process: the same ``--out`` and ``--csv`` bytes, stdout and
 exit code, and nothing on stderr but a usage message.  The process entry
-freezes the garbage collector before exit; ``cli.main`` does not."""
+runs the atexit handlers, flushes stdout and stderr and leaves through
+``os._exit``, skipping interpreter teardown, except when a flush fails or
+another thread is alive; ``cli.main`` only returns its code."""
 
 import gc
 import os
@@ -22,13 +24,15 @@ CALLS = [
 ]
 
 
-def _python(*args, cwd):
+def _python(*args, cwd, stdout=subprocess.PIPE):
     """Run a fresh interpreter on ``args`` with warnings as errors, with this
-    ``lorentzkit`` importable and no output directory set."""
-    env = {k: v for k, v in os.environ.items() if k != cli.OUT_DIR_ENV_VAR}
+    ``lorentzkit`` importable, no output directory set, and stdout and
+    stderr block-buffered as on a shell's pipes."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in (cli.OUT_DIR_ENV_VAR, "PYTHONUNBUFFERED")}
     env["PYTHONPATH"] = str(SRC)
     return subprocess.run([sys.executable, "-W", "error", *args], cwd=cwd, env=env,
-                          capture_output=True, text=True, timeout=120)
+                          stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
 
 
 def _outputs(directory):
@@ -56,12 +60,22 @@ def test_process_matches_main(args, code, tmp_path, capsys, monkeypatch):
         assert child.stderr == ""
 
 
-#: a child that runs a process entry and, at exit, reports whether the
-#: collector was frozen; ``{entry}`` runs the CLI on ``construct --corollary-K 3``
+#: a child that runs a process entry on ``sys.argv[2:]``: an atexit handler
+#: registered before the call writes to stdout and stderr, a module-level
+#: object's ``__del__`` writes to stderr when teardown destroys it, and with
+#: ``sys.argv[1] == "thread"`` a second thread is alive when ``main`` returns
 PROBE = """
-import atexit, gc, sys
-atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, flush=True))
-sys.argv = ["lorentzkit", "construct", "--corollary-K", "3"]
+import atexit, sys, threading, time
+
+class Witness:
+    def __del__(self):
+        print("teardown", file=sys.stderr)
+
+witness = Witness()
+atexit.register(lambda: [print("atexit", file=out) for out in (sys.stdout, sys.stderr)])
+if sys.argv[1] == "thread":
+    threading.Thread(target=time.sleep, args=(0.2,)).start()
+sys.argv = ["lorentzkit", *sys.argv[2:]]
 {entry}
 """
 
@@ -71,12 +85,53 @@ ENTRIES = {
     "script": "from lorentzkit.cli import entry; sys.exit(entry())",
 }
 
+#: one call per exit code, the last two with a message on stderr
+EXITS = ["construct --corollary-K 3",
+         "verify lemma-3-4 --bound-upper 0.9 --bound-lower 0.9",
+         "construct --theta 1"]
+
+
+def _probe(entry, mode, args, cwd, **kw):
+    return _python("-c", PROBE.format(entry=ENTRIES[entry]), mode, *args.split(), cwd=cwd, **kw)
+
 
 @pytest.mark.parametrize("entry", ENTRIES)
-def test_process_entry_freezes_the_collector(entry, tmp_path):
-    child = _python("-c", PROBE.format(entry=ENTRIES[entry]), cwd=tmp_path)
-    assert (child.returncode, child.stderr) == (0, "")
-    assert child.stdout.endswith("frozen True\n")
+def test_process_entry_runs_exit_handlers_and_skips_teardown(entry, tmp_path, capsys):
+    for code, args in enumerate(EXITS):
+        assert cli.main(args.split()) == code
+        want = capsys.readouterr()
+        child = _probe(entry, "-", args, tmp_path)
+        assert child.returncode == code
+        assert child.stdout == want.out + "atexit\n"
+        assert child.stderr == want.err + "atexit\n"
+        assert bool(want.err) == (code == 2)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_process_entry_exits_plainly_when_a_thread_is_alive(entry, tmp_path, capsys):
+    assert cli.main(EXITS[1].split()) == 1
+    want = capsys.readouterr()
+    child = _probe(entry, "thread", EXITS[1], tmp_path)
+    assert child.returncode == 1
+    assert child.stdout == want.out + "atexit\n"
+    assert child.stderr == "atexit\nteardown\n"
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_process_entry_exits_plainly_when_stdout_is_closed(entry, tmp_path):
+    # the reader is gone before the child writes: stdout's flush at exit
+    # fails, and a plain exit reports it as it always has, with code 120
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = _probe(entry, "-", EXITS[0], tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert child.returncode == 120
+    assert child.stderr == (
+        "atexit\nException ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' "
+        "encoding='utf-8'>\nBrokenPipeError: [Errno 32] Broken pipe\nteardown\n"
+    )
 
 
 def test_script_target_is_the_process_entry():

@@ -882,6 +882,26 @@ class TestAggregate:
         assert [v.params["n"] for v in result[1]] == violating
         assert repr(result) == repr(self.full_scan(chunks, DEFAULT_TOLERANCE))
 
+    def test_instance_reads_broadcast_columns(self):
+        import lorentzkit.verify as verify
+
+        # columns of every shape that broadcasts to (2, 3): 0-d, trailing
+        # axis only, length-1 axes, full; NaN sides become None
+        shape = (2, 3)
+        cols = {"s": 7, "z": np.array(0.5), "k": np.arange(3.0), "i": np.arange(2)[:, None],
+                "one": np.array([[9.0]]), "full": np.arange(6.0).reshape(shape)}
+        mid = np.array([[1.0, np.nan, 2.0]])
+        chunk = verify.Chunk("t", cols, cols["full"], mid, None, np.arange(6.0).reshape(shape) - 3)
+        for flat in range(6):
+            at = np.unravel_index(flat, shape)
+            want = {key: np.broadcast_to(col, shape)[at].item() if isinstance(col, np.ndarray)
+                    else col for key, col in cols.items()}
+            inst = verify._instance(chunk, flat)
+            assert inst.params == want
+            assert type(inst.params["i"]) is int and type(inst.params["k"]) is float
+            assert (inst.lhs, inst.rhs, inst.slack) == (float(flat), None, flat - 3.0)
+            assert inst.mid == (None if at[1] == 1 else float(mid[0, at[1]]))
+
     def test_nan_slack_is_a_violation(self):
         import lorentzkit.verify as verify
 
