@@ -1,9 +1,10 @@
 """Numerical kernels, in numpy.
 
 ``weighted_sum`` is the one reduction behind every p-th norm power, for one
-vector or a (rows x n) batch of powered terms; the other norm kernels power
-or sort in front of it.  ``ratio_scan`` is the step-vector scan behind the
-closed-form domination constants.  Every kernel is deterministic, which the
+vector or a (rows x n) batch of powered terms; ``weighted_pow_sum`` powers in
+front of it, ``batch_sorted_pow_sums`` (the one sort-and-sum kernel) powers
+and sorts.  ``ratio_scan`` is the step-vector scan behind the closed-form
+domination constants.  Every kernel is deterministic, which the
 byte-reproducible reports rely on.
 """
 
@@ -34,16 +35,14 @@ def weighted_pow_sum(values, weights, p):
     return weighted_sum(values, weights)
 
 
-def sorted_weighted_sums(terms, weights):
-    """:func:`weighted_sum` of each row of ``terms`` (left as it is) sorted in
-    decreasing order: an ascending sort against the reversed weights."""
-    return weighted_sum(np.sort(terms, axis=-1), weights[: terms.shape[-1]][::-1])
-
-
 def batch_sorted_pow_sums(mat, weights, p):
-    """:func:`sorted_weighted_sums` of ``mat**p``: the bits of powering after
-    the sort, as ``t -> t**p`` is monotone on ``t >= 0``."""
-    return sorted_weighted_sums(mat ** p, weights)
+    """:func:`weighted_sum` of each row of ``mat**p`` sorted in decreasing order
+    (``mat`` is left as it is): the fresh powers, sorted ascending in place,
+    against the reversed weights.  Powering before the sort gives the bits of
+    powering after it, as ``t -> t**p`` is monotone on ``t >= 0``."""
+    terms = mat ** p
+    terms.sort(axis=-1)
+    return weighted_sum(terms, weights[: terms.shape[-1]][::-1])
 
 
 def ascent(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps):

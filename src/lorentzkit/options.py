@@ -58,12 +58,17 @@ def _parse_grid(text: str) -> List[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise UsageError(f"bad grid literal {text!r}: {exc}") from None
+        if not np.isfinite([start, stop, step]).all():
+            raise UsageError(f"grid literal {text!r} must have a finite start, stop and step")
         if step <= 0 or stop < start:
             raise UsageError(f"grid literal {text!r} must ascend with positive step")
-        count = int(round((stop - start) / step)) + 1
-        if abs(start + step * (count - 1) - stop) > 1e-9:
+        steps = (stop - start) / step  # inf where the step is too small for float64
+        if np.isfinite(steps) and abs(start + step * round(steps) - stop) > 1e-9:
             raise UsageError(f"grid literal {text!r}: step does not divide the range")
-        return [float(v) for v in np.linspace(start, stop, count)]
+        try:
+            return [float(v) for v in np.linspace(start, stop, round(steps) + 1)]
+        except (OverflowError, ValueError, IndexError, MemoryError):  # numpy refuses the count
+            raise UsageError(f"grid literal {text!r}: too many points ({steps + 1:.3g})") from None
     return _parse_float_list(text)
 
 

@@ -8,7 +8,8 @@ where ``(a_n)`` is the decreasing rearrangement of ``|x|`` and ``w`` is a
 weight sequence from :mod:`lorentzkit.weights`.  Alongside it live the plain
 ``l_p`` norm and a run-length evaluation path for vectors that are constant
 on large blocks (those show up in staggered block constructions, where
-materialising tens of millions of equal coefficients would be wasteful).
+materialising tens of millions of equal coefficients would be wasteful); a
+plain vector's p-th power is that path's one row, each block one index long.
 """
 
 from __future__ import annotations
@@ -150,25 +151,12 @@ def decreasing_rearrangement(x: Union[FiniteVector, Sequence[float]]) -> np.ndar
     return np.ascontiguousarray(np.sort(np.abs(vals))[::-1])
 
 
-def _check_powers(power: np.ndarray, rows: np.ndarray, params: SpaceParams) -> None:
-    """Refuse the norm powers ``power`` of the vectors ``rows`` beyond float64, or below its
-    normal range for a nonzero vector (only those vectors are read), naming p and theta."""
-    over = not np.isfinite(power).all()
-    if over or np.any(rows[power < np.finfo(np.float64).tiny] != 0.0):
-        raise ValueError(f"Lorentz norm power {'overflows' if over else 'underflows'} float64 "
-                         f"at p={params.p}, theta={params.weights.theta}")
-
-
 def lorentz_pnorm_pow(x: Union[FiniteVector, Sequence[float]], params: SpaceParams) -> float:
-    """``sum_n a_n^p w_n`` — the p-th power of the Lorentz norm.  A power
-    beyond float64, or below its normal range for a nonzero ``x``, raises a
-    ``ValueError`` that names ``p`` and theta."""
+    """``sum_n a_n^p w_n`` — the p-th power of the Lorentz norm: the one-row
+    :func:`lorentz_pnorm_pow_runlength` of ``a``, each value on one index, with
+    its refusals (beyond float64, or below its normal range for a nonzero ``x``)."""
     vals = decreasing_rearrangement(x)
-    weights = params.weights.weight_values(vals.shape[0])
-    with np.errstate(over="ignore"):
-        power = _kernels.weighted_pow_sum(vals.copy(), weights, params.p)  # powers in place
-    _check_powers(np.array([power]), vals[None], params)
-    return power
+    return lorentz_pnorm_pow_runlength(vals, np.ones(vals.shape, np.int64), params)
 
 
 def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float, name: str) -> float:
@@ -240,9 +228,14 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     temporary grows with the number of rows.
     """
     vals = np.asarray(values, dtype=np.float64)
+    rows = np.atleast_2d(vals)
     with np.errstate(over="ignore"):
-        power = _runlength_pows(np.atleast_2d(vals), lengths, params)
-    _check_powers(power, np.atleast_2d(vals), params)
+        power = _runlength_pows(rows, lengths, params)
+    # a zero row's power is 0.0, which is no underflow
+    over = not np.isfinite(power).all()
+    if over or np.any(rows[power < np.finfo(np.float64).tiny] != 0.0):
+        raise ValueError(f"Lorentz norm power {'overflows' if over else 'underflows'} float64 "
+                         f"at p={params.p}, theta={params.weights.theta}")
     return float(power[0]) if vals.ndim <= 1 else power
 
 

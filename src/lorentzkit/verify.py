@@ -190,8 +190,8 @@ def _log_sampled_ints(k_max: int, minimum: int) -> np.ndarray:
     num = minimum
     while True:
         raw = np.logspace(0.0, math.log10(k_max), num)
-        vals = np.unique(np.round(raw).astype(np.int64))
-        vals = vals[(vals >= 1) & (vals <= k_max)]
+        vals = np.round(raw).astype(np.int64)  # nondecreasing, from 1
+        vals = vals[(np.diff(vals, prepend=0) > 0) & (vals <= k_max)]  # each value once
         if vals.size >= minimum:
             return vals
         num = int(math.ceil(num * 1.3)) + 1
@@ -626,7 +626,8 @@ def check_remark_3_3(
         raise ValueError("x and y must have disjoint supports")
     point = {"p": params.p, "theta": params.weights.theta,
              "support_x": len(x), "support_y": len(y)}
-    pows = [lorentz_pnorm_pow(v, params) for v in (x, y, x + y)]
+    # disjoint supports: the values of x + y are those of x and of y
+    pows = [lorentz_pnorm_pow(v, params) for v in (x, y, np.concatenate([x.values, y.values]))]
     return _instance(_remark_3_3_chunk(point, *pows), 0)
 
 
@@ -643,18 +644,17 @@ def _remark_3_3(grid: Dict):
         rng = np.random.default_rng([seed, ti, pi])
         size_x = rng.integers(1, m + 1, size=trials)
         size_y = rng.integers(1, m + 1, size=trials)
-        rows = min(trials, max(1, _GRID_BLOCK_ENTRIES // (2 * m)))
         buffers = _Buffers()
         support = np.arange(m)
-        for first in range(0, trials, rows):
-            sx, sy = size_x[first : first + rows], size_y[first : first + rows]
+        for first, last in _grid_blocks(0, trials - 1, 2 * m):
+            sx, sy = size_x[first : last + 1], size_y[first : last + 1]
             both = buffers("block", (sx.size, 2 * m))
             used = buffers("mask", (sx.size, 2 * m), bool)
             np.less(support, sx[:, None], out=used[:, :m])
             np.less(support, sy[:, None], out=used[:, m:])
             # only the normals the trials use, in trial order, each x's before its
-            # y's; the buffer is asked for at full size, as the count varies
-            values = buffers("values", (rows * 2 * m,))
+            # y's; the buffer is asked for at the block's full size, as the count varies
+            values = buffers("values", (both.size,))
             drawn = rng.standard_normal(out=values[: int(sx.sum() + sy.sum())])
             with np.errstate(over="ignore"):
                 np.power(np.abs(drawn, out=drawn), p, out=drawn)  # once for x, y and x + y
@@ -669,7 +669,7 @@ def _remark_3_3(grid: Dict):
                                      out=buffers("terms", halves.shape)).sum(axis=-1)
                 both.sort(axis=-1)
                 pows = pow_xy[0::2], pow_xy[1::2], _kernels.weighted_sum(both, w_vals[::-1])
-            trial = np.arange(first, first + sx.size)
+            trial = np.arange(first, last + 1)
             params = {"theta": theta, "p": p, "trial": trial, "support_x": sx, "support_y": sy}
             yield _remark_3_3_chunk(params, *pows)
 
@@ -811,10 +811,8 @@ def _theorem_3_5(grid: Dict):
         with np.errstate(over="ignore"):
             a_pow = np.float64(a) ** p  # inf on overflow, caught with the norms
         rng = np.random.default_rng([seed])
-        chunk = max(1, _GRID_BLOCK_ENTRIES // int(edges[-1]))
-        for first in range(0, trials, chunk):
-            stop = min(first + chunk, trials)
-            coeffs = _draw_trial_coefficients(rng, counts, first, stop)
+        for first, last in _grid_blocks(0, trials - 1, int(edges[-1])):
+            coeffs = _draw_trial_coefficients(rng, counts, first, last + 1)
             with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
                 y_pow = sum(
                     _kernels.batch_sorted_pow_sums(block, w, p)
@@ -824,7 +822,7 @@ def _theorem_3_5(grid: Dict):
                 rhs = a_pow * y_pow
             _check_finite("theorem-3-5", p, weights.theta, x_pow, rhs)
             lhs = b * y_pow
-            trial = np.arange(first, stop)
+            trial = np.arange(first, last + 1)
             params = {
                 "trial": trial,
                 "distribution": np.array(_TRIAL_DISTRIBUTIONS)[trial % 3],

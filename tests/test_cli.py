@@ -544,6 +544,14 @@ PARSE_ERRORS = [
     (("norm", "--theta", "0.5"), "--sparse", "sparse", ",", "empty sparse vector literal ','"),
     (("norm", "--theta", "0.5"), "--sparse", "sparse", "1:1,1:2",
      "duplicate indices are not allowed"),
+    (("verify", "lemma-3-2"), "--theta-grid", "theta_grid", "0.01:inf:0.1",
+     "grid literal '0.01:inf:0.1' must have a finite start, stop and step"),
+    (("verify", "lemma-3-2"), "--theta-grid", "theta_grid", "0.01:0.99:nan",
+     "grid literal '0.01:0.99:nan' must have a finite start, stop and step"),
+    (("verify", "lemma-3-2"), "--theta-grid", "theta_grid", "0.01:0.99:1e-12",
+     "grid literal '0.01:0.99:1e-12': too many points (9.8e+11)"),
+    (("verify", "lemma-3-2"), "--theta-grid", "theta_grid", "0.01:0.99:1e-300",
+     "grid literal '0.01:0.99:1e-300': too many points (9.8e+299)"),
 ]
 
 #: (argv, ((flag, config key, value), ...), message): values the library refuses

@@ -58,16 +58,19 @@ class TestBatchSortedPowSums:
         got = _kernels.batch_sorted_pow_sums(mat, w, 1.0)
         assert got[0] == pytest.approx(2.0 + 0.5 * 1.0)
 
-
-class TestSortedWeightedSums:
     def test_column_slice_matches_contiguous_copy(self, rng):
         both = np.abs(rng.standard_normal((30, 14)))
         w = np.arange(1, 15) ** -0.5
         before = both.copy()
-        for view in (both[:, :7], both[:, 7:], both):
-            got = _kernels.sorted_weighted_sums(view, w)
-            assert np.array_equal(got, _kernels.sorted_weighted_sums(view.copy(), w))
-        assert np.array_equal(both, before)  # the terms are left as they are
+        for p in (1.0, 2.0, 7.3):
+            for view in (both[:, :7], both[:, 7:], both):
+                got = _kernels.batch_sorted_pow_sums(view, w, p)
+                assert np.array_equal(got, _kernels.batch_sorted_pow_sums(view.copy(), w, p))
+        assert np.array_equal(both, before)  # the input is left as it is
+
+
+class TestSortedWeightedSums:
+    """The sums of the sorted powers, whichever side of the sort powers them."""
 
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 7.3])
     def test_powering_before_the_sort_keeps_the_bits(self, rng, p):

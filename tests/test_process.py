@@ -150,12 +150,13 @@ def test_main_in_process_leaves_the_collector_alone(capsys):
 
 
 #: a child that runs ``cli.main`` on its arguments, then prints the
-#: lorentzkit modules loaded
+#: lorentzkit modules loaded, and numpy.ma if it was
 LOADED = """
 import sys
 from lorentzkit import cli
 code = cli.main(sys.argv[1:])
-print(code, *sorted(name for name in sys.modules if name.startswith("lorentzkit.")))
+print(code, *sorted(name for name in sys.modules
+                    if name.startswith("lorentzkit.") or name == "numpy.ma"))
 """
 
 #: what every call loads: the CLI, its options and the norms they parse into
@@ -169,6 +170,17 @@ LOADS = {
     "equiv --pair dk-vs-d --theta 0.5 --k 2 --N 20": BASE | {"lorentzkit.constants"},
     "verify lemma-3-4": BASE | {"lorentzkit.blocks", "lorentzkit.verify"},
 }
+
+#: the other calls of perfbench/run.py's workloads at seed 42 (its
+#: select-counts call is above); no call may load numpy.ma, which the first
+#: ``np.unique`` imports at a cost in start-up time and memory
+LOADS.update({
+    "verify lemma-3-1 --j-max 4000 --k-max 4000": LOADS["verify lemma-3-4"],
+    "verify lemma-3-2": LOADS["verify lemma-3-4"],
+    "verify theorem-3-5 --corollary-K 10 --p 2 --trials 5000 --seed 42": LOADS["verify lemma-3-4"],
+    "verify remark-3-3 --trials 40000 --seed 42": LOADS["verify lemma-3-4"],
+    "equiv --pair dk-vs-d --theta 0.5 --k 2 --p 1 --N 2000 --seed 42": BASE | {"lorentzkit.constants"},
+})
 
 
 @pytest.mark.parametrize("args", LOADS)

@@ -298,6 +298,60 @@ class TestNormProperties:
             assert norm(FiniteVector(v.indices, two * v.values)) == two * norm(v)
 
 
+def _outcome(norm):
+    """The bits of a norm power, or the message of its refusal."""
+    try:
+        return norm().hex()
+    except ValueError as exc:
+        return str(exc)
+
+
+#: nonzero magnitudes from 1e-150 to 1e150, either sign
+_SPREAD = st.builds(lambda m, e, sign: sign * m * 10.0 ** e, st.floats(1.0, 9.99),
+                    st.integers(-150, 150), st.sampled_from([-1.0, 1.0]))
+
+
+class TestDensePowerIsOneRow:
+    """The p-th power of a plain vector is the run-length power of its
+    nonzero magnitudes, each on one index."""
+
+    @given(values=st.lists(st.one_of(st.just(0.0), _SPREAD, st.floats(-10.0, 10.0)),
+                           max_size=40),
+           p=st.sampled_from([1.0, 1.5, 2.0, 3.0, 7.3]), theta=st.floats(0.01, 0.99))
+    @settings(max_examples=300, deadline=None)
+    def test_bits_and_refusals_match(self, values, p, theta):
+        params = SpaceParams(p=p, weights=WeightSequence(theta))
+        mags = np.abs(np.array(values, dtype=np.float64))
+        mags = mags[mags != 0.0]
+        ones = np.ones(mags.size, np.int64)
+        dense = _outcome(lambda: lorentz_pnorm_pow(values, params))
+        assert dense == _outcome(lambda: lorentz_pnorm_pow_runlength(mags, ones, params))
+        assert dense == _outcome(lambda: lorentz_pnorm_pow(FiniteVector.from_dense(values), params))
+        if not dense.startswith("Lorentz") and float.fromhex(dense) < 1e300:
+            # the shared body against the math.fsum oracle, none of whose terms
+            # overflows where the power is below 1e300
+            want = oracle.lorentz_norm(values, theta, p) ** p
+            assert float.fromhex(dense) == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused_by_both(self, half, bad):
+        params = SpaceParams(p=2.0, weights=half)
+        with pytest.raises(ValueError, match="^coefficients must be finite$"):
+            lorentz_pnorm_pow([1.0, bad], params)
+        with pytest.raises(ValueError, match="^block values must be finite$"):
+            lorentz_pnorm_pow_runlength([1.0, bad], [1, 1], params)
+
+    @pytest.mark.parametrize("values,side",
+                             [([1e200, 3.0], "overflows"), ([1e-200, 0.0], "underflows")])
+    def test_out_of_range_refused_alike(self, half, values, side):
+        params = SpaceParams(p=2.0, weights=half)
+        message = f"Lorentz norm power {side} float64 at p=2.0, theta=0.5"
+        assert _outcome(lambda: lorentz_pnorm_pow(values, params)) == message
+        mags = np.array([v for v in values if v])
+        ones = np.ones(mags.size, np.int64)
+        assert _outcome(lambda: lorentz_pnorm_pow_runlength(mags, ones, params)) == message
+
+
 class TestRunLengthNorm:
     def test_values_and_lengths_pair_up(self, half):
         with pytest.raises(ValueError, match="^values and lengths must have equal length$"):
