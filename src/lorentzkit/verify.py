@@ -315,6 +315,13 @@ def _aggregate_parts(parts: List[Iterable[Chunk]], tolerance: float, part_entrie
     return _fan_out(parts, tolerance, workers)
 
 
+def _owner(index: int, workers: int) -> int:
+    """The worker that runs part ``index``: parts go out in rounds of
+    ``workers``, every other round in reverse (0, 1, 1, 0, 0, 1, ... on two)."""
+    turn, n = divmod(index, workers)
+    return n if turn % 2 == 0 else workers - 1 - n
+
+
 def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
     """:func:`_aggregate` of each part on ``workers`` forked processes, each
     pinned to its own share of the process's CPUs (:func:`_worker`): worker n
@@ -322,19 +329,22 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
     two workers of a call share a CPU, and a worker with several CPUs may
     still move off one that another process keeps busy.
 
-    Worker n runs parts n, n + workers, n + 2 * workers, ... in order and
-    writes each one's aggregate or exception to its own result pipe.  The
-    calling process does no part work: it loads the results in part order
-    with :func:`pickle.load`, part i from worker ``i % workers``, and raises
-    the first exception it loads, which is the failure of the lowest index,
-    as in one pass.  A worker blocks only on its own pipe, and the caller
-    reads each pipe in the order it is written, so no read waits on a worker
-    that waits on the caller.  A worker whose pipe ends before a whole
-    pickle (it exited without sending its part's result) fails that part
-    with :class:`ChildProcessError`.  A failing ``os.pipe`` or ``os.fork``
-    raises once the ends made are closed.  Every worker is killed and reaped
-    before this returns or raises, so none outlives a failure or an
-    interrupt.
+    Part i runs on worker ``_owner(i, workers)``: the parts go out in rounds
+    of ``workers``, and every other round is reversed, so where costs repeat
+    with the part index (the remark-3-3 cells cycle through cheap and dear
+    powers p) no worker gets only the dear ones.  Each worker runs its share
+    in increasing order and writes each part's aggregate or exception to its
+    own result pipe.  The calling process does no part work: it loads the
+    results in part order with :func:`pickle.load`, part i from its owner's
+    pipe, and raises the first exception it loads, which is the failure of
+    the lowest index, as in one pass.  A worker blocks only on its own pipe,
+    and the caller reads each pipe in the order it is written, so no read
+    waits on a worker that waits on the caller.  A worker whose pipe ends
+    before a whole pickle (it exited without sending its part's result)
+    fails that part with :class:`ChildProcessError`.  A failing ``os.pipe``
+    or ``os.fork`` raises once the ends made are closed.  Every worker is
+    killed and reaped before this returns or raises, so none outlives a
+    failure or an interrupt.
     """
     import signal
 
@@ -347,7 +357,8 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
                 pid = os.fork()
                 if pid == 0:
                     inherited = [result_r, *(reader.fileno() for reader in readers)]
-                    _worker(parts[n::workers], tolerance, cpus[n % len(cpus)::workers], result_w, inherited)
+                    share = [part for i, part in enumerate(parts) if _owner(i, workers) == n]
+                    _worker(share, tolerance, cpus[n % len(cpus)::workers], result_w, inherited)
             except BaseException:  # no worker: its read end goes too
                 os.close(result_r)
                 raise
@@ -356,11 +367,12 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
             pids.append(pid)
             readers.append(open(result_r, "rb"))
         for index in range(len(parts)):
+            owner = _owner(index, workers)
             try:
-                outcome = pickle.load(readers[index % workers])
+                outcome = pickle.load(readers[owner])
             except (EOFError, pickle.UnpicklingError):  # the worker died
                 # reaped here for its status, so the clean-up leaves it out
-                _, status = os.waitpid(pids.pop(index % workers), 0)
+                _, status = os.waitpid(pids.pop(owner), 0)
                 raise ChildProcessError(
                     f"the worker of part {index} exited with status "
                     f"{os.waitstatus_to_exitcode(status)} before sending its result") from None
@@ -379,9 +391,9 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
 def _worker(parts, tolerance: float, cpus, results: int, inherited) -> None:
     """The life of a forked worker: close the ``inherited`` descriptors (the
     read ends of its own and of earlier workers' result pipes), pin itself
-    to ``cpus``, then aggregate ``parts`` in order and write each one's
-    aggregate or exception to ``results``, stopping after the first
-    exception.
+    to ``cpus``, then aggregate ``parts``, its share in increasing part
+    order, and write each one's aggregate or exception to ``results``,
+    stopping after the first exception.
 
     It never returns: it leaves through ``os._exit``, so it runs no exit
     handler and flushes none of the caller's stdio buffers.  A result that
@@ -466,10 +478,10 @@ class _Buffers:
 
     ``buffers(name, shape, dtype)`` is the leading ``shape`` of the array
     ``name`` (one dtype per name), reallocated only when it is too small.  A
-    streamed check makes one for its whole grid or cell, so its first, largest
-    block allocates them and no later block does; what a call returns is
-    valid until the next call for the same name.  A fresh one gives freshly
-    allocated arrays.
+    streamed check makes one for its whole grid, shared by every part a
+    process runs, so the process's first, largest block allocates them and no
+    later block does; what a call returns is valid until the next call for
+    the same name.  A fresh one gives freshly allocated arrays.
     """
 
     def __init__(self):
@@ -631,12 +643,21 @@ def check_remark_3_3(
     return _instance(_remark_3_3_chunk(point, *pows), 0)
 
 
+def _support_masks(m: int) -> np.ndarray:
+    """A read-only ``(m + 1) x m`` view whose row ``s`` is ``np.arange(m) < s``:
+    the windows of one ``2m``-entry ramp, so it holds ``O(m)`` memory.  Index
+    it as ``masks[sizes]``: ``np.take`` would first copy all of it."""
+    return np.lib.stride_tricks.sliding_window_view(np.arange(2 * m) < m, m)[::-1]
+
+
 def _remark_3_3(grid: Dict):
     thetas = [float(t) for t in grid["theta_values"]]
     ps = [_check_p(p) for p in grid["p_values"]]
     trials = _check_int("trials", grid["trials"], 1)
     seed = _check_int("seed", grid["seed"], 0)
     m = _check_int("max_support", grid["max_support"], 1)
+    masks = _support_masks(m)
+    buffers = _Buffers()  # allocated by a process's first block, shared by its later cells
 
     def cell(ti, theta, w_vals, pi, p):
         """One (theta, p) cell's chunks, a block of trials at a time; row t of
@@ -644,29 +665,27 @@ def _remark_3_3(grid: Dict):
         rng = np.random.default_rng([seed, ti, pi])
         size_x = rng.integers(1, m + 1, size=trials)
         size_y = rng.integers(1, m + 1, size=trials)
-        buffers = _Buffers()
-        support = np.arange(m)
+        # both halves of a row weighted by one vector: w_m, ..., w_1 twice
+        w_halves = np.tile(w_vals[m - 1 :: -1], 2)
         for first, last in _grid_blocks(0, trials - 1, 2 * m):
             sx, sy = size_x[first : last + 1], size_y[first : last + 1]
-            both = buffers("block", (sx.size, 2 * m))
-            used = buffers("mask", (sx.size, 2 * m), bool)
-            np.less(support, sx[:, None], out=used[:, :m])
-            np.less(support, sy[:, None], out=used[:, m:])
-            # only the normals the trials use, in trial order, each x's before its
-            # y's; the buffer is asked for at the block's full size, as the count varies
-            values = buffers("values", (both.size,))
-            drawn = rng.standard_normal(out=values[: int(sx.sum() + sy.sum())])
+            sizes = buffers("sizes", (sx.size, 2), np.int64)
+            sizes[:, 0], sizes[:, 1] = sx, sy
+            used = masks[sizes].reshape(sx.size, 2 * m)
+            both = buffers("block", used.shape)
+            terms = buffers("terms", used.shape)
+            # only the normals the trials use, in trial order, each x's before
+            # its y's, drawn into the terms buffer until the halves are weighted
+            drawn = rng.standard_normal(out=terms.reshape(-1)[: int(sizes.sum())])
             with np.errstate(over="ignore"):
                 np.power(np.abs(drawn, out=drawn), p, out=drawn)  # once for x, y and x + y
                 both.fill(0.0)
                 both[used] = drawn
                 # each half sorted in place as a row of its own (row 2t is trial t's
-                # x, row 2t + 1 its y) and weighted into scratch, then every whole
+                # x, row 2t + 1 its y) and weighted into terms, then every whole
                 # row sorted in place for x + y: each row is summed as it was sorted
-                halves = both.reshape(-1, m)
-                halves.sort(axis=-1)
-                pow_xy = np.multiply(halves, w_vals[m - 1 :: -1],
-                                     out=buffers("terms", halves.shape)).sum(axis=-1)
+                both.reshape(-1, m).sort(axis=-1)
+                pow_xy = np.multiply(both, w_halves, out=terms).reshape(-1, m).sum(axis=-1)
                 both.sort(axis=-1)
                 pows = pow_xy[0::2], pow_xy[1::2], _kernels.weighted_sum(both, w_vals[::-1])
             trial = np.arange(first, last + 1)

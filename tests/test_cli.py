@@ -552,6 +552,11 @@ PARSE_ERRORS = [
      "grid literal '0.01:0.99:1e-12': too many points (9.8e+11)"),
     (("verify", "lemma-3-2"), "--theta-grid", "theta_grid", "0.01:0.99:1e-300",
      "grid literal '0.01:0.99:1e-300': too many points (9.8e+299)"),
+    # values that start with "-", which argparse would take for an option
+    (("verify", "lemma-3-1"), "--theta-grid", "theta_grid", "-1e308:1e308:1",
+     "grid literal '-1e308:1e308:1': too many points (inf)"),
+    (("norm", "--theta", "0.5"), "--dense", "dense", "-3,x",
+     "bad float list '-3,x': could not convert string to float: 'x'"),
 ]
 
 #: (argv, ((flag, config key, value), ...), message): values the library refuses
@@ -570,10 +575,11 @@ LIBRARY_ERRORS = [
 class TestInputChecks:
     @pytest.mark.parametrize("argv,flag,key,value,message", PARSE_ERRORS)
     def test_bad_literal(self, tmp_path, capsys, argv, flag, key, value, message):
-        assert run(*argv, flag, value) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.endswith(f"error: argument {flag}: {message}\n")
+        for flags in ((flag, value), (f"{flag}={value}",)):
+            assert run(*argv, *flags) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.endswith(f"error: argument {flag}: {message}\n")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"{key} = {value}\n")
         assert run(*argv, "--config", str(cfg)) == 2
@@ -604,6 +610,55 @@ class TestInputChecks:
         assert run(*args, "--config", str(cfg)) == 0
         assert ("runtime_ms" in capsys.readouterr().out) is shown
         assert (json.loads(out.read_text())["runtime_ms"] is not None) is shown
+
+
+class TestDashedValues:
+    """A flag's value that starts with ``-`` is read in each form alike:
+    ``--flag value``, ``--flag=value`` and the config line (the grid and
+    float-list literals are in :data:`PARSE_ERRORS`)."""
+
+    @staticmethod
+    def forms(tmp_path, argv, flag, key, value):
+        """The outcome of each form: exit code, stdout, stderr and --out bytes."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        outcomes = []
+        for flags in ((flag, value), (f"{flag}={value}",), ("--config", str(cfg))):
+            out = tmp_path / "r.json"
+            out.unlink(missing_ok=True)
+            code = run(*argv, *flags, "--out", str(out))
+            outcomes.append((code, out.read_bytes() if out.exists() else None))
+        return outcomes
+
+    def test_negative_theta_is_refused_by_its_reason(self, tmp_path, capsys):
+        message = "error: theta must lie in [0.01, 0.99], got -0.001\n"
+        assert self.forms(tmp_path, ("norm", "--dense", "1"), "--theta", "theta", "-1e-3") == [
+            (2, None)] * 3
+        assert capsys.readouterr() == ("", message * 3)
+        # an abbreviated flag takes its value as the flag does
+        assert run("norm", "--dense", "1", "--thet", "-1e-3") == 2
+        assert capsys.readouterr() == ("", message)
+
+    def test_negative_dense_entries_compute(self, tmp_path, capsys):
+        outcomes = self.forms(tmp_path, ("norm", "--theta", "0.5"), "--dense", "dense", "-3,1")
+        printed = capsys.readouterr()
+        assert outcomes[0][0] == 0 and outcomes[0][1] is not None and outcomes == [outcomes[0]] * 3
+        assert printed.err == "" and printed.out == printed.out[: len(printed.out) // 3] * 3
+        assert "support size      2" in printed.out
+
+    @pytest.mark.parametrize("argv", [
+        ("norm", "--dense", "--theta", "0.5"),
+        ("norm", "--theta", "0.5", "--dense", "--sparse=1:1"),
+        ("norm", "--theta", "0.5", "--dense", "--th", "0.5"),
+        ("equiv", "--pair", "d-vs-lp", "--theta", "0.5", "--dimension", "-N5"),
+    ])
+    def test_an_option_is_not_taken_for_a_value(self, capsys, argv):
+        assert run(*argv) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+    def test_nothing_after_a_double_dash_is_joined(self, capsys):
+        assert run("norm", "--theta", "0.5", "--", "--dense", "-3,1") == 2
+        assert "unrecognized arguments: -- --dense -3,1" in capsys.readouterr().err
 
 
 class TestLibraryRefusals:
