@@ -13,7 +13,7 @@ a flag for one of two alternatives wins over the file's value for the other.
 An option of another mode is refused (``X does not apply to <mode>``), and so
 is a missing required key (``<mode> requires <flag>``).  A flag's value that
 starts with ``-`` is read in ``--flag value`` as in ``--flag=value``
-(:func:`_attach_dashed_values`).
+(:func:`lorentzkit.options.attach_dashed_values`).
 ``LORENTZKIT_OUT_DIR`` supplies a directory for bare output filenames (the
 only environment knob).  Exit codes: 0 on success/pass, 1 when a
 verification found violations, 2 on usage or configuration errors, on every
@@ -47,6 +47,7 @@ from .options import (
     _parse_path,
     _parse_sparse,
     add_options,
+    attach_dashed_values,
     dump_json,
 )
 
@@ -353,41 +354,6 @@ def _build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_dashed_values(argv: List[str], options: Tuple[Option, ...]) -> List[str]:
-    """``argv`` with each flag that takes a value written ``FLAG=VALUE`` where
-    its value starts with ``-``: argparse reads ``--theta -1e-3`` as two
-    options, but ``--theta=-1e-3`` as a flag and its value.  A next argument
-    that argparse reads as an option (one of ``options``, ``--config`` or
-    ``-h``: a flag, a prefix of a long one, either with ``=VALUE``, or a
-    short flag with its value attached) is left alone, so ``--dense --theta
-    0.5`` is still refused; so is everything after ``--``."""
-    flags = [flag for opt in options for flag in opt.flags] + ["--config", "-h", "--help"]
-    valued = {flag for opt in options if opt.parse is not _parse_bool for flag in opt.flags}
-    valued.add("--config")
-
-    def named(arg: str) -> List[str]:
-        """The flags argparse may take ``arg`` for."""
-        name = arg.partition("=")[0]
-        if name in flags:
-            return [name]
-        if name.startswith("--"):
-            return [flag for flag in flags if flag.startswith(name)]
-        return [flag for flag in flags if flag == arg[:2]]
-
-    out, i = [], 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg == "--":
-            return out + argv[i:]
-        value = argv[i + 1] if i + 1 < len(argv) else ""
-        target = named(arg) if arg in flags or arg.startswith("--") and "=" not in arg else []
-        if len(target) == 1 and target[0] in valued and value.startswith("-") and not named(value):
-            arg, i = f"{arg}={value}", i + 1
-        out.append(arg)
-        i += 1
-    return out
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # the top-level parser takes no option but -h, so argparse runs the
@@ -396,7 +362,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     name = next((arg for arg in argv if arg in commands), "")
     parser = _build_parser(name)
     if name:
-        argv = _attach_dashed_values(argv, commands[name].options(*commands[name].shared))
+        argv = attach_dashed_values(argv, commands[name].options(*commands[name].shared))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -187,20 +187,64 @@ class Param(NamedTuple):
         return tuple(filter(None, (self.point, self.option, self.alternative)))
 
 
+_CONFIG_FLAG = "--config"
+
+
+def _takes_value(opt: Option) -> bool:
+    """Whether the option's flag takes a value: a boolean one stands alone."""
+    return opt.parse is not _parse_bool
+
+
 def add_options(parser: argparse.ArgumentParser, options: Iterable[Option]) -> None:
     """Add one argparse argument per option, then ``--config``."""
     for opt in options:
-        if opt.parse is _parse_bool:
-            parser.add_argument(
-                *opt.flags, dest=opt.dest, action="store_const", const=True,
-                default=None, help=opt.help,
-            )
-        else:
+        if _takes_value(opt):
             parser.add_argument(
                 *opt.flags, dest=opt.dest, type=opt.parse, help=opt.help,
                 metavar=opt.metavar,
             )
-    parser.add_argument("--config", type=_parse_path)
+        else:
+            parser.add_argument(
+                *opt.flags, dest=opt.dest, action="store_const", const=True,
+                default=None, help=opt.help,
+            )
+    parser.add_argument(_CONFIG_FLAG, type=_parse_path)
+
+
+def attach_dashed_values(argv: List[str], options: Sequence[Option]) -> List[str]:
+    """``argv`` with each flag that takes a value written ``FLAG=VALUE`` where
+    its value starts with ``-``: argparse reads ``--theta -1e-3`` as two
+    options, but ``--theta=-1e-3`` as a flag and its value.  ``options`` are
+    those :func:`add_options` declared.  A next argument that argparse reads
+    as an option (one of theirs, ``--config`` or ``-h``: a flag, a prefix of
+    a long one, either with ``=VALUE``, or a short flag with its value
+    attached) is left alone, so ``--dense --theta 0.5`` is still refused; so
+    is everything after ``--``."""
+    flags = [flag for opt in options for flag in opt.flags] + [_CONFIG_FLAG, "-h", "--help"]
+    valued = {flag for opt in options if _takes_value(opt) for flag in opt.flags}
+    valued.add(_CONFIG_FLAG)
+
+    def named(arg: str) -> List[str]:
+        """The flags argparse may take ``arg`` for."""
+        name = arg.partition("=")[0]
+        if name in flags:
+            return [name]
+        if name.startswith("--"):
+            return [flag for flag in flags if flag.startswith(name)]
+        return [flag for flag in flags if flag == arg[:2]]
+
+    out, i = [], 0
+    while i < len(argv):
+        arg = argv[i]
+        if arg == "--":
+            return out + argv[i:]
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        target = named(arg) if arg in flags or arg.startswith("--") and "=" not in arg else []
+        if len(target) == 1 and target[0] in valued and value.startswith("-") and not named(value):
+            arg, i = f"{arg}={value}", i + 1
+        out.append(arg)
+        i += 1
+    return out
 
 
 def _load_config_file(path: str) -> Dict[str, str]:

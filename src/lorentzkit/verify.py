@@ -315,13 +315,6 @@ def _aggregate_parts(parts: List[Iterable[Chunk]], tolerance: float, part_entrie
     return _fan_out(parts, tolerance, workers)
 
 
-def _owner(index: int, workers: int) -> int:
-    """The worker that runs part ``index``: parts go out in rounds of
-    ``workers``, every other round in reverse (0, 1, 1, 0, 0, 1, ... on two)."""
-    turn, n = divmod(index, workers)
-    return n if turn % 2 == 0 else workers - 1 - n
-
-
 def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
     """:func:`_aggregate` of each part on ``workers`` forked processes, each
     pinned to its own share of the process's CPUs (:func:`_worker`): worker n
@@ -329,22 +322,19 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
     two workers of a call share a CPU, and a worker with several CPUs may
     still move off one that another process keeps busy.
 
-    Part i runs on worker ``_owner(i, workers)``: the parts go out in rounds
-    of ``workers``, and every other round is reversed, so where costs repeat
-    with the part index (the remark-3-3 cells cycle through cheap and dear
-    powers p) no worker gets only the dear ones.  Each worker runs its share
-    in increasing order and writes each part's aggregate or exception to its
-    own result pipe.  The calling process does no part work: it loads the
-    results in part order with :func:`pickle.load`, part i from its owner's
-    pipe, and raises the first exception it loads, which is the failure of
-    the lowest index, as in one pass.  A worker blocks only on its own pipe,
-    and the caller reads each pipe in the order it is written, so no read
-    waits on a worker that waits on the caller.  A worker whose pipe ends
-    before a whole pickle (it exited without sending its part's result)
-    fails that part with :class:`ChildProcessError`.  A failing ``os.pipe``
-    or ``os.fork`` raises once the ends made are closed.  Every worker is
-    killed and reaped before this returns or raises, so none outlives a
-    failure or an interrupt.
+    Worker n runs parts n, n + workers, n + 2 * workers, ... in order and
+    writes each one's aggregate or exception to its own result pipe.  The
+    calling process does no part work: it loads the results in part order
+    with :func:`pickle.load`, part i from worker ``i % workers``, and raises
+    the first exception it loads, which is the failure of the lowest index,
+    as in one pass.  A worker blocks only on its own pipe, and the caller
+    reads each pipe in the order it is written, so no read waits on a worker
+    that waits on the caller.  A worker whose pipe ends before a whole
+    pickle (it exited without sending its part's result) fails that part
+    with :class:`ChildProcessError`.  A failing ``os.pipe`` or ``os.fork``
+    raises once the ends made are closed.  Every worker is killed and reaped
+    before this returns or raises, so none outlives a failure or an
+    interrupt.
     """
     import signal
 
@@ -357,8 +347,7 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
                 pid = os.fork()
                 if pid == 0:
                     inherited = [result_r, *(reader.fileno() for reader in readers)]
-                    share = [part for i, part in enumerate(parts) if _owner(i, workers) == n]
-                    _worker(share, tolerance, cpus[n % len(cpus)::workers], result_w, inherited)
+                    _worker(parts[n::workers], tolerance, cpus[n % len(cpus)::workers], result_w, inherited)
             except BaseException:  # no worker: its read end goes too
                 os.close(result_r)
                 raise
@@ -367,12 +356,11 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
             pids.append(pid)
             readers.append(open(result_r, "rb"))
         for index in range(len(parts)):
-            owner = _owner(index, workers)
             try:
-                outcome = pickle.load(readers[owner])
+                outcome = pickle.load(readers[index % workers])
             except (EOFError, pickle.UnpicklingError):  # the worker died
                 # reaped here for its status, so the clean-up leaves it out
-                _, status = os.waitpid(pids.pop(owner), 0)
+                _, status = os.waitpid(pids.pop(index % workers), 0)
                 raise ChildProcessError(
                     f"the worker of part {index} exited with status "
                     f"{os.waitstatus_to_exitcode(status)} before sending its result") from None
@@ -391,9 +379,9 @@ def _fan_out(parts: List[Iterable[Chunk]], tolerance: float, workers: int):
 def _worker(parts, tolerance: float, cpus, results: int, inherited) -> None:
     """The life of a forked worker: close the ``inherited`` descriptors (the
     read ends of its own and of earlier workers' result pipes), pin itself
-    to ``cpus``, then aggregate ``parts``, its share in increasing part
-    order, and write each one's aggregate or exception to ``results``,
-    stopping after the first exception.
+    to ``cpus``, then aggregate ``parts`` in order and write each one's
+    aggregate or exception to ``results``, stopping after the first
+    exception.
 
     It never returns: it leaves through ``os._exit``, so it runs no exit
     handler and flushes none of the caller's stdio buffers.  A result that

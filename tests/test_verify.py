@@ -1,5 +1,6 @@
 import csv
 import errno
+import itertools
 import json
 import math
 import os
@@ -372,16 +373,13 @@ class TestDenseGrids:
             totals[cpus] = caller + sum(peaks.values()) if cpus > 1 else caller
         assert totals[1] <= 12 * 2**20 and totals[2] <= 2 * 12 * 2**20
 
-    @pytest.mark.parametrize("statement, grid, sizes", [
-        ("lemma-3-1", lambda blocks: {"j_max": 65 * blocks - 1, "k_max": 1000, "k_samples": 1000},
-         (2, 40)),
-        ("lemma-3-2", lambda blocks: {"i_max": 65 * blocks, "k_max": 1000}, (2, 40)),
-        # a cell draws its trials' support sizes, 16 bytes a trial, at its first
-        # block, so the cells stay at 8 blocks (105 KB of sizes)
+    @pytest.mark.parametrize("statement, grid", [
+        ("lemma-3-1", lambda blocks: {"j_max": 65 * blocks - 1, "k_max": 1000, "k_samples": 1000}),
+        ("lemma-3-2", lambda blocks: {"i_max": 65 * blocks, "k_max": 1000}),
         ("remark-3-3", lambda blocks: {"trials": 819 * blocks, "p_values": [1.5], "seed": 42,
-                                       "max_support": 40}, (2, 8)),
+                                       "max_support": 40}),
     ], ids=["lemma-3-1", "lemma-3-2", "remark-3-3"])
-    def test_blocks_after_the_first_allocate_no_block(self, statement, grid, sizes):
+    def test_blocks_after_the_first_allocate_no_block(self, statement, grid):
         # the block arrays are allocated by the grid's first block and shared by
         # every later block and theta (remark-3-3: every later (theta, p) cell);
         # a draw that allocated them afresh would take several 512 KiB blocks
@@ -393,33 +391,56 @@ class TestDenseGrids:
 
         block_bytes = verify._GRID_BLOCK_ENTRIES * 8
         # 65 rows of 1000 columns, or 819 trials of 2 x 40 entries, make one block
-        for blocks in sizes:
+        for blocks in (2, 40):
             evaluate = verify.STATEMENTS[statement].evaluate
-            parts = evaluate({**grid(blocks), "theta_values": [0.25, 0.75]})[2]
-            allocated = []  # per part, what each of its draws allocated
+            # the parts of one process, one theta or cell each, in turn
+            part = itertools.chain.from_iterable(
+                evaluate({**grid(blocks), "theta_values": [0.25, 0.75]})[2])
+            allocated = []
             tracemalloc.start()
             try:
-                # the parts of one process, one theta or cell each, in turn; the
-                # draw that ends a part is left out, so what the part frees at
-                # its end cannot hide what the next part's first draw allocates
-                for part in parts:
-                    allocated.append([])
-                    while True:
-                        tracemalloc.reset_peak()
-                        before = tracemalloc.get_traced_memory()[0]
-                        if next(part, None) is None:
-                            break
-                        allocated[-1].append(tracemalloc.get_traced_memory()[1] - before)
+                while True:
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    if next(part, None) is None:
+                        break
+                    allocated.append(tracemalloc.get_traced_memory()[1] - before)
             finally:
                 tracemalloc.stop()
-            assert [len(draws) for draws in allocated] == [blocks, blocks]
-            # the second part's first draw builds what the part holds of its own
-            # (a theta's prefix sums, a cell's generator and support sizes), as
-            # the first part's did, but it allocates no block array
-            first, second = (draws[0] for draws in allocated)
-            assert second + block_bytes <= first, (blocks, allocated)
-            later = [size for draws in allocated for size in draws[1:]]
-            assert max(later) < block_bytes // 2, (blocks, allocated)
+            assert len(allocated) == 2 * blocks
+            # the second theta's first draw builds its prefix sums (the second
+            # cell's, its generator and support sizes), which are small here
+            assert max(allocated[1:]) < block_bytes // 2, (blocks, allocated)
+
+    def test_remark_3_3_cells_share_their_block_arrays(self):
+        # measured part by part, the draw that ends a cell is left out, so what
+        # the first cell frees at its end cannot net out what the second cell's
+        # first draw allocates: per-cell block arrays pass the chained form
+        # above, but not this one.  A cell of 2 blocks holds 26 KB of its own
+        # (its generator and support sizes)
+        import tracemalloc
+
+        import lorentzkit.verify as verify
+
+        block_bytes = verify._GRID_BLOCK_ENTRIES * 8
+        grid = {"trials": 819 * 2, "p_values": [1.5], "seed": 42, "max_support": 40,
+                "theta_values": [0.25, 0.75]}
+        allocated = []  # per cell, what each of its draws allocated
+        tracemalloc.start()
+        try:
+            for part in verify.STATEMENTS["remark-3-3"].evaluate(grid)[2]:
+                allocated.append([])
+                while True:
+                    tracemalloc.reset_peak()
+                    before = tracemalloc.get_traced_memory()[0]
+                    if next(part, None) is None:
+                        break
+                    allocated[-1].append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        assert [len(draws) for draws in allocated] == [2, 2]
+        assert allocated[0][0] >= 2 * block_bytes, allocated  # the block arrays
+        assert max(allocated[0][1:] + allocated[1]) < block_bytes // 2, allocated
 
     def test_pointwise_sides_match_grid(self):
         import lorentzkit.verify as verify
@@ -1152,120 +1173,55 @@ class TestWorkers:
             self.assert_no_child_left()
         assert len(forks) == 2 * len(cases)
 
-    @staticmethod
-    def shares(count, workers):
-        """The parts of each worker's share, in the order it runs them."""
-        import lorentzkit.verify as verify
-
-        return [[i for i in range(count) if verify._owner(i, workers) == n] for n in range(workers)]
-
-    @pytest.mark.parametrize("count, workers, shares", [
-        (12, 2, [[0, 3, 4, 7, 8, 11], [1, 2, 5, 6, 9, 10]]),
-        (19, 2, [[0, 3, 4, 7, 8, 11, 12, 15, 16], [1, 2, 5, 6, 9, 10, 13, 14, 17, 18]]),
-        (12, 3, [[0, 5, 6, 11], [1, 4, 7, 10], [2, 3, 8, 9]]),
-        (1, 2, [[0], []]),
-    ])
-    def test_shares_alternate_direction(self, count, workers, shares):
-        # rounds of `workers` parts, every other round reversed
-        assert self.shares(count, workers) == shares
-
-    def test_shares_are_increasing_and_even(self):
-        for workers in range(1, 7):
-            for count in range(0, 40):
-                shares = self.shares(count, workers)
-                assert sorted(i for share in shares for i in share) == list(range(count))
-                assert all(share == sorted(share) for share in shares)
-                sizes = [len(share) for share in shares]
-                assert max(sizes) - min(sizes) <= 1, (count, workers, sizes)
-
-    def test_default_remark_3_3_cells_mix_cheap_and_dear_powers(self):
-        # the cells run theta by theta, p by p; np.power is several times
-        # dearer at p = 1.5 and 3 than at 1 and 2, and worker n of parts
-        # n, n + 2, ... got every p = 1 and 2 cell or every p = 1.5 and 3 one
-        import lorentzkit.verify as verify
-
-        defaults = {param.key: param.default for param in verify.STATEMENTS["remark-3-3"].params}
-        thetas, ps = defaults["theta_values"], defaults["p_values"]
-        cells = [(theta, p) for theta in thetas for p in ps]
-        for share in self.shares(len(cells), 2):
-            for theta in thetas:
-                mine = sorted(p for i in share for t, p in [cells[i]] if t == theta)
-                assert len(mine) == 2 and len({p in (1.0, 2.0) for p in mine}) == 2, (theta, mine)
-
-    def test_workers_run_their_shares(self, forks, tmp_path):
-        import lorentzkit.verify as verify
-
-        log = tmp_path / "parts"
-
-        def part(n):
-            _append_line(log, os.getpid(), n)
-            yield from ()
-
-        verify._aggregate_parts([part(n) for n in range(7)], DEFAULT_TOLERANCE, 0)
-        ran = {}
-        for pid, n in _lines(log):
-            ran.setdefault(pid, []).append(int(n))
-        assert sorted(ran.values()) == self.shares(7, 2) and len(forks) == 2
-        self.assert_no_child_left()
-
     def test_results_larger_than_a_pipe_arrive_in_part_order(self, forks):
-        # each aggregate overflows a 64 KiB pipe buffer, and one part is slow;
-        # worker 0 runs parts 0, 3, 4 and worker 1 parts 1, 2, 5 (the second
-        # round reversed).  With part 1 slow, worker 0 blocks on writing part 3
-        # while the caller waits on parts 1 and 2; with part 3 slow, worker 1
-        # blocks on writing part 5 while the caller waits on parts 3 and 4
+        # each aggregate overflows a 64 KiB pipe buffer, and part 1 is slow, so
+        # worker 0 blocks on writing part 2 while the caller waits on part 1
         import pickle
 
         import lorentzkit.verify as verify
 
-        size, count = 4000, 6
-        for slow in (1, 3):
-            def part(n, slow=slow):
-                if n == slow:
-                    time.sleep(0.5)
-                index = np.arange(n * size, (n + 1) * size)
-                yield verify.Chunk("t", {"n": index}, None, None, None, -1.0 - index / size)
+        size = 4000
 
-            assert len(pickle.dumps(verify._aggregate(part(0), DEFAULT_TOLERANCE))) > 1 << 16
+        def part(n):
+            if n == 1:
+                time.sleep(0.5)
+            index = np.arange(n * size, (n + 1) * size)
+            yield verify.Chunk("t", {"n": index}, None, None, None, -1.0 - index / size)
 
-            def deadlocked(*args):
-                raise TimeoutError("the results did not arrive within 60 s")
+        assert len(pickle.dumps(verify._aggregate(part(0), DEFAULT_TOLERANCE))) > 1 << 16
 
-            previous = signal.signal(signal.SIGALRM, deadlocked)
-            signal.alarm(60)
-            try:
-                fanned = verify._aggregate_parts([part(n) for n in range(count)], DEFAULT_TOLERANCE, 0)
-            finally:
-                signal.alarm(0)
-                signal.signal(signal.SIGALRM, previous)
-            assert len(forks) == 2
-            assert ([v.params["n"] for _, violations, _ in fanned for v in violations]
-                    == list(range(count * size)))
-            serial = [verify._aggregate(part(n), DEFAULT_TOLERANCE) for n in range(count)]
-            assert repr(verify._fold(fanned)) == repr(verify._fold(serial))
-            self.assert_no_child_left()
-            forks.clear()
+        def deadlocked(*args):
+            raise TimeoutError("the results did not arrive within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, deadlocked)
+        signal.alarm(60)
+        try:
+            fanned = verify._aggregate_parts([part(n) for n in range(4)], DEFAULT_TOLERANCE, 0)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(forks) == 2
+        assert [v.params["n"] for _, violations, _ in fanned for v in violations] == list(range(4 * size))
+        serial = [verify._aggregate(part(n), DEFAULT_TOLERANCE) for n in range(4)]
+        assert repr(verify._fold(fanned)) == repr(verify._fold(serial))
+        self.assert_no_child_left()
 
     def test_the_lowest_failing_part_raises(self, forks):
-        # part `lower` fails a second late and part `lower + 1` at once, each on
-        # its own worker (parts 2 and 3 are the reversed second round, run by
-        # workers 1 and 0): the lower part's error is raised, as one pass over
-        # the parts would raise it
+        # part 1 fails at once and part 0 a second later: part 0's error is
+        # raised, as one pass over the parts would raise it
         import lorentzkit.verify as verify
 
-        for lower in (0, 2):
-            def part(n, lower=lower):
-                if n == lower:
-                    time.sleep(1)
-                if n in (lower, lower + 1):
-                    raise ValueError(f"part {n} fails")
-                yield from ()
+        def part(n):
+            if n == 0:
+                time.sleep(1)
+            if n < 2:
+                raise ValueError(f"part {n} fails")
+            yield from ()
 
-            with pytest.raises(ValueError, match=f"^part {lower} fails$"):
-                verify._aggregate_parts([part(n) for n in range(4)], DEFAULT_TOLERANCE, 0)
-            assert len(forks) == 2
-            self.assert_no_child_left()
-            forks.clear()
+        with pytest.raises(ValueError, match="^part 0 fails$"):
+            verify._aggregate_parts([part(n) for n in range(4)], DEFAULT_TOLERANCE, 0)
+        assert len(forks) == 2
+        self.assert_no_child_left()
 
     def test_interrupted_caller_kills_and_reaps_the_busy_workers(self, monkeypatch, forks):
         import pickle
