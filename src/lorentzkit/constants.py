@@ -29,7 +29,7 @@ dimension on which the averaged-weight space escapes ``k``-equivalence with
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -223,22 +223,8 @@ def section_ratio(weights: WeightSequence, p: float, k: int, n: int) -> float:
     return (n * s_k / s_nk) ** (1.0 / p)
 
 
-#: bisection steps whose probes one weight-sum call evaluates
-PROBE_DEPTH = 5
-
-
-def _probe_tree(low: int, n: int, depth: int) -> List[int]:
-    """Every midpoint the next ``depth`` steps of bisecting ``(low, n]`` may probe."""
-    probes, spans = [], [(low, n)]
-    for _ in range(depth):
-        halves = []
-        for lo, hi in spans:
-            if hi - lo > 1:
-                mid = (lo + hi) // 2
-                probes.append(mid)
-                halves += [(lo, mid), (mid, hi)]
-        spans = halves
-    return probes
+#: probes per narrowing step; each step cuts the bracket to at most 1/32
+_FANOUT = 32
 
 
 def select_block_counts(
@@ -247,20 +233,22 @@ def select_block_counts(
     """Smallest ``N_k`` with ``(N / W_N^(k))^(1/p) > k`` for ``k = 1..levels``.
 
     ``N * W_k / W_{Nk}`` increases with ``N`` (block averages of a decreasing
-    sequence decrease), so each level gallops ``N = 1, 2, 4, ...`` to a
-    bracket and bisects it.  The probes are arrays of partial sums: one for
-    the whole doubling sequence up to the cutoff, then one per
-    :data:`PROBE_DEPTH` bisection steps, holding the ``2**PROBE_DEPTH - 1``
-    midpoints those steps may reach, which the steps then read in turn.  A
-    bracket is at most ``2**52`` wide, so a level makes at most 12 array
-    probes, besides ``W_k`` and the two sums of its :func:`section_ratio`.
-    The minimal values are clamped to be nondecreasing in ``k`` (for
-    power-law weights they come out strictly increasing already).  Level
-    ``k`` searches up to ``INDEX_LIMIT // k``, the largest ``N`` whose
-    ``W_{Nk}`` is still evaluated.  Raises :class:`GrowthCutoffError` when no
-    section up to that cutoff escapes (always so when ``k**p`` is beyond
-    float64), which signals a weight sequence that is too close to summable
-    for this construction (``theta = 0.01`` at ``p = 1`` fails on level 2).
+    sequence decrease), so each level brackets its ``N_k`` and narrows the
+    bracket.  Every probe is one array of partial sums, read by
+    ``first_escape``: the first ``N`` of an ascending list that escapes.  The
+    gallop probes ``N = 1, 2, 4, ...`` up to the cutoff at once; each
+    narrowing step probes the :data:`_FANOUT` points that cut the bracket
+    ``(low, n]`` into equal parts, and the probe before the first escape
+    becomes ``low``.  So ``low`` never escapes and ``n`` does, and a level
+    makes at most 12 array probes (a bracket is at most ``2**52`` wide),
+    besides ``W_k`` and the two sums of its :func:`section_ratio`.  The
+    minimal values are clamped to be nondecreasing in ``k`` (for power-law
+    weights they come out strictly increasing already).  Level ``k``
+    searches up to ``INDEX_LIMIT // k``, the largest ``N`` whose ``W_{Nk}``
+    is still evaluated.  Raises :class:`GrowthCutoffError` when no section
+    up to that cutoff escapes (always so when ``k**p`` is beyond float64),
+    which signals a weight sequence that is too close to summable for this
+    construction (``theta = 0.01`` at ``p = 1`` fails on level 2).
     """
     p = _check_p(p)
     levels = _check_int("levels", levels, 1)
@@ -275,34 +263,27 @@ def select_block_counts(
             raise GrowthCutoffError(f"level {k}: k**p = {k}**{p} overflows float64, so no section "
                                     f"below the growth cutoff {cutoff} escapes") from None
 
-        def escapes(ns: List[int]) -> Dict[int, bool]:
-            """Whether ``N * W_k / W_{Nk} > k**p``, for each ``N`` in ``ns``."""
-            at = np.array(ns, dtype=np.int64)
-            ratio_pows = at * s_k / weights.partial_sums_at(at * k)
-            return dict(zip(ns, (ratio_pows > target).tolist()))
+        def first_escape(ns: List[int]) -> Optional[int]:
+            """Index of the first ``N`` in ``ns`` with ``N * W_k / W_{Nk} > k**p``."""
+            sums = weights.partial_sums_at([n * k for n in ns])
+            escaped = np.flatnonzero(np.array(ns, dtype=np.float64) * s_k / sums > target)
+            return int(escaped[0]) if escaped.size else None
 
         gallop = [1]
         while gallop[-1] < cutoff:
             gallop.append(min(2 * gallop[-1], cutoff))
-        escaped = escapes(gallop)
-        first = next((i for i, n in enumerate(gallop) if escaped[n]), None)
+        first = first_escape(gallop)
         if first is None:
             raise GrowthCutoffError(
                 f"level {k}: no section below the growth cutoff "
                 f"{cutoff} escapes {k}-equivalence; the weights "
                 "decay too slowly for this selection"
             )
-        # escaped[low] is False (or low = 0) and escaped[n] True
         low, n = (gallop[first - 1] if first else 0), gallop[first]
         while n - low > 1:
-            escaped = escapes(_probe_tree(low, n, PROBE_DEPTH))
-            for _ in range(PROBE_DEPTH):
-                if n - low > 1:
-                    mid = (low + n) // 2
-                    if escaped[mid]:
-                        n = mid
-                    else:
-                        low = mid
+            probes = sorted({low + (n - low) * i // _FANOUT for i in range(1, _FANOUT + 1)} - {low})
+            first = first_escape(probes)
+            low, n = (probes[first - 1] if first else low), probes[first]
         if counts and n < counts[-1]:
             n = counts[-1]
         counts.append(n)

@@ -828,6 +828,9 @@ def _theorem_3_5(grid: Dict):
                 x_pow = _runlength_pows(*expand_runlength(coeffs, scheme, weights, p), space)
                 rhs = a_pow * y_pow
             _check_finite("theorem-3-5", p, weights.theta, x_pow, rhs)
+            # every trial row is nonzero, so a power below the normal range underflowed
+            if min(x_pow.min(), y_pow.min()) < np.finfo(np.float64).tiny:
+                raise ValueError(f"theorem-3-5 norm powers underflow at p={p}, theta={weights.theta}")
             lhs = b * y_pow
             trial = np.arange(first, last + 1)
             params = {

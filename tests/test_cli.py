@@ -264,6 +264,16 @@ class TestVerifyCommand:
         assert "result" not in captured.out
         assert not out.exists()
 
+    def test_theorem_3_5_underflowing_norm_powers_exit_2(self, tmp_path, capsys):
+        # trial 3 at p = 300 has subnormal norm powers (lhs 2.7e-309)
+        out = tmp_path / "t.json"
+        args = ("verify", "theorem-3-5", "--corollary-K", "1", "--p", "300", "--trials", "20")
+        assert run(*args, "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: theorem-3-5 norm powers underflow at p=300.0, theta=0.5\n"
+        assert "result" not in captured.out
+        assert not out.exists()
+
     @pytest.mark.parametrize("form", ["flag", "config"])
     @pytest.mark.parametrize("value,shown", [("0.5", "0.5"), ("nan", "nan"),
                                              ("inf", "inf"), ("-1", "-1.0")])

@@ -274,6 +274,23 @@ class TestSelectBlockCounts:
         assert ratio_pow(n) > levels**p
         assert ratio_pow(n - 1) <= levels**p
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "past N ~ 1.7e15 float64 cannot order neighbouring section ratios: "
+        "the exact smallest escaping N at theta = 0.02, p = 1, level 2 is "
+        "2183530988063891, the selection stops some 60 below it (ROADMAP "
+        "items 10 and 15)"))
+    def test_deep_count_is_the_exact_first_escape(self):
+        theta, k = 0.02, 2
+        n = select_block_counts(WeightSequence(theta), 1.0, k).counts[-1]
+
+        def ratio_pow(m):
+            with mpmath.workdps(60):
+                zeta = mpmath.zeta(theta)
+                return m * (zeta - mpmath.zeta(theta, k + 1)) / (zeta - mpmath.zeta(theta, m * k + 1))
+
+        assert ratio_pow(n) > k
+        assert ratio_pow(n - 1) <= k
+
 
 def _selected(weights, p, levels):
     selection = select_block_counts(weights, p, levels)
@@ -291,9 +308,83 @@ def _outcome(select, theta, p, levels):
 @pytest.mark.parametrize("theta", [0.01, 0.05, 0.25, 0.5, 0.75, 0.99])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 1100.0])
 def test_select_block_counts_matches_the_scalar_search(theta, p):
-    # the array probes make the scalar search's comparisons: the same
-    # counts, ratios (bit for bit) and refusals, at every K <= 6;
+    # the array probes and the scalar search's one midpoint at a time find
+    # the same counts, ratios (bit for bit) and refusals, at every K <= 6;
     # p = 1100 overflows k**p on level 2
     for levels in range(1, 7):
         want = _outcome(oracle.select_block_counts, theta, p, levels)
         assert _outcome(_selected, theta, p, levels) == want
+
+
+# Array probes (``partial_sums_at`` calls) per level, up to the refusing
+# level, that the five-step bisection trees made on the scalar-search grid;
+# the fan-out narrowing must make no more.
+TREE_PROBES = {
+    (0.01, 1.0): (1, 1), (0.01, 1.5): (1, 1), (0.01, 2.0): (1, 1),
+    (0.01, 3.0): (1, 1), (0.01, 1100.0): (1, 0),
+    (0.05, 1.0): (1, 5, 8, 9, 11, 1), (0.05, 1.5): (1, 7, 11, 1),
+    (0.05, 2.0): (1, 9, 1), (0.05, 3.0): (1, 1), (0.05, 1100.0): (1, 0),
+    (0.25, 1.0): (1, 2, 3, 3, 3, 3), (0.25, 1.5): (1, 3, 3, 4, 4, 5),
+    (0.25, 2.0): (1, 3, 4, 5, 5, 6), (0.25, 3.0): (1, 4, 5, 6, 7, 8),
+    (0.25, 1100.0): (1, 0),
+    (0.5, 1.0): (1, 2, 2, 2, 2, 2), (0.5, 1.5): (1, 2, 2, 3, 3, 3),
+    (0.5, 2.0): (1, 2, 3, 3, 3, 4), (0.5, 3.0): (1, 3, 3, 4, 4, 5),
+    (0.5, 1100.0): (1, 0),
+    (0.75, 1.0): (1, 2, 2, 2, 2, 2), (0.75, 1.5): (1, 2, 2, 2, 2, 3),
+    (0.75, 2.0): (1, 2, 2, 3, 3, 3), (0.75, 3.0): (1, 2, 3, 3, 3, 4),
+    (0.75, 1100.0): (1, 0),
+    (0.99, 1.0): (1, 2, 2, 2, 2, 2), (0.99, 1.5): (1, 2, 2, 2, 2, 2),
+    (0.99, 2.0): (1, 2, 2, 2, 3, 3), (0.99, 3.0): (1, 2, 3, 3, 3, 3),
+    (0.99, 1100.0): (1, 0),
+}
+
+
+@pytest.fixture
+def probes(monkeypatch):
+    """A list that grows by one entry per ``partial_sums_at`` call."""
+    calls = []
+    partial_sums_at = WeightSequence.partial_sums_at
+
+    def counted(self, ns):
+        calls.append(len(ns))
+        return partial_sums_at(self, ns)
+
+    monkeypatch.setattr(WeightSequence, "partial_sums_at", counted)
+    return calls
+
+
+def test_benchmark_selection_makes_18_array_probes(probes):
+    select_block_counts(WeightSequence(0.25), 2.0, 5)
+    assert len(probes) == 18
+
+
+@pytest.mark.parametrize("theta, p", sorted(TREE_PROBES))
+def test_select_block_counts_probes_no_more_than_the_trees(theta, p, probes):
+    for levels in range(1, 7):
+        probes.clear()
+        _outcome(_selected, theta, p, levels)
+        assert len(probes) <= sum(TREE_PROBES[theta, p][:levels])
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_each_unclamped_count_is_the_first_escape(p):
+    # the search's contract, read through the array sums it probes with:
+    # N_k escapes and N_k - 1 does not, up to K = 6 or the refusing level
+    thetas = [t / 100 for t in range(1, 100, 2)] + [0.02, 0.04, 0.06]
+    for theta in thetas:
+        weights = WeightSequence(theta)
+        counts = ()
+        for levels in range(1, 7):
+            try:
+                counts = select_block_counts(weights, p, levels).counts
+            except GrowthCutoffError:
+                break
+        for k, n in enumerate(counts, start=1):
+            if k > 1 and n == counts[k - 2]:
+                continue  # possibly clamped
+            target = float(k) ** p
+            s_k = weights.partial_sum(k)
+            escapes = [m * s_k / w > target
+                       for m, w in zip((n, n - 1), weights.partial_sums_at([n * k, (n - 1) * k]))]
+            assert escapes[0], (theta, k, n)
+            assert n == 1 or not escapes[1], (theta, k, n)

@@ -13,8 +13,8 @@ X86_V4, AVX512_ICL and AVX512_SPR).  numpy's AVX-512 loops for ``power``,
 ``exp``, ``log1p`` and ``expm1`` round differently from its fallback loops,
 so another CPU may move a digest: with
 ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"`` the
-theorem-3-5 and the ``--select-counts-K 5`` cases move, 2 of the 11, and
-both remark-3-3 cases keep theirs.
+theorem-3-5 and the ``--select-counts-K 5`` cases move, 2 of the 12, and
+both remark-3-3 cases and the ``--select-counts-K 6`` case keep theirs.
 """
 
 import hashlib
@@ -53,6 +53,10 @@ GOLDEN = [
     ("construct --select-counts-K 5 --theta 0.5 --p 1.5", 0,
      "b9cb6249d1c4cda78b43b756310639b14a259d2253e3acac9548d8c1b499756b",
      "a9dde57f6406342e35cb53fc55515b9e3fa1b4c65aec366b78f3e11166d1e15c"),
+    # six levels, N_6 = 2526568 (the README example)
+    ("construct --select-counts-K 6 --theta 0.25 --p 2", 0,
+     "f59b65bccc61d092758cf9ef4b584653a38f89098003fb9db89aad2bffbdf176",
+     "6543a404470332420c8c36ee315ee8f0859239df880835cf66ca0702f47bf7ae"),
     ("equiv --pair dk-vs-d --theta 0.3 --p 2 --dimension 200 --k 3", 0,
      "9ad96c190a845adf1b90f950d6e7fb377dd36c892384188d9e89aac0800362dd",
      "ffd54ce1ae3a662a23721d58487d0b95441e2a215da287c42cb235e3400783c1"),

@@ -709,14 +709,9 @@ class TestRemark33Blocks:
 
 
 class TestLemma34AndTheorem35:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the trial chunks take their norm powers unchecked for underflow: at p=300 "
-        "trial 3 passes on the subnormal sides lhs 2.7e-309 and mid 1.5e-308 (min slack "
-        "1.26e-308), which lorentz_pnorm_pow_runlength refuses",
-    )
     def test_subnormal_norm_powers_are_refused(self):
-        with pytest.raises(ValueError, match="underflow"):
+        # at p=300 trial 3 has the subnormal sides lhs 2.7e-309 and mid 1.5e-308
+        with pytest.raises(ValueError, match=r"^theorem-3-5 norm powers underflow at p=300\.0, theta=0\.5$"):
             check_theorem_3_5(corollary_scheme(1), WeightSequence(0.5), 300.0, trials=20, seed=42)
 
     def test_conditions_on_corollary_scheme(self):
