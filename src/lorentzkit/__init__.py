@@ -19,8 +19,9 @@ _EXPORTS = {
         "THETA_MAX", "THETA_MIN", "PREFIX_CACHE_LIMIT", "INDEX_LIMIT", "WeightSequence",
     ), "weights"),
     **dict.fromkeys((
-        "FiniteVector", "SpaceParams", "decreasing_rearrangement", "disjoint_supports",
-        "lorentz_norm", "lorentz_pnorm_pow", "lorentz_pnorm_pow_runlength", "lp_norm",
+        "FiniteVector", "SpaceParams", "check_norm_powers", "decreasing_rearrangement",
+        "disjoint_supports", "lorentz_norm", "lorentz_pnorm_pow", "lorentz_pnorm_pow_runlength",
+        "lp_norm",
     ), "space"),
     **dict.fromkeys((
         "BlockScheme", "SchemeOverflowError", "block_vector", "corollary_scheme", "expand",

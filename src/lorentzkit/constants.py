@@ -51,9 +51,9 @@ class GrowthCutoffError(RuntimeError, ValueError):
 class NormDescriptor:
     """A symmetric norm of the form ``(sum a_n^p u_n)^(1/p)``.
 
-    ``kind`` picks the weight profile ``u``: all ones (``lp``), the raw
-    weights (``lorentz``), or block-averaged weights with window ``k``
-    (``averaged``).
+    ``kind`` picks the weight profile ``u``: all ones (``lp``), or
+    block-averaged weights with window ``k`` (``averaged``), whose ``k = 1``
+    profile is the raw weights.
     """
 
     label: str
@@ -63,7 +63,7 @@ class NormDescriptor:
     k: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("lp", "lorentz", "averaged"):
+        if self.kind not in ("lp", "averaged"):
             raise ValueError(f"unknown norm kind {self.kind!r}")
         object.__setattr__(self, "p", _check_p(self.p))
         if self.kind != "lp" and not isinstance(self.weights, WeightSequence):
@@ -75,23 +75,19 @@ class NormDescriptor:
         n = _check_int("n", n, 1)
         if self.kind == "lp":
             return np.ones(n)
-        if self.kind == "lorentz":
-            return self.weights.weight_values(n)
         return self.weights.averaged_weight_values(n, self.k)
 
     def prefix_sums(self, n: int) -> np.ndarray:
         """``[U_1, ..., U_n]``, the running sums of :meth:`weight_vector`.
 
-        Read off the weight sums (``W_m``, or ``W_{mk} / W_k`` for the
-        averaged profile), which stay within a few ulps; ``np.cumsum`` of the
-        profile drifted to 3.4e-15 relative by ``n = 2000``.
+        Read off the weight sums ``W_{mk} / W_k`` of the averaged profile
+        (``W_m`` at ``k = 1``), which stay within a few ulps; ``np.cumsum`` of
+        the profile drifted to 3.4e-15 relative by ``n = 2000``.
         """
         n = _check_int("n", n, 1)
         m = np.arange(1, n + 1, dtype=np.int64)
         if self.kind == "lp":
             return m.astype(np.float64)
-        if self.kind == "lorentz":
-            return self.weights.partial_sums_at(m)
         return self.weights.partial_sums_at(m * self.k) / self.weights.partial_sum(self.k)
 
     def evaluate(self, values) -> float:
@@ -110,9 +106,10 @@ def lp_norm_descriptor(p: float) -> NormDescriptor:
 def lorentz_norm_descriptor(weights: WeightSequence, p: float) -> NormDescriptor:
     return NormDescriptor(
         label=f"lorentz(theta={weights.theta}, p={p})",
-        kind="lorentz",
+        kind="averaged",
         p=p,
         weights=weights,
+        k=1,
     )
 
 

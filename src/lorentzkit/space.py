@@ -92,18 +92,6 @@ class FiniteVector:
     def empty(cls) -> "FiniteVector":
         return cls([], [])
 
-    # algebra -------------------------------------------------------------------
-
-    def __add__(self, other: "FiniteVector") -> "FiniteVector":
-        if not isinstance(other, FiniteVector):
-            return NotImplemented
-        idx = np.concatenate([self.indices, other.indices])
-        val = np.concatenate([self.values, other.values])
-        uniq, inverse = np.unique(idx, return_inverse=True)
-        acc = np.zeros(uniq.shape[0])
-        np.add.at(acc, inverse, val)
-        return FiniteVector(uniq, acc)
-
     # inspection ------------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -211,6 +199,22 @@ def _block_masses(weights: WeightSequence, lengths) -> np.ndarray:
     return weights.window_sums(cuts - lengths, lengths)
 
 
+def check_norm_powers(powers, entries, p: float, theta: float) -> None:
+    """Refuse p-th norm powers outside float64's range at ``(p, theta)``.
+
+    A power that is not finite overflowed.  A power below the smallest normal
+    float64 underflowed when its vector is nonzero: row ``i`` of ``entries``
+    holds the entries of the vector of ``powers[i]``, or one flag that is
+    nonzero exactly when they are, for a zero vector's 0.0 is exact.  Either
+    raises ``ValueError("Lorentz norm power overflows|underflows float64 at
+    p=..., theta=...")``, an overflow first.
+    """
+    over = not np.isfinite(powers).all()
+    if over or np.any(entries[powers < np.finfo(np.float64).tiny] != 0.0):
+        raise ValueError(f"Lorentz norm power {'overflows' if over else 'underflows'} float64 "
+                         f"at p={p}, theta={theta}")
+
+
 def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     """p-th norm power of vectors that are constant on disjoint blocks.
 
@@ -218,9 +222,9 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     consecutive indices (block placement is irrelevant: the norm only sees
     the multiset).  A 1-D ``values`` is one vector and gives a float; a
     (rows x blocks) ``values`` is a batch of vectors and gives one norm power
-    per row, with ``lengths`` either per row or shared by all rows.  A power beyond
-    float64, or below its normal range for a nonzero row, raises a ``ValueError``
-    naming ``p`` and theta.  The cost is
+    per row, with ``lengths`` either per row or shared by all rows.  A power
+    beyond float64, or below its normal range for a nonzero row, is refused
+    (:func:`check_norm_powers`).  The cost is
     independent of the support size: a batch is evaluated in row blocks of about
     :data:`~lorentzkit.weights._EM_BLOCK` entries, each with one sort, one cumulative sum
     of lengths and one vectorized window-sum lookup of every block's weight mass.  Every
@@ -229,34 +233,24 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     """
     vals = np.asarray(values, dtype=np.float64)
     rows = np.atleast_2d(vals)
-    with np.errstate(over="ignore"):
-        power = _runlength_pows(rows, lengths, params)
-    # a zero row's power is 0.0, which is no underflow
-    over = not np.isfinite(power).all()
-    if over or np.any(rows[power < np.finfo(np.float64).tiny] != 0.0):
-        raise ValueError(f"Lorentz norm power {'overflows' if over else 'underflows'} float64 "
-                         f"at p={params.p}, theta={params.weights.theta}")
-    return float(power[0]) if vals.ndim <= 1 else power
-
-
-def _runlength_pows(vals, lengths, params: SpaceParams) -> np.ndarray:
-    """The norm powers of the rows of a 2-D ``vals``, ``inf`` where one overflows."""
     lens = np.asarray(lengths, dtype=np.int64)
-    if vals.ndim != 2 or lens.shape[-1:] != vals.shape[-1:] or lens.ndim > 2:
+    if rows.ndim != 2 or lens.shape[-1:] != rows.shape[-1:] or lens.ndim > 2:
         raise ValueError("values and lengths must have equal length")
     if lens.size and lens.min() < 1:
         raise ValueError("block lengths must be >= 1")
-    lens = np.broadcast_to(lens, vals.shape)
-    out = np.empty(vals.shape[0])
-    rows = max(1, _EM_BLOCK // max(1, vals.shape[1]))
-    for lo in range(0, vals.shape[0], rows):
-        block = np.abs(vals[lo : lo + rows])
+    lens = np.broadcast_to(lens, rows.shape)
+    power = np.empty(rows.shape[0])
+    step = max(1, _EM_BLOCK // max(1, rows.shape[1]))
+    for lo in range(0, rows.shape[0], step):
+        block = np.abs(rows[lo : lo + step])
         if not np.all(np.isfinite(block)):
             raise ValueError("block values must be finite")
         order = np.argsort(-block, axis=1, kind="stable")
         block = np.take_along_axis(block, order, axis=1)
         # zero blocks sort last; giving them no length keeps them out of the cuts
-        sorted_lens = np.take_along_axis(lens[lo : lo + rows], order, axis=1)
+        sorted_lens = np.take_along_axis(lens[lo : lo + step], order, axis=1)
         masses = _block_masses(params.weights, np.where(block > 0.0, sorted_lens, 0))
-        out[lo : lo + rows] = _kernels.weighted_pow_sum(block, masses, params.p)
-    return out
+        with np.errstate(over="ignore"):  # refused below
+            power[lo : lo + step] = _kernels.weighted_pow_sum(block, masses, params.p)
+    check_norm_powers(power, rows, params.p, params.weights.theta)
+    return float(power[0]) if vals.ndim <= 1 else power

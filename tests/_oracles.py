@@ -222,6 +222,17 @@ def remark_3_3_trials(
     return out
 
 
+def vector_sum(x, y):
+    """``x + y`` of two ``FiniteVector``s, one index at a time: coefficients on a
+    shared index add, and a sum of exactly 0.0 leaves the support."""
+    from lorentzkit.space import FiniteVector
+
+    coeffs = {}
+    for i, v in itertools.chain(zip(x.indices, x.values), zip(y.indices, y.values)):
+        coeffs[int(i)] = coeffs.get(int(i), 0.0) + float(v)
+    return FiniteVector.from_pairs(coeffs)
+
+
 # The dense lemma-3-1/3-2 grids as the library first built them: its prefix
 # sums and weights, but two power-gap passes, two gathers per window and the
 # k = 1 column patched by a mask.  Unlike the functions above these repeat the

@@ -251,7 +251,7 @@ class TestVerifyCommand:
         args = ("verify", "remark-3-3", "--trials", "20", "--p-grid", "5000", "--theta-grid", "0.5")
         assert run(*args, "--out", str(out)) == 2
         assert capsys.readouterr().err == (
-            "error: remark-3-3 norm powers overflow at p=5000.0, theta=0.5\n"
+            "error: Lorentz norm power overflows float64 at p=5000.0, theta=0.5\n"
         )
         assert not out.exists()
 
@@ -260,7 +260,7 @@ class TestVerifyCommand:
         args = ("verify", "theorem-3-5", "--corollary-K", "3", "--p", "2000", "--trials", "10")
         assert run(*args, "--out", str(out)) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: theorem-3-5 norm powers overflow at p=2000.0, theta=0.5\n"
+        assert captured.err == "error: Lorentz norm power overflows float64 at p=2000.0, theta=0.5\n"
         assert "result" not in captured.out
         assert not out.exists()
 
@@ -270,7 +270,7 @@ class TestVerifyCommand:
         args = ("verify", "theorem-3-5", "--corollary-K", "1", "--p", "300", "--trials", "20")
         assert run(*args, "--out", str(out)) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: theorem-3-5 norm powers underflow at p=300.0, theta=0.5\n"
+        assert captured.err == "error: Lorentz norm power underflows float64 at p=300.0, theta=0.5\n"
         assert "result" not in captured.out
         assert not out.exists()
 

@@ -520,7 +520,7 @@ class TestRemark33Pointwise:
             x = FiniteVector(support[:cut], rng.standard_normal(cut))
             scale = 10.0 ** rng.uniform(-3, 3)
             y = FiniteVector(support[cut:], scale * rng.standard_normal(support.size - cut))
-            assert check_remark_3_3(x, y, params).lhs == lorentz_pnorm_pow(x + y, params)
+            assert check_remark_3_3(x, y, params).lhs == lorentz_pnorm_pow(oracle.vector_sum(x, y), params)
 
     def test_p1_interleaving_tight(self):
         # at p = 1 with nested supports the inequality can be near-tight
@@ -707,12 +707,76 @@ class TestRemark33Blocks:
         with pytest.raises(ValueError, match="underflows float64 at p=2.0, theta=0.5"):
             check_remark_3_3(x, y, params)
 
+    def test_underflowing_trial_is_refused_as_its_cell_is(self):
+        # at p=300 the x power of trial 409 falls below the normal range; the
+        # grid's refusal of this cell is pinned in tests/test_verdicts.py
+        message = r"^Lorentz norm power underflows float64 at p=300\.0, theta=0\.5$"
+        _, _, x, y = oracle.remark_3_3_trials(42, 0, 0, 2000, 40)[409]
+        params = SpaceParams(p=300.0, weights=WeightSequence(0.5))
+        with pytest.raises(ValueError, match=message):
+            check_remark_3_3(FiniteVector.from_dense(x), FiniteVector.from_dense(y), params)
+
+    @pytest.mark.parametrize("draw,tiny_at", [(0.0, None), (1e-200, None), (0.0, 0), (0.0, -1)])
+    def test_only_nonzero_halves_underflow(self, monkeypatch, draw, tiny_at):
+        # at p = 2 draws of 0.0 and of 1e-200 both give powers of 0.0; only a
+        # half whose draws are all 0.0 is a zero vector, whose 0.0 is exact (one
+        # 1e-200 as the first or the last draw of a block makes its half nonzero)
+        import lorentzkit.verify as verify
+
+        class Draws:
+            def __init__(self, seed):
+                self.rng = np.random.Generator(np.random.PCG64(seed))
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+            def standard_normal(self, out):
+                out.fill(draw)
+                if tiny_at is not None:
+                    out[tiny_at] = 1e-200
+                return out
+
+        monkeypatch.setattr(verify.np.random, "default_rng", Draws)
+        grid = {"theta_values": [0.5], "p_values": [2.0], "trials": 5}
+        if draw or tiny_at is not None:
+            with pytest.raises(ValueError, match=r"^Lorentz norm power underflows float64 at p=2\.0, theta=0\.5$"):
+                run_grid("remark-3-3", grid)
+        else:
+            report = run_grid("remark-3-3", grid)
+            assert report.instances == 5 and report.min_slack == 0.0
+
 
 class TestLemma34AndTheorem35:
     def test_subnormal_norm_powers_are_refused(self):
-        # at p=300 trial 3 has the subnormal sides lhs 2.7e-309 and mid 1.5e-308
-        with pytest.raises(ValueError, match=r"^theorem-3-5 norm powers underflow at p=300\.0, theta=0\.5$"):
+        # at p=300 trial 3 has the subnormal sides lhs 2.7e-309 and mid 1.5e-308:
+        # its y power is refused, while the bound A^p * ||y||^p is still normal
+        with pytest.raises(ValueError, match=r"^Lorentz norm power underflows float64 at p=300\.0, theta=0\.5$"):
             check_theorem_3_5(corollary_scheme(1), WeightSequence(0.5), 300.0, trials=20, seed=42)
+
+    @pytest.mark.parametrize("a,scale,side", [
+        # the bound A^p * ||y||^p: A^p overflows, or underflows to 0.0, while x
+        # and y are normal (the theorem's own A is at least 1)
+        (1e200, 1.0, "overflows"),
+        (1e-200, 1.0, "underflows"),
+        # the x rows, scaled in the expansion, while y and the bound are normal
+        (None, 1e200, "overflows"),
+        (None, 1e-200, "underflows"),
+    ])
+    def test_trial_norm_powers_out_of_range_are_refused(self, monkeypatch, a, scale, side):
+        import lorentzkit.verify as verify
+
+        constants, expand = verify.theorem_constants, verify.expand_runlength
+
+        def scaled(*args):
+            values, lengths = expand(*args)
+            return values * scale, lengths
+
+        monkeypatch.setattr(verify, "theorem_constants",
+                            lambda *args: (a or constants(*args)[0], constants(*args)[1]))
+        monkeypatch.setattr(verify, "expand_runlength", scaled)
+        grid = {"corollary_levels": 3, "p": 2.0, "trials": 10}
+        with pytest.raises(ValueError, match=rf"^Lorentz norm power {side} float64 at p=2\.0, theta=0\.5$"):
+            run_grid("theorem-3-5", grid)
 
     def test_conditions_on_corollary_scheme(self):
         w = WeightSequence(0.5)

@@ -257,6 +257,24 @@ class TestEulerMaclaurin:
         # windows of 1e15 terms
         assert worst <= 2e-15
 
+    def test_bernoulli_terms_match_mpmath(self):
+        # the correction sum_{i<=4} B_2i/(2i)! f^(2i-1)(x) on its own, at small x:
+        # in a window sum past HEAD its fourth term is below rounding, so only
+        # here does its sign show; the term holds the 4e-19 * f(a) remainder bound
+        worst = 0.0
+        for theta in (0.01, 0.5, 0.99):
+            w = WeightSequence(theta)
+            for x in (1, 2, 3, 5):
+                with mpmath.workdps(50):
+                    f = lambda t: t ** -mpmath.mpf(theta)
+                    want = mpmath.fsum(
+                        mpmath.bernoulli(2 * i) / mpmath.factorial(2 * i) * mpmath.diff(f, x, 2 * i - 1)
+                        for i in range(1, 5)
+                    )
+                got = w._em_derivatives(np.float64(x), np.float64(x) ** -theta)
+                worst = max(worst, rel_err(got, want))
+        assert worst <= 1e-14
+
     def test_beyond_former_cache_matches_hurwitz_zeta(self):
         theta = 0.8
         w = WeightSequence(theta)
