@@ -224,12 +224,14 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     (rows x blocks) ``values`` is a batch of vectors and gives one norm power
     per row, with ``lengths`` either per row or shared by all rows.  A power
     beyond float64, or below its normal range for a nonzero row, is refused
-    (:func:`check_norm_powers`).  The cost is
-    independent of the support size: a batch is evaluated in row blocks of about
-    :data:`~lorentzkit.weights._EM_BLOCK` entries, each with one sort, one cumulative sum
-    of lengths and one vectorized window-sum lookup of every block's weight mass.  Every
-    step is row-local, so a row's bits do not depend on the block it falls in, and no
-    temporary grows with the number of rows.
+    (:func:`check_norm_powers`).  The cost is independent of the support size: a
+    batch is evaluated in row blocks of about :data:`~lorentzkit.weights._EM_BLOCK`
+    entries, each with one sort of the values, one unstable argsort that orders the
+    lengths alike (none if all are equal; a row in which equal positive values of
+    unequal length meet takes the stable order, as there tie order moves a cut), one
+    cumulative sum of lengths and one window-sum lookup of every block's weight mass.
+    Every step is row-local, so a row's bits do not depend on the block it falls in,
+    and no temporary grows with the number of rows.
     """
     vals = np.asarray(values, dtype=np.float64)
     rows = np.atleast_2d(vals)
@@ -238,17 +240,27 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
         raise ValueError("values and lengths must have equal length")
     if lens.size and lens.min() < 1:
         raise ValueError("block lengths must be >= 1")
-    lens = np.broadcast_to(lens, rows.shape)
+    lens = np.broadcast_to(lens, rows.shape) if lens.ndim == 2 else lens
+    same_lengths = lens.size == 0 or bool((lens == lens.flat[0]).all())
     power = np.empty(rows.shape[0])
     step = max(1, _EM_BLOCK // max(1, rows.shape[1]))
     for lo in range(0, rows.shape[0], step):
-        block = np.abs(rows[lo : lo + step])
-        if not np.all(np.isfinite(block)):
+        mags = np.abs(rows[lo : lo + step])
+        if not np.all(np.isfinite(mags)):
             raise ValueError("block values must be finite")
-        order = np.argsort(-block, axis=1, kind="stable")
-        block = np.take_along_axis(block, order, axis=1)
+        part = lens if lens.ndim == 1 else lens[lo : lo + step]
+        block, sorted_lens = np.sort(mags, axis=1)[:, ::-1].copy(), part  # summed as laid out
+        if not same_lengths:
+            order = np.argsort(mags, axis=1)[:, ::-1]
+            sorted_lens = (np.take(part, order) if part.ndim == 1
+                           else np.take_along_axis(part, order, axis=1))
+            tied = ((block[:, 1:] == block[:, :-1]) & (block[:, 1:] > 0.0)
+                    & (sorted_lens[:, 1:] != sorted_lens[:, :-1])).any(axis=1)
+            if tied.any():
+                order = np.argsort(-mags[tied], axis=1, kind="stable")
+                rows_lens = np.broadcast_to(part, mags.shape)[tied]
+                sorted_lens[tied] = np.take_along_axis(rows_lens, order, axis=1)
         # zero blocks sort last; giving them no length keeps them out of the cuts
-        sorted_lens = np.take_along_axis(lens[lo : lo + step], order, axis=1)
         masses = _block_masses(params.weights, np.where(block > 0.0, sorted_lens, 0))
         with np.errstate(over="ignore"):  # refused below
             power[lo : lo + step] = _kernels.weighted_pow_sum(block, masses, params.p)

@@ -608,7 +608,9 @@ def _lemma_3_2(grid: Dict):
 
 def _remark_3_3_chunk(params: Dict, pow_x, pow_y, pow_union) -> Chunk:
     """Instances from the norm powers ``||x||^p``, ``||y||^p``, ``||x+y||^p``."""
-    bound = pow_x + pow_y
+    with np.errstate(over="ignore"):  # a bound beyond float64 is refused below
+        bound = np.add(pow_x, pow_y)
+    check_norm_powers(bound, bound, params["p"], params["theta"])  # a nonzero bound is normal
     return Chunk("remark-3-3", params, pow_union, None, bound, bound - pow_union)
 
 
@@ -779,34 +781,35 @@ def _draw_trial_coefficients(rng, counts, first: int, stop: int) -> np.ndarray:
     Trial ``t`` follows ``_TRIAL_DISTRIBUTIONS[t % 3]``: uniform draws,
     a geometric decay ``amp * r**i`` per level, or ``1e-3``-scale noise with a
     single unit spike.  Draws come off ``rng`` trial by trial in a fixed order
-    (per level: ``r`` then ``amp`` for the geometric shape), so a seed pins
-    every coefficient, and consecutive chunks drawn from one generator give
-    the same rows as one call for all trials.
+    (a spike's level and index, then its noise; per level ``r`` then ``amp`` for
+    the geometric shape), so a seed pins every coefficient, and chunks drawn from
+    one generator give the rows of one call.  Between two spikes' integers the
+    stream holds only doubles: each run is drawn into its rows at once, and into
+    ``draws`` for its last trial if geometric (``2 * levels`` may exceed a row).
     """
     levels = len(counts)
     total = sum(counts)
     starts = np.cumsum((0,) + tuple(counts[:-1]))
     coeffs = np.empty((stop - first, total))
-    geometric, draws = [], []
-    for row, t in enumerate(range(first, stop)):
-        dist = _TRIAL_DISTRIBUTIONS[t % 3]
-        if dist == "uniform":
-            coeffs[row] = rng.random(total)
-        elif dist == "geometric":
-            geometric.append(row)
-            draws.append(rng.random(2 * levels))
-        else:
+    geometric = np.arange(first + (1 - first) % 3, stop, 3) - first
+    spikes = np.arange(first + (2 - first) % 3, stop, 3) - first
+    draws = np.empty((geometric.size, 2 * levels))
+    spike_at = np.empty(spikes.size, np.int64)
+    cuts = [0, *spikes.tolist(), stop - first]  # run i: rows from spike i - 1 (none for i = 0)
+    for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        if i:
             k_star = int(rng.integers(0, levels))
-            i_star = int(rng.integers(0, counts[k_star]))
-            coeffs[row] = 1e-3 * rng.random(total)
-            coeffs[row, starts[k_star] + i_star] = 1.0
-    if geometric:
-        draws = np.array(draws)
-        level_of = np.repeat(np.arange(levels), counts)
-        position = np.arange(total) - starts[level_of]
-        ratio = 0.3 + 0.6 * draws[:, 0::2]
-        amplitude = 0.5 + draws[:, 1::2]
-        coeffs[geometric] = amplitude[:, level_of] * ratio[:, level_of] ** position
+            spike_at[i - 1] = starts[k_star] + int(rng.integers(0, counts[k_star]))
+        last_geometric = hi > lo and (first + hi) % 3 == 2
+        rng.random(out=coeffs[lo : hi - last_geometric])
+        if last_geometric:
+            rng.random(out=draws[(hi - 1 - geometric[0]) // 3])
+    coeffs[spikes] *= 1e-3
+    coeffs[spikes, spike_at] = 1.0
+    level_of = np.repeat(np.arange(levels), counts)
+    position = np.arange(total) - starts[level_of]
+    ratio, amplitude = 0.3 + 0.6 * draws[:, 0::2], 0.5 + draws[:, 1::2]
+    coeffs[geometric] = amplitude[:, level_of] * ratio[:, level_of] ** position
     return coeffs
 
 

@@ -89,7 +89,7 @@ def _index_array(name: str, values) -> np.ndarray:
     if arr.min() < 0:
         raise ValueError(f"{name} must be >= 0")
     _check_index_limit(int(arr.max()))
-    return arr.astype(np.int64)
+    return arr.astype(np.int64, copy=False)
 
 
 class WeightSequence:
@@ -172,8 +172,8 @@ class WeightSequence:
         )
         end = j + k
         _check_index_limit(int(end.max(initial=0)))
-        # asarray: the table lookup gives a scalar, not a 0-d array, on scalar input
-        out = np.asarray(self._head_windows[np.minimum(j, HEAD), np.minimum(end, HEAD)])
+        head = np.minimum(j, HEAD) * (HEAD + 1) + np.minimum(end, HEAD)  # flat table index
+        out = np.asarray(np.take(self._head_windows, head))  # asarray: a scalar on scalar input
         start = np.maximum(j, HEAD).ravel()
         count = end.ravel() - start
         single = k == 1

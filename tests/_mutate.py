@@ -48,6 +48,16 @@ EQUIVALENT: Dict[Tuple[str, str, str], str] = {
      "Gt -> GtE"): "at growth == 1.0 both branches are accurate forms of one integral",
     ("WeightSequence.window_sums", "tail = np.flatnonzero((count > 0) & ~single.ravel())",
      "Gt -> GtE"): "count is never negative, and a window of no tail terms adds exactly 0.0",
+    ("lorentz_pnorm_pow_runlength", "step = max(1, _EM_BLOCK // max(1, rows.shape[1]))",
+     "FloorDiv -> Mult"): "row blocks bound the temporaries only; every step is row-local",
+    ("lorentz_pnorm_pow_runlength",
+     "same_lengths = lens.size == 0 or bool((lens == lens.flat[0]).all())",
+     "Eq -> NotEq"): "in (lens != lens.flat[0]).all() it makes every batch take the argsort, "
+                     "which orders equal lengths as sorting the values alone does",
+    ("lorentz_pnorm_pow_runlength",
+     "tied = ((block[:, 1:] == block[:, :-1]) & (block[:, 1:] > 0.0)",
+     "Gt -> GtE"): "the stable order is always right; the test only spares rows whose ties "
+                   "are zero blocks, which take no length in either order",
 }
 
 

@@ -170,8 +170,9 @@ def lp_over_lorentz_batch(theta: float, p: float) -> Callable[[np.ndarray], np.n
     return ratio
 
 
-def theorem_3_5_trial_coefficients(counts: Sequence[int], trials: int, seed: int) -> np.ndarray:
-    """Theorem-3-5 trial coefficients drawn level by level, one trial at a time.
+def theorem_3_5_trial_coefficients(counts: Sequence[int], trials: int, seed: int):
+    """Theorem-3-5 trial coefficients drawn level by level, one trial at a time,
+    and the generator's ``bit_generator.state`` after the last draw.
 
     Trial ``t`` cycles uniform, geometric-decay and single-spike shapes; the
     draws come off one generator in exactly this order.
@@ -196,7 +197,7 @@ def theorem_3_5_trial_coefficients(counts: Sequence[int], trials: int, seed: int
                     arr[i_star] = 1.0
             levels.append(arr)
         rows.append(np.concatenate(levels))
-    return np.array(rows)
+    return np.array(rows), rng.bit_generator.state
 
 
 def remark_3_3_trials(
@@ -284,6 +285,24 @@ def lemma_3_2_grid(theta: float, i_max: int, k_max: int):
     lower, upper = band_constants(theta)
     lhs, rhs = lower * w_i, upper * w_i
     return lhs, averaged, rhs, np.minimum(averaged - lhs, rhs - averaged)
+
+
+def runlength_pow_stable(values, lengths, weights, p: float) -> np.ndarray:
+    """Run-length p-th norm powers of the rows of ``values`` as the library
+    first computed them: each row in one stable ``argsort`` of the negated
+    magnitudes, so equal values keep their column order, its lengths gathered
+    along it, zero blocks given no length, and the weight masses read as
+    window sums after each block's cut.  ``lengths`` is shared or per row.
+    Like the grids above it repeats the library's float operations, so the
+    library must match it bit for bit; it pins the order, not the sums."""
+    rows = np.abs(np.atleast_2d(np.asarray(values, dtype=np.float64)))
+    lens = np.broadcast_to(np.asarray(lengths, dtype=np.int64), rows.shape)
+    order = np.argsort(-rows, axis=1, kind="stable")
+    block = np.take_along_axis(rows, order, axis=1)
+    sorted_lens = np.where(block > 0.0, np.take_along_axis(lens, order, axis=1), 0)
+    cuts = np.cumsum(sorted_lens, axis=1)
+    masses = weights.window_sums(cuts - sorted_lens, sorted_lens)
+    return (block**p * masses).sum(axis=1)
 
 
 def select_block_counts(weights, p: float, levels: int):

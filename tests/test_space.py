@@ -418,6 +418,36 @@ class TestRunLengthNorm:
         want = [lorentz_pnorm_pow_runlength(v, l, params) for v, l in zip(values, per_row)]
         assert got.tolist() == want
 
+    @pytest.mark.parametrize("lengths", ["shared", "one_row", "per_row", "equal"])
+    @pytest.mark.parametrize("block", [None, 16])
+    def test_tie_order_matches_the_stable_oracle(self, half, monkeypatch, lengths, block):
+        # equal values of unequal length must keep their column order, which
+        # moves the cuts; the order of equal ones of equal length, or of zero
+        # blocks, moves nothing
+        if block is not None:  # 3 rows of 5 blocks per row block
+            monkeypatch.setattr(space, "_EM_BLOCK", block)
+            monkeypatch.setattr(weights, "_EM_BLOCK", block)
+        rng = np.random.default_rng(8)
+        rows, columns = 40, 5
+        values = rng.choice([0.0, 0.25, 1.0, 3.0], size=(rows, columns))
+        values[1::4] = rng.random((rows // 4, columns))  # rows without ties in every block
+        values[2::8] = 0.0
+        lens = {"shared": rng.integers(1, 4, columns),
+                "one_row": rng.integers(1, 4, (1, columns)),
+                "per_row": rng.integers(1, 4, (rows, columns)),
+                "equal": np.full(columns, 3)}[lengths]
+        if lengths == "per_row":
+            lens[values == 0.0] = 2**60  # a zero block takes no index range
+        params = SpaceParams(p=1.5, weights=half)
+        want = oracle.runlength_pow_stable(values, lens, half, 1.5)
+        assert lorentz_pnorm_pow_runlength(values, lens, params).tolist() == want.tolist()
+        row = np.broadcast_to(lens, values.shape)[3]
+        one = lorentz_pnorm_pow_runlength(values[3], row, params)
+        assert type(one) is float and one == want[3]
+        # the other tie order moves some row unless every length is equal
+        swapped = oracle.runlength_pow_stable(values[:, ::-1], np.asarray(lens)[..., ::-1], half, 1.5)
+        assert (swapped != want).any() == (lengths != "equal")
+
     def test_zero_row_batch(self, half):
         params = SpaceParams(p=2.0, weights=half)
         for lengths in (np.arange(1, 5), np.ones((0, 4), dtype=np.int64)):

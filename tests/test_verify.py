@@ -699,6 +699,34 @@ class TestRemark33Blocks:
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="p=2.0, theta=0.5"):
             check_remark_3_3(x, y, params)
 
+    def test_overflowing_bound_is_rejected(self):
+        # both powers and the union's are finite, but their sum is not: unrefused,
+        # the check reported rhs inf and slack inf as a pass
+        params = SpaceParams(p=2.0, weights=WeightSequence(0.5))
+        x, y = FiniteVector([1], [1e154]), FiniteVector([2], [1e154])
+        with pytest.raises(ValueError, match=r"^Lorentz norm power overflows float64 at p=2\.0, theta=0\.5$"):
+            check_remark_3_3(x, y, params)
+
+    def test_overflowing_bound_refuses_its_cell(self, monkeypatch):
+        # every draw 1e154: at p = 2 each half's power is finite, their sum is not
+        import lorentzkit.verify as verify
+
+        class Draws:
+            def __init__(self, seed):
+                self.rng = np.random.Generator(np.random.PCG64(seed))
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+            def standard_normal(self, out):
+                out.fill(1e154)
+                return out
+
+        monkeypatch.setattr(verify.np.random, "default_rng", Draws)
+        grid = {"theta_values": [0.5], "p_values": [2.0], "trials": 5, "max_support": 1}
+        with pytest.raises(ValueError, match=r"^Lorentz norm power overflows float64 at p=2\.0, theta=0\.5$"):
+            run_grid("remark-3-3", grid)
+
     def test_underflowing_norm_powers_are_rejected(self):
         # unrefused, every power was 0.0 and the check reported slack 0.0
         params = SpaceParams(p=2.0, weights=WeightSequence(0.5))
@@ -1472,10 +1500,10 @@ class TestTheorem35Batched:
         "counts",
         [(1,), (1, 2), (1, 1, 1), corollary_scheme(6).counts, (40, 3)],
     )
-    @pytest.mark.parametrize("chunk", [1, 4, 30])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 30])
     def test_chunked_draw_keeps_level_by_level_order(self, counts, chunk):
         # geometric trials draw 2 numbers per level, more than sum(counts)
-        # when levels are short
+        # when levels are short; chunks of 2 and 4 start at every residue mod 3
         trials, seed = 30, 3
         rng = np.random.default_rng([seed])
         coeffs = np.vstack(
@@ -1484,8 +1512,10 @@ class TestTheorem35Batched:
                 for first in range(0, trials, chunk)
             ]
         )
-        want = oracle.theorem_3_5_trial_coefficients(counts, trials, seed)
+        want, state = oracle.theorem_3_5_trial_coefficients(counts, trials, seed)
         assert np.array_equal(coeffs, want)
+        # the generator stops where the oracle's does, so a next chunk stays aligned
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize(
         "scheme,levels",
