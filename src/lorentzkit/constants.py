@@ -238,9 +238,7 @@ def select_block_counts(
     ``(low, n]`` into equal parts, and the probe before the first escape
     becomes ``low``.  So ``low`` never escapes and ``n`` does, and a level
     makes at most 12 array probes (a bracket is at most ``2**52`` wide),
-    besides ``W_k`` and the two sums of its :func:`section_ratio`.  The
-    minimal values are clamped to be nondecreasing in ``k`` (for power-law
-    weights they come out strictly increasing already).  Level ``k``
+    besides ``W_k`` and the two sums of its :func:`section_ratio`.  Level ``k``
     searches up to ``INDEX_LIMIT // k``, the largest ``N`` whose ``W_{Nk}``
     is still evaluated.  Raises :class:`GrowthCutoffError` when no section
     up to that cutoff escapes (always so when ``k**p`` is beyond float64),
@@ -281,8 +279,6 @@ def select_block_counts(
             probes = sorted({low + (n - low) * i // _FANOUT for i in range(1, _FANOUT + 1)} - {low})
             first = first_escape(probes)
             low, n = (probes[first - 1] if first else low), probes[first]
-        if counts and n < counts[-1]:
-            n = counts[-1]
         counts.append(n)
         ratios.append(section_ratio(weights, p, k, n))
     return BlockCountSelection(

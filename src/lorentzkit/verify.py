@@ -774,42 +774,35 @@ def _lemma_3_4(grid: Dict):
 _TRIAL_DISTRIBUTIONS = ("uniform", "geometric", "spike")
 
 
-def _draw_trial_coefficients(rng, counts, first: int, stop: int) -> np.ndarray:
+def _draw_trial_coefficients(rngs, counts, first: int, stop: int) -> np.ndarray:
     """Coefficients of trials ``first, ..., stop - 1``: one row per trial,
     level blocks side by side.
 
     Trial ``t`` follows ``_TRIAL_DISTRIBUTIONS[t % 3]``: uniform draws,
     a geometric decay ``amp * r**i`` per level, or ``1e-3``-scale noise with a
-    single unit spike.  Draws come off ``rng`` trial by trial in a fixed order
-    (a spike's level and index, then its noise; per level ``r`` then ``amp`` for
-    the geometric shape), so a seed pins every coefficient, and chunks drawn from
-    one generator give the rows of one call.  Between two spikes' integers the
-    stream holds only doubles: each run is drawn into its rows at once, and into
-    ``draws`` for its last trial if geometric (``2 * levels`` may exceed a row).
+    single unit spike.  Each of the three generators ``rngs`` is read in trial
+    order: the first gives every row's uniforms (a geometric row's are
+    overwritten), the second a spike's level and index as ``floor(u * n)`` of
+    two uniforms, the third ``r`` then ``amp`` per level of a geometric trial.
+    So a seed pins every coefficient, and chunks drawn from the same three
+    generators give the rows of one call.
     """
+    uniform, spike, geometric = rngs
     levels = len(counts)
-    total = sum(counts)
     starts = np.cumsum((0,) + tuple(counts[:-1]))
-    coeffs = np.empty((stop - first, total))
-    geometric = np.arange(first + (1 - first) % 3, stop, 3) - first
-    spikes = np.arange(first + (2 - first) % 3, stop, 3) - first
-    draws = np.empty((geometric.size, 2 * levels))
-    spike_at = np.empty(spikes.size, np.int64)
-    cuts = [0, *spikes.tolist(), stop - first]  # run i: rows from spike i - 1 (none for i = 0)
-    for i, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
-        if i:
-            k_star = int(rng.integers(0, levels))
-            spike_at[i - 1] = starts[k_star] + int(rng.integers(0, counts[k_star]))
-        last_geometric = hi > lo and (first + hi) % 3 == 2
-        rng.random(out=coeffs[lo : hi - last_geometric])
-        if last_geometric:
-            rng.random(out=draws[(hi - 1 - geometric[0]) // 3])
-    coeffs[spikes] *= 1e-3
-    coeffs[spikes, spike_at] = 1.0
+    coeffs = uniform.random((stop - first, sum(counts)))
+    # the spike and the geometric rows, as views that write into coeffs
+    spikes, geo = coeffs[(2 - first) % 3 :: 3], coeffs[(1 - first) % 3 :: 3]
+    u = spike.random((len(spikes), 2))
+    k_star = (u[:, 0] * levels).astype(np.int64)  # floor(u * n) <= n - 1 for u < 1, n < 2**53
+    i_star = (u[:, 1] * np.array(counts)[k_star]).astype(np.int64)
+    spikes *= 1e-3
+    spikes[np.arange(len(spikes)), starts[k_star] + i_star] = 1.0
+    draws = geometric.random((len(geo), 2 * levels))
     level_of = np.repeat(np.arange(levels), counts)
-    position = np.arange(total) - starts[level_of]
+    position = np.arange(coeffs.shape[1]) - starts[level_of]
     ratio, amplitude = 0.3 + 0.6 * draws[:, 0::2], 0.5 + draws[:, 1::2]
-    coeffs[geometric] = amplitude[:, level_of] * ratio[:, level_of] ** position
+    geo[:] = amplitude[:, level_of] * ratio[:, level_of] ** position
     return coeffs
 
 
@@ -824,9 +817,9 @@ def _theorem_3_5(grid: Dict):
         level_weights = [weights.weight_values(c) for c in counts]
         with np.errstate(over="ignore"):
             a_pow = np.float64(a) ** p  # inf on overflow, refused with the bound
-        rng = np.random.default_rng([seed])
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence([seed]).spawn(3)]
         for first, last in _grid_blocks(0, trials - 1, int(edges[-1])):
-            coeffs = _draw_trial_coefficients(rng, counts, first, last + 1)
+            coeffs = _draw_trial_coefficients(rngs, counts, first, last + 1)
             with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
                 y_pow = sum(
                     _kernels.batch_sorted_pow_sums(block, w, p)
@@ -873,7 +866,8 @@ def check_theorem_3_5(
     the lemma-3-4 conditions, and then stress-tests the two-sided norm bound
     ``B * ||y||^p <= ||expand(y)||^p <= A^p * ||y||^p`` on ``trials`` random
     coefficient rows ``y`` over the first ``levels`` levels (cycling uniform,
-    geometric-decay and single-spike shapes).  A chunk of trials at a time,
+    geometric-decay and single-spike shapes, drawn from three generators
+    spawned from ``SeedSequence([seed])``).  A chunk of trials at a time,
     the rows go through :func:`~lorentzkit.blocks.expand_runlength` and the
     run-length norm path, so factorial schemes stay cheap and memory does not
     grow with ``trials``.

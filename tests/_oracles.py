@@ -172,32 +172,34 @@ def lp_over_lorentz_batch(theta: float, p: float) -> Callable[[np.ndarray], np.n
 
 def theorem_3_5_trial_coefficients(counts: Sequence[int], trials: int, seed: int):
     """Theorem-3-5 trial coefficients drawn level by level, one trial at a time,
-    and the generator's ``bit_generator.state`` after the last draw.
+    and each of the three generators' ``bit_generator.state`` after the last draw.
 
-    Trial ``t`` cycles uniform, geometric-decay and single-spike shapes; the
-    draws come off one generator in exactly this order.
+    The generators are spawned from ``SeedSequence([seed])``.  Trial ``t``
+    cycles uniform, geometric-decay and single-spike shapes.  Every trial
+    draws its row's uniforms from the first generator; a spike trial draws its
+    level, then its index, as ``int(u * n)`` of one uniform each from the
+    second; a geometric trial draws ``r``, then ``amp``, per level from the
+    third, and its uniforms go unused.
     """
-    rng = np.random.default_rng([seed])
+    uniform, spike, geometric = [
+        np.random.default_rng(child) for child in np.random.SeedSequence([seed]).spawn(3)
+    ]
     rows = []
     for t in range(trials):
-        shape = t % 3
-        if shape == 2:
-            k_star = int(rng.integers(0, len(counts)))
-            i_star = int(rng.integers(0, counts[k_star]))
-        levels = []
-        for k, c in enumerate(counts):
-            if shape == 0:
-                arr = rng.random(c)
-            elif shape == 1:
-                r = 0.3 + 0.6 * rng.random()
-                arr = (0.5 + rng.random()) * r ** np.arange(c)
-            else:
-                arr = 1e-3 * rng.random(c)
-                if k == k_star:
-                    arr[i_star] = 1.0
-            levels.append(arr)
-        rows.append(np.concatenate(levels))
-    return np.array(rows), rng.bit_generator.state
+        row = uniform.random(sum(counts))
+        if t % 3 == 1:
+            levels = []
+            for c in counts:
+                r = 0.3 + 0.6 * geometric.random()
+                levels.append((0.5 + geometric.random()) * r ** np.arange(c))
+            row = np.concatenate(levels)
+        elif t % 3 == 2:
+            k_star = int(spike.random() * len(counts))
+            i_star = int(spike.random() * counts[k_star])
+            row = 1e-3 * row
+            row[sum(counts[:k_star]) + i_star] = 1.0
+        rows.append(row)
+    return np.array(rows), [g.bit_generator.state for g in (uniform, spike, geometric)]
 
 
 def remark_3_3_trials(

@@ -168,9 +168,8 @@ class TestCriterion6:
         for k, n in enumerate(counts, start=1):
             ratio = section_ratio(w, 1.0, k, n)
             assert ratio > k
-            # minimality: the previous candidate fails the criterion unless
-            # the monotonicity clamp forced the step past it
-            if n - 1 >= 1 and (k == 1 or n - 1 > counts[k - 2]):
+            # minimality: the previous candidate fails the criterion
+            if n - 1 >= 1:
                 assert section_ratio(w, 1.0, k, n - 1) <= k
         if theta == 0.5:
             assert counts[0] == 2

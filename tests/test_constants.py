@@ -232,10 +232,9 @@ class TestSelectBlockCounts:
         for k, (n, ratio) in enumerate(zip(sel.counts, sel.ratios), start=1):
             assert ratio > k
             assert section_ratio(half, 1.0, k, n) == ratio
-            # minimality: one step earlier the criterion fails (or the
-            # nondecreasing clamp was binding)
-            if k == 1 or n > sel.counts[k - 2] + 1:
-                assert section_ratio(half, 1.0, k, n - 1) <= k
+            # minimality: one step earlier the criterion fails; no clamp
+            # lifts a count, since a section that fails level k fails k + 1
+            assert section_ratio(half, 1.0, k, n - 1) <= k
 
     def test_not_proxy_at_p1(self, half):
         assert select_block_counts(half, 1.0, 2).proxy is False
@@ -276,20 +275,24 @@ class TestSelectBlockCounts:
 
     @pytest.mark.xfail(strict=True, reason=(
         "past N ~ 1.7e15 float64 cannot order neighbouring section ratios: "
-        "the exact smallest escaping N at theta = 0.02, p = 1, level 2 is "
-        "2183530988063891, the selection stops some 60 below it (ROADMAP "
-        "items 10 and 15)"))
-    def test_deep_count_is_the_exact_first_escape(self):
-        theta, k = 0.02, 2
-        n = select_block_counts(WeightSequence(theta), 1.0, k).counts[-1]
+        "the exact smallest escaping N of level K is 2183530988063891 at "
+        "theta = 0.02, p = 1, K = 2, 2193534769438532 at (0.03, 1.5, 2), "
+        "1719292687432526 at (0.04, 1, 4) and 1733058253832310 at "
+        "(0.06, 1.5, 4), and the selection stops off each (ROADMAP items 10 "
+        "and 15)"))
+    @pytest.mark.parametrize("theta, p, k", [
+        (0.02, 1.0, 2), (0.03, 1.5, 2), (0.04, 1.0, 4), (0.06, 1.5, 4)])
+    def test_deep_count_is_the_exact_first_escape(self, theta, p, k):
+        n = select_block_counts(WeightSequence(theta), p, k).counts[-1]
 
         def ratio_pow(m):
             with mpmath.workdps(60):
                 zeta = mpmath.zeta(theta)
                 return m * (zeta - mpmath.zeta(theta, k + 1)) / (zeta - mpmath.zeta(theta, m * k + 1))
 
-        assert ratio_pow(n) > k
-        assert ratio_pow(n - 1) <= k
+        target = mpmath.mpf(k) ** p
+        assert ratio_pow(n) > target
+        assert ratio_pow(n - 1) <= target
 
 
 def _selected(weights, p, levels):
@@ -380,8 +383,6 @@ def test_each_unclamped_count_is_the_first_escape(p):
             except GrowthCutoffError:
                 break
         for k, n in enumerate(counts, start=1):
-            if k > 1 and n == counts[k - 2]:
-                continue  # possibly clamped
             target = float(k) ** p
             s_k = weights.partial_sum(k)
             escapes = [m * s_k / w > target

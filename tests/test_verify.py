@@ -1466,12 +1466,11 @@ class TestReportSerialization:
 
 
 class TestTheorem35Batched:
-    @pytest.mark.parametrize("p", [1.0, 2.0])
-    def test_trial_norms_match_dense_oracle(self, p):
-        theta, trials, seed = 0.5, 30, 11
-        scheme = corollary_scheme(6)
+    @staticmethod
+    def _trial_slacks(scheme, theta, p, coeffs):
+        """Each trial's theorem-3-5 slack from dense oracle norms, and the
+        run-length norm powers of its expanded rows."""
         counts, lengths = scheme.counts, np.array(scheme.lengths)
-        coeffs = _draw_trial_coefficients(np.random.default_rng([seed]), counts, 0, trials)
         scales = [oracle.partial_sum(int(j), theta) ** (-1.0 / p) for j in lengths]
         values = coeffs * np.repeat(scales, counts)
         block_lengths = np.repeat(lengths, counts)
@@ -1480,42 +1479,96 @@ class TestTheorem35Batched:
         )
         a, b = theorem_constants(theta, scheme.stagger_ratio())
         edges = np.cumsum((0,) + counts)
-        slacks = []
-        for t in range(trials):
-            dense = np.repeat(values[t], block_lengths)
-            assert dense.size == scheme.total_support == 2520
+        slacks, dense_pows = [], []
+        for row, coeff_row in zip(values, coeffs):
+            dense = np.repeat(row, block_lengths)
+            assert dense.size == scheme.total_support
             want = oracle.lorentz_norm(dense, theta, p) ** p
-            assert mids[t] == pytest.approx(want, rel=1e-12)
             y_pow = sum(
-                oracle.lorentz_norm(coeffs[t, lo:hi], theta, p) ** p
+                oracle.lorentz_norm(coeff_row[lo:hi], theta, p) ** p
                 for lo, hi in zip(edges[:-1], edges[1:])
             )
+            dense_pows.append(want)
             slacks.append(min(want - b * y_pow, a**p * y_pow - want))
+        return np.array(slacks), mids, np.array(dense_pows)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_trial_norms_match_dense_oracle(self, p):
+        theta, trials, seed = 0.5, 30, 11
+        scheme = corollary_scheme(6)
+        assert scheme.total_support == 2520
+        coeffs, _ = oracle.theorem_3_5_trial_coefficients(scheme.counts, trials, seed)
+        slacks, mids, dense_pows = self._trial_slacks(scheme, theta, p, coeffs)
+        np.testing.assert_allclose(mids, dense_pows, rtol=1e-12, atol=0)
         report = check_theorem_3_5(scheme, WeightSequence(theta), p, trials, seed)
         assert report.passed
-        assert report.instances == 2 * sum(counts) + trials
+        assert report.instances == 2 * sum(scheme.counts) + trials
         assert report.min_slack <= min(slacks) + 1e-12
+
+    @staticmethod
+    def _generators(seed):
+        return [np.random.default_rng(s) for s in np.random.SeedSequence([seed]).spawn(3)]
 
     @pytest.mark.parametrize(
         "counts",
         [(1,), (1, 2), (1, 1, 1), corollary_scheme(6).counts, (40, 3)],
     )
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 30])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 4, 7, 30])
     def test_chunked_draw_keeps_level_by_level_order(self, counts, chunk):
         # geometric trials draw 2 numbers per level, more than sum(counts)
-        # when levels are short; chunks of 2 and 4 start at every residue mod 3
+        # when levels are short; chunks of 2, 4 and 7 start at every residue mod 3
         trials, seed = 30, 3
-        rng = np.random.default_rng([seed])
+        rngs = self._generators(seed)
         coeffs = np.vstack(
             [
-                _draw_trial_coefficients(rng, counts, first, min(first + chunk, trials))
+                _draw_trial_coefficients(rngs, counts, first, min(first + chunk, trials))
                 for first in range(0, trials, chunk)
             ]
         )
-        want, state = oracle.theorem_3_5_trial_coefficients(counts, trials, seed)
+        want, states = oracle.theorem_3_5_trial_coefficients(counts, trials, seed)
         assert np.array_equal(coeffs, want)
-        # the generator stops where the oracle's does, so a next chunk stays aligned
-        assert rng.bit_generator.state == state
+        # each generator stops where the oracle's does, so a next chunk stays aligned
+        assert [rng.bit_generator.state for rng in rngs] == states
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(1,), (1, 2), (1, 1, 1), corollary_scheme(6).counts, (40, 3)],
+    )
+    def test_spike_rows_hold_one_unit_in_their_level(self, counts):
+        trials, seed = 300, 8
+        coeffs = _draw_trial_coefficients(self._generators(seed), counts, 0, trials)
+        # the level each spike trial drew: the first of its two uniforms
+        drawn = self._generators(seed)[1].random((trials // 3, 2))[:, 0] * len(counts)
+        edges = np.cumsum((0,) + tuple(counts))
+        for row, level in zip(coeffs[2::3], drawn.astype(int), strict=True):
+            (spike,) = np.flatnonzero(row == 1.0)
+            assert edges[level] <= spike < edges[level + 1]
+            rest = np.delete(row, spike)
+            assert ((rest >= 0.0) & (rest < 1e-3)).all()
+        assert set(drawn.astype(int)) == set(range(len(counts)))
+
+    def test_spike_levels_and_indices_are_uniform(self):
+        # 10000 spike trials at counts (1, 2, 3, 4): a chi-square test of the
+        # levels (3 degrees of freedom) and of each level's indices (0, 1, 2
+        # and 3 degrees); 25.0 is beyond the 0.9999 quantile of each
+        # (21.1 for 3 degrees, 15.1 for 1, 18.4 for 2)
+        counts = (1, 2, 3, 4)
+        coeffs = _draw_trial_coefficients(self._generators(2024), counts, 0, 30000)
+        spikes = np.flatnonzero(coeffs[2::3] == 1.0)
+        assert spikes.size == 10000
+        at = spikes % sum(counts)
+        edges = np.cumsum((0,) + counts)
+        level = np.searchsorted(edges, at, side="right") - 1
+
+        def chi_square(observed):
+            expected = observed.sum() / observed.size
+            return float(((observed - expected) ** 2 / expected).sum())
+
+        assert chi_square(np.bincount(level, minlength=4)) < 25.0
+        for k, c in enumerate(counts):
+            index = at[level == k] - edges[k]
+            assert np.array_equal(np.unique(index), np.arange(c))
+            assert chi_square(np.bincount(index, minlength=c)) < 25.0
 
     @pytest.mark.parametrize(
         "scheme,levels",
@@ -1542,7 +1595,16 @@ class TestTheorem35Batched:
                 "levels": None}
         whole = verify._report("theorem-3-5", -1e300, 0.0, *verify._theorem_3_5(grid))
         assert len(whole.violations) == whole.instances
-        assert whole.min_slack_instance.params == {"trial": 54, "distribution": "uniform"}
+        # the minimum falls on the trial that the oracle's rows and dense norms
+        # put lowest, well clear of the next trial and of every lemma-3-4 slack
+        scheme = corollary_scheme(3)
+        coeffs, _ = oracle.theorem_3_5_trial_coefficients(scheme.counts, 60, 4)
+        slacks = self._trial_slacks(scheme, 0.25, 4.0, coeffs)[0]
+        lowest, second = np.argsort(slacks)[:2]
+        assert slacks[second] - slacks[lowest] > 1e-3
+        assert whole.min_slack_instance.params == {
+            "trial": lowest, "distribution": ("uniform", "geometric", "spike")[lowest % 3]}
+        assert whole.min_slack == pytest.approx(slacks[lowest], rel=1e-12)
         monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", 1)  # one trial per chunk
         chunked = verify._report("theorem-3-5", -1e300, 0.0, *verify._theorem_3_5(grid))
         for rep in (whole, chunked):
