@@ -1,6 +1,6 @@
 """Numerical kernels, in numpy.
 
-``weighted_sum`` is the one reduction behind every p-th norm power, for one
+``weighted_sum`` is the reduction behind the p-th norm powers, for one
 vector or a (rows x n) batch of powered terms; ``weighted_pow_sum`` powers in
 front of it, ``batch_sorted_pow_sums`` (the one sort-and-sum kernel) powers
 and sorts.  ``ratio_scan`` is the step-vector scan behind the closed-form

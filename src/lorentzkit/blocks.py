@@ -23,6 +23,8 @@ staggered-equivalence checks in :mod:`lorentzkit.verify`.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import factorial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -61,17 +63,13 @@ class BlockScheme:
             cnts = tuple(_check_int(f"counts[{i}]", v, 1) for i, v in enumerate(counts))
             if len(cnts) != len(lens):
                 raise ValueError("counts must match lengths level for level")
-        offsets = [0]
-        for j, c in zip(lens, cnts):
-            nxt = offsets[-1] + c * j  # exact python ints
-            if nxt > _INT64_MAX:
-                raise SchemeOverflowError(
-                    f"scheme support {nxt} exceeds the 64-bit index range"
-                )
-            offsets.append(nxt)
         self.lengths = lens
         self.counts = cnts
-        self.offsets = tuple(offsets)
+        self.offsets = tuple(accumulate((c * j for j, c in zip(lens, cnts)), initial=0))
+        if self.total_support > _INT64_MAX:  # exact python ints; the total is the largest offset
+            raise SchemeOverflowError(
+                f"scheme support {self.total_support} exceeds the 64-bit index range"
+            )
 
     @property
     def levels(self) -> int:
@@ -86,12 +84,7 @@ class BlockScheme:
 
         Returns None for single-level schemes.
         """
-        if self.levels < 2:
-            return None
-        return max(
-            self.offsets[k - 1] / self.lengths[k - 1]
-            for k in range(2, self.levels + 1)
-        )
+        return max((J / j for J, j in zip(self.offsets[1:-1], self.lengths[1:])), default=None)
 
     def __eq__(self, other):
         if not isinstance(other, BlockScheme):
@@ -105,24 +98,17 @@ class BlockScheme:
 def corollary_scheme(levels: int) -> BlockScheme:
     """Inductive scheme ``j_1 = 1``, ``j_{k+1} = J_k`` with default counts.
 
-    Offsets grow factorially (``J_k = (k+1)!/2``), so only ``levels <= 19``
-    fits in 64-bit indices; larger requests raise
-    :class:`SchemeOverflowError`.  Weight sums stop at index
+    In closed form ``j_k = k!/2`` for ``k >= 2`` and ``J_k = (k+1)!/2``, so
+    only ``levels <= 19`` fits in 64-bit indices (``21!/2 > 2**63``); larger
+    requests raise :class:`SchemeOverflowError`.  Weight sums stop at index
     ``2**53`` (:data:`lorentzkit.weights.INDEX_LIMIT`), so norms and the
     lemma-3-4/theorem-3-5 checks run for ``levels <= 17``; at 18 and 19 they
     raise a ``ValueError`` that names the limit.
     """
     levels = _check_int("levels", levels, 1)
-    lengths = [1]
-    offset = 1  # J_1 = 1 * 1
-    for k in range(2, levels + 1):
-        lengths.append(offset)
-        offset = offset + k * lengths[-1]
-        if offset > _INT64_MAX:
-            raise SchemeOverflowError(
-                f"inductive scheme overflows 64-bit indices at level {k}"
-            )
-    return BlockScheme(lengths)
+    if levels > 19:
+        raise SchemeOverflowError("inductive scheme overflows 64-bit indices at level 20")
+    return BlockScheme([1] + [factorial(k) // 2 for k in range(2, levels + 1)])
 
 
 def _scheme_from_grid(grid) -> BlockScheme:

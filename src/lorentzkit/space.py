@@ -124,8 +124,6 @@ def disjoint_supports(x: FiniteVector, y: FiniteVector) -> bool:
 def decreasing_rearrangement(x: Union[FiniteVector, Sequence[float]]) -> np.ndarray:
     """Absolute values sorted in decreasing order (zeros dropped).
 
-    Ties between equal absolute values are broken by index, which does not
-    change the returned array but keeps downstream reports deterministic.
     A plain sequence holding NaN or an infinity is refused, as
     :class:`FiniteVector` refuses it.
     """

@@ -416,9 +416,11 @@ def _portable(exc: Exception) -> Exception:
     return builtin(str(exc))
 
 
-def _report(statement: str, tolerance, start: float, desc: Dict, seed, parts, part_entries):
-    """Aggregate one statement's parts, each an iterable of chunks and holding
-    ``part_entries`` prefix-sum entries, into its report."""
+def _report(statement: str, tolerance, evaluate: Callable, grid: Dict):
+    """Evaluate ``grid`` with the statement's ``evaluate`` and fold the parts
+    it returns into the statement's report, timing both."""
+    start = time.perf_counter()
+    desc, seed, parts, part_entries = evaluate(grid)
     count, violations, min_inst = _fold(_aggregate_parts(parts, tolerance, part_entries))
     return VerificationReport(
         statement=statement,
@@ -814,7 +816,7 @@ def _theorem_3_5(grid: Dict):
     def trial_chunks():
         space = SpaceParams(p=p, weights=weights)
         edges = np.cumsum((0,) + counts)
-        level_weights = [weights.weight_values(c) for c in counts]
+        w_vals = weights.weight_values(max(counts))  # each level's kernel call reads its prefix
         with np.errstate(over="ignore"):
             a_pow = np.float64(a) ** p  # inf on overflow, refused with the bound
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence([seed]).spawn(3)]
@@ -822,8 +824,8 @@ def _theorem_3_5(grid: Dict):
             coeffs = _draw_trial_coefficients(rngs, counts, first, last + 1)
             with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is NaN
                 y_pow = sum(
-                    _kernels.batch_sorted_pow_sums(block, w, p)
-                    for block, w in zip(np.split(coeffs, edges[1:-1], axis=1), level_weights)
+                    _kernels.batch_sorted_pow_sums(block, w_vals, p)
+                    for block in np.split(coeffs, edges[1:-1], axis=1)
                 )
                 rhs = a_pow * y_pow
             # the bound first: an overflow of y or of A^p leaves it non-finite,
@@ -844,10 +846,8 @@ def _theorem_3_5(grid: Dict):
         yield from _lemma_3_4_chunks(scheme, weights, a, b, levels)
         yield from trial_chunks()
 
-    # lengths and counts keep their places among the shared keys, so the keys
-    # run theta, p, levels, lengths, counts, stagger_ratio, A, B, trials, distributions
-    desc = {"theta": weights.theta, "p": p, **shared, "lengths": list(scheme.lengths[:levels]),
-            "counts": list(counts), "trials": trials, "distributions": list(_TRIAL_DISTRIBUTIONS)}
+    desc = {**shared, "p": p, "lengths": list(scheme.lengths[:levels]), "counts": list(counts),
+            "trials": trials, "distributions": list(_TRIAL_DISTRIBUTIONS)}
     return desc, seed, [chunks()], 0
 
 
@@ -878,11 +878,10 @@ def check_theorem_3_5(
     nonnegative real, reported as a float), and unlike there, None for
     ``p``, ``trials`` or ``seed`` is refused, not a default.
     """
-    start = time.perf_counter()
     tolerance = _check_tolerance(tolerance)
     grid = {"lengths": scheme.lengths, "counts": scheme.counts, "theta": weights.theta,
             "p": p, "trials": trials, "seed": seed, "levels": levels}
-    return _report("theorem-3-5", tolerance, start, *_theorem_3_5(grid))
+    return _report("theorem-3-5", tolerance, _theorem_3_5, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -981,5 +980,4 @@ def run_grid(
             raise ValueError(f"{key} must not be empty")
         if value is not None:
             resolved[key] = value
-    start = time.perf_counter()
-    return _report(statement, tolerance, start, *spec.evaluate(resolved))
+    return _report(statement, tolerance, spec.evaluate, resolved)

@@ -47,7 +47,7 @@ EQUIVALENT: Dict[Tuple[str, str, str], str] = {
     ("WeightSequence._em", "total = np.where(growth > 1.0, far, near) / e - 0.5 * f_a * drop",
      "Gt -> GtE"): "at growth == 1.0 both branches are accurate forms of one integral",
     ("WeightSequence.window_sums", "tail = np.flatnonzero((count > 0) & ~single.ravel())",
-     "Gt -> GtE"): "count is never negative, and a window of no tail terms adds exactly 0.0",
+     "Gt -> GtE"): "it adds only windows with count == 0, and _em(a, 0.0) is exactly +0.0",
     ("lorentz_pnorm_pow_runlength", "step = max(1, _EM_BLOCK // max(1, rows.shape[1]))",
      "FloorDiv -> Mult"): "row blocks bound the temporaries only; every step is row-local",
     ("lorentz_pnorm_pow_runlength",

@@ -62,6 +62,13 @@ class TestBlockScheme:
         with pytest.raises(SchemeOverflowError):
             BlockScheme((2**62, 2**62), (2, 2))
 
+    def test_overflow_boundary(self):
+        # 2 * (2**62 - 1) + 1 is the largest signed 64-bit index; one more is refused
+        assert BlockScheme((2**62 - 1, 1), (2, 1)).total_support == 2**63 - 1
+        with pytest.raises(SchemeOverflowError,
+                           match=f"^scheme support {2**63} exceeds the 64-bit index range$"):
+            BlockScheme((2**62 - 1, 2), (2, 1))
+
 
 class TestCorollaryScheme:
     def test_small_levels(self):
@@ -94,6 +101,13 @@ class TestCorollaryScheme:
         assert s.offsets[-1] == 1216451004088320000  # 20!/2 fits in int64
         with pytest.raises(SchemeOverflowError):
             corollary_scheme(20)
+
+    @pytest.mark.parametrize("levels", [20, 25])
+    def test_overflow_is_named_at_level_20(self, levels):
+        # however many levels are asked for, and not as a bad-levels ValueError
+        with pytest.raises(SchemeOverflowError,
+                           match="^inductive scheme overflows 64-bit indices at level 20$"):
+            corollary_scheme(levels)
 
     def test_bad_levels(self):
         with pytest.raises(ValueError):

@@ -261,7 +261,7 @@ class TestDenseGrids:
             # a tolerance of -1e300 lists every instance as a violation, so the
             # second report pins each instance's place and values
             evaluate = verify.STATEMENTS[statement].evaluate
-            every = verify._report(statement, -1e300, 0.0, *evaluate(grid))
+            every = verify._report(statement, -1e300, evaluate, grid)
             assert len(every.violations) == every.instances
             return run_grid(statement, grid).to_json(), every.to_json()
 
@@ -576,7 +576,7 @@ class TestRemark33Blocks:
             monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", block * 2 * 6)
             # a tolerance of -1e300 lists every instance as a violation, so the
             # second report pins each trial's number and values
-            every = verify._report("remark-3-3", -1e300, 0.0, *verify._remark_3_3(grid))
+            every = verify._report("remark-3-3", -1e300, verify._remark_3_3, grid)
             assert len(every.violations) == every.instances == 8200
             return run_grid("remark-3-3", grid).to_json(), every.to_json()
 
@@ -926,6 +926,24 @@ class TestRunGrid:
     def test_unknown_grid_key(self):
         with pytest.raises(ValueError):
             run_grid("lemma-3-1", {"bogus": 1})
+
+    def test_refusals_come_before_any_evaluation(self, monkeypatch):
+        import lorentzkit.verify as verify
+
+        def evaluate(grid):
+            raise AssertionError("the grid was evaluated")
+
+        monkeypatch.setattr(verify, "_theorem_3_5", evaluate)
+        monkeypatch.setitem(verify.STATEMENTS, "theorem-3-5",
+                            verify.STATEMENTS["theorem-3-5"]._replace(evaluate=evaluate))
+        for tolerance in (math.nan, -1.0):
+            with pytest.raises(ValueError, match="^tolerance must be a finite nonnegative real: "):
+                check_theorem_3_5(corollary_scheme(4), WeightSequence(0.5), 2.0, trials=30,
+                                  tolerance=tolerance)
+            with pytest.raises(ValueError, match="^tolerance must be a finite nonnegative real: "):
+                run_grid("theorem-3-5", {}, tolerance)
+        with pytest.raises(ValueError, match="^unknown grid key 'bogus' for theorem-3-5$"):
+            run_grid("theorem-3-5", {"bogus": 1})
 
     @pytest.mark.parametrize("statement,key", [
         ("lemma-3-1", "theta_values"),
@@ -1593,7 +1611,7 @@ class TestTheorem35Batched:
         # report pins each trial's number and values
         grid = {"corollary_levels": 3, "theta": 0.25, "p": 4.0, "trials": 60, "seed": 4,
                 "levels": None}
-        whole = verify._report("theorem-3-5", -1e300, 0.0, *verify._theorem_3_5(grid))
+        whole = verify._report("theorem-3-5", -1e300, verify._theorem_3_5, grid)
         assert len(whole.violations) == whole.instances
         # the minimum falls on the trial that the oracle's rows and dense norms
         # put lowest, well clear of the next trial and of every lemma-3-4 slack
@@ -1606,7 +1624,7 @@ class TestTheorem35Batched:
             "trial": lowest, "distribution": ("uniform", "geometric", "spike")[lowest % 3]}
         assert whole.min_slack == pytest.approx(slacks[lowest], rel=1e-12)
         monkeypatch.setattr(verify, "_GRID_BLOCK_ENTRIES", 1)  # one trial per chunk
-        chunked = verify._report("theorem-3-5", -1e300, 0.0, *verify._theorem_3_5(grid))
+        chunked = verify._report("theorem-3-5", -1e300, verify._theorem_3_5, grid)
         for rep in (whole, chunked):
             slacks = [inst.slack for inst in rep.violations]
             assert rep.min_slack == min(slacks)

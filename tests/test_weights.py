@@ -133,6 +133,12 @@ class TestWindowSums:
     def test_empty_window(self):
         assert WeightSequence(0.5).window_sum(10, 0) == 0.0
 
+    @pytest.mark.parametrize("theta", [0.01, 0.5, 0.99])
+    def test_em_of_no_terms_is_exactly_zero(self, theta):
+        # so a window with no terms past HEAD may reach _em and still add nothing
+        out = WeightSequence(theta)._em(np.array([HEAD + 1.0, 1e3, 1e9, 2.0**52]), np.zeros(4))
+        assert (out == 0.0).all() and not np.signbit(out).any()
+
     def test_single_term_window_is_exact(self):
         w = WeightSequence(0.5)
         for j in [0, 4, 999]:
