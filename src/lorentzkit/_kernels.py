@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# The benchmark's provenance and tracing (perfbench/run.py, perfbench/tracing.py)
-# look up USING_NUMBA and ``ascent`` by name; both stay until it drops them.
+# The benchmark's provenance (perfbench/run.py) reads USING_NUMBA and its trace
+# table (perfbench/tracing.py) wraps the ``ascent`` stub; both go with them.
 USING_NUMBA = False
 
 
@@ -45,59 +45,11 @@ def batch_sorted_pow_sums(mat, weights, p):
     return weighted_sum(terms, weights[: terms.shape[-1]][::-1])
 
 
-def ascent(v0, u_num, p_num, u_den, p_den, n_points, max_sweeps):
-    """Coordinate ascent of a norm ratio over the decreasing cone; no longer
-    called by the library, whose domination constants are closed form.
-
-    Works over ``{1 = v[0] >= ... >= v[-1] >= 0}``: coordinate 0 stays pinned
-    at 1, every other coordinate is line-searched over ``n_points``
-    equispaced values between its neighbours, so monotonicity is preserved by
-    construction.  Returns ``(v, ratio, sweeps_used)``.
-    """
-    v = v0.copy()
-    dim = v.shape[0]
-    sweeps_used = 0
-    for sweep in range(max_sweeps):
-        changed = False
-        s_num = 0.0
-        s_den = 0.0
-        for i in range(dim):
-            s_num += v[i] ** p_num * u_num[i]
-            s_den += v[i] ** p_den * u_den[i]
-        for n in range(1, dim):
-            lo = v[n + 1] if n + 1 < dim else 0.0
-            hi = v[n - 1]
-            base_num = s_num - v[n] ** p_num * u_num[n]
-            base_den = s_den - v[n] ** p_den * u_den[n]
-            best_t = v[n]
-            best_r = (base_num + best_t ** p_num * u_num[n]) ** (1.0 / p_num) / (
-                base_den + best_t ** p_den * u_den[n]
-            ) ** (1.0 / p_den)
-            for q in range(n_points):
-                if n_points > 1:
-                    t = lo + (hi - lo) * q / (n_points - 1)
-                else:
-                    t = lo
-                r = (base_num + t ** p_num * u_num[n]) ** (1.0 / p_num) / (
-                    base_den + t ** p_den * u_den[n]
-                ) ** (1.0 / p_den)
-                if r > best_r:
-                    best_r = r
-                    best_t = t
-                    changed = True
-            v[n] = best_t
-            s_num = base_num + best_t ** p_num * u_num[n]
-            s_den = base_den + best_t ** p_den * u_den[n]
-        sweeps_used = sweep + 1
-        if not changed:
-            break
-    final_num = 0.0
-    final_den = 0.0
-    for i in range(dim):
-        final_num += v[i] ** p_num * u_num[i]
-        final_den += v[i] ** p_den * u_den[i]
-    ratio = final_num ** (1.0 / p_num) / final_den ** (1.0 / p_den)
-    return v, ratio, sweeps_used
+def ascent(*args, **kwargs):
+    """The retired coordinate ascent, whose constants are now closed form.  The
+    name stays only because the trace table of perfbench/tracing.py wraps it;
+    it goes once ROADMAP item 7 drops that row."""
+    raise NotImplementedError("the coordinate ascent is retired; see lorentzkit.constants")
 
 
 def ratio_scan(num_sums, den_sums):

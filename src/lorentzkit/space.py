@@ -9,7 +9,8 @@ weight sequence from :mod:`lorentzkit.weights`.  Alongside it live the plain
 ``l_p`` norm and a run-length evaluation path for vectors that are constant
 on large blocks (those show up in staggered block constructions, where
 materialising tens of millions of equal coefficients would be wasteful); a
-plain vector's p-th power is that path's one row, each block one index long.
+plain vector's p-th power is summed against ``w_n`` directly, with the bits
+of that path's one row whose blocks are each one index long.
 """
 
 from __future__ import annotations
@@ -138,11 +139,15 @@ def decreasing_rearrangement(x: Union[FiniteVector, Sequence[float]]) -> np.ndar
 
 
 def lorentz_pnorm_pow(x: Union[FiniteVector, Sequence[float]], params: SpaceParams) -> float:
-    """``sum_n a_n^p w_n`` — the p-th power of the Lorentz norm: the one-row
-    :func:`lorentz_pnorm_pow_runlength` of ``a``, each value on one index, with
-    its refusals (beyond float64, or below its normal range for a nonzero ``x``)."""
-    vals = decreasing_rearrangement(x)
-    return lorentz_pnorm_pow_runlength(vals, np.ones(vals.shape, np.int64), params)
+    """``sum_n a_n^p w_n`` — the p-th power of the Lorentz norm, refused beyond
+    float64 or below its normal range for a nonzero ``x`` (:func:`check_norm_powers`).
+    Its bits are those of :func:`lorentz_pnorm_pow_runlength` of ``a`` with every
+    block one index long."""
+    vals = decreasing_rearrangement(x)  # fresh and zero-free: powered in place
+    with np.errstate(over="ignore"):  # refused below
+        power = _kernels.weighted_pow_sum(vals, params.weights.weight_values(vals.size), params.p)
+    check_norm_powers(power, np.asarray(vals.size), params.p, params.weights.theta)
+    return power
 
 
 def _weighted_norm(values_desc: np.ndarray, weights: np.ndarray, p: float, name: str) -> float:
@@ -225,21 +230,21 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
     (:func:`check_norm_powers`).  The cost is independent of the support size: a
     batch is evaluated in row blocks of about :data:`~lorentzkit.weights._EM_BLOCK`
     entries, each with one sort of the values, one unstable argsort that orders the
-    lengths alike (none if all are equal; a row in which equal positive values of
-    unequal length meet takes the stable order, as there tie order moves a cut), one
-    cumulative sum of lengths and one window-sum lookup of every block's weight mass.
+    lengths alike (a row in which equal positive values of unequal length meet
+    takes the stable order, as there tie order moves a cut), one cumulative sum of
+    lengths and one window-sum lookup of every block's weight mass.
     Every step is row-local, so a row's bits do not depend on the block it falls in,
     and no temporary grows with the number of rows.
     """
     vals = np.asarray(values, dtype=np.float64)
     rows = np.atleast_2d(vals)
     lens = np.asarray(lengths, dtype=np.int64)
-    if rows.ndim != 2 or lens.shape[-1:] != rows.shape[-1:] or lens.ndim > 2:
+    if (rows.ndim != 2 or lens.shape[-1:] != rows.shape[-1:]
+            or lens.shape[:-1] not in ((), (1,), rows.shape[:1])):
         raise ValueError("values and lengths must have equal length")
     if lens.size and lens.min() < 1:
         raise ValueError("block lengths must be >= 1")
     lens = np.broadcast_to(lens, rows.shape) if lens.ndim == 2 else lens
-    same_lengths = lens.size == 0 or bool((lens == lens.flat[0]).all())
     power = np.empty(rows.shape[0])
     step = max(1, _EM_BLOCK // max(1, rows.shape[1]))
     for lo in range(0, rows.shape[0], step):
@@ -247,17 +252,16 @@ def lorentz_pnorm_pow_runlength(values, lengths, params: SpaceParams):
         if not np.all(np.isfinite(mags)):
             raise ValueError("block values must be finite")
         part = lens if lens.ndim == 1 else lens[lo : lo + step]
-        block, sorted_lens = np.sort(mags, axis=1)[:, ::-1].copy(), part  # summed as laid out
-        if not same_lengths:
-            order = np.argsort(mags, axis=1)[:, ::-1]
-            sorted_lens = (np.take(part, order) if part.ndim == 1
-                           else np.take_along_axis(part, order, axis=1))
-            tied = ((block[:, 1:] == block[:, :-1]) & (block[:, 1:] > 0.0)
-                    & (sorted_lens[:, 1:] != sorted_lens[:, :-1])).any(axis=1)
-            if tied.any():
-                order = np.argsort(-mags[tied], axis=1, kind="stable")
-                rows_lens = np.broadcast_to(part, mags.shape)[tied]
-                sorted_lens[tied] = np.take_along_axis(rows_lens, order, axis=1)
+        block = np.sort(mags, axis=1)[:, ::-1].copy()
+        order = np.argsort(mags, axis=1)[:, ::-1]
+        sorted_lens = (np.take(part, order) if part.ndim == 1
+                       else np.take_along_axis(part, order, axis=1))
+        tied = ((block[:, 1:] == block[:, :-1]) & (block[:, 1:] > 0.0)
+                & (sorted_lens[:, 1:] != sorted_lens[:, :-1])).any(axis=1)
+        if tied.any():
+            order = np.argsort(-mags[tied], axis=1, kind="stable")
+            rows_lens = np.broadcast_to(part, mags.shape)[tied]
+            sorted_lens[tied] = np.take_along_axis(rows_lens, order, axis=1)
         # zero blocks sort last; giving them no length keeps them out of the cuts
         masses = _block_masses(params.weights, np.where(block > 0.0, sorted_lens, 0))
         with np.errstate(over="ignore"):  # refused below

@@ -51,10 +51,6 @@ EQUIVALENT: Dict[Tuple[str, str, str], str] = {
     ("lorentz_pnorm_pow_runlength", "step = max(1, _EM_BLOCK // max(1, rows.shape[1]))",
      "FloorDiv -> Mult"): "row blocks bound the temporaries only; every step is row-local",
     ("lorentz_pnorm_pow_runlength",
-     "same_lengths = lens.size == 0 or bool((lens == lens.flat[0]).all())",
-     "Eq -> NotEq"): "in (lens != lens.flat[0]).all() it makes every batch take the argsort, "
-                     "which orders equal lengths as sorting the values alone does",
-    ("lorentz_pnorm_pow_runlength",
      "tied = ((block[:, 1:] == block[:, :-1]) & (block[:, 1:] > 0.0)",
      "Gt -> GtE"): "the stable order is always right; the test only spares rows whose ties "
                    "are zero blocks, which take no length in either order",

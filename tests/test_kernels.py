@@ -1,5 +1,4 @@
 import importlib
-import math
 import runpy
 from pathlib import Path
 
@@ -111,35 +110,6 @@ class TestRatioScan:
         idx, ratio = _kernels.ratio_scan(np.array([1.0, 4.0, 4.8, 8.0, 7.0]),
                                          np.array([2.0, 4.0, 6.0, 8.0, 10.0]))
         assert (idx, ratio) == (1, 1.0)
-
-
-class TestAscent:
-    def test_improves_or_keeps_start(self):
-        v0 = np.linspace(1.0, 0.2, 5)
-        u_num = np.ones(5)
-        u_den = np.linspace(1.0, 0.4, 5)
-
-        def ratio(v):
-            num = float(np.sum(v**2))
-            den = float(np.sum(v**2 * u_den))
-            return math.sqrt(num) / math.sqrt(den)
-
-        v, r, sweeps = _kernels.ascent(v0, u_num, 2.0, u_den, 2.0, 17, 40)
-        assert r >= ratio(v0) - 1e-15
-        assert r == pytest.approx(ratio(v), rel=1e-12)
-        # output still lives in the decreasing cone with pinned lead
-        assert v[0] == 1.0
-        assert np.all(np.diff(v) <= 1e-12)
-
-    def test_finds_constant_vector_optimum(self):
-        # for these norms the cone maximum sits at the constant vector
-        n = 4
-        v0 = np.linspace(1.0, 0.3, n)
-        u_num = np.ones(n)
-        u_den = np.arange(1, n + 1, dtype=float) ** -0.5
-        v, r, _ = _kernels.ascent(v0, u_num, 1.0, u_den, 1.0, 33, 200)
-        want = n / np.sum(u_den)
-        assert r == pytest.approx(want, rel=1e-6)
 
 
 class TestDispatch:

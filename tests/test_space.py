@@ -339,7 +339,8 @@ class TestDensePowerIsOneRow:
             lorentz_pnorm_pow_runlength([1.0, bad], [1, 1], params)
 
     @pytest.mark.parametrize("values,side",
-                             [([1e200, 3.0], "overflows"), ([1e-200, 0.0], "underflows")])
+                             [([1e200, 3.0], "overflows"), ([1e-200, 0.0], "underflows"),
+                              ([1e200, 1e200], "overflows"), ([1e-200, 1e-200], "underflows")])
     def test_out_of_range_refused_alike(self, half, values, side):
         params = SpaceParams(p=2.0, weights=half)
         message = f"Lorentz norm power {side} float64 at p=2.0, theta=0.5"
@@ -348,11 +349,36 @@ class TestDensePowerIsOneRow:
         ones = np.ones(mags.size, np.int64)
         assert _outcome(lambda: lorentz_pnorm_pow_runlength(mags, ones, params)) == message
 
+    def test_random_vectors_keep_the_one_row_bits(self):
+        # the dense power sums against weight_values, the one-row power against
+        # unit window sums; both must give the same bits
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            params = SpaceParams(p=float(rng.choice([1.0, 2.0, rng.uniform(1.0, 12.0)])),
+                                 weights=WeightSequence(rng.uniform(0.01, 0.99)))
+            x = rng.standard_normal(rng.integers(0, 201)) * 10.0 ** rng.uniform(-3.0, 3.0)
+            mags = decreasing_rearrangement(x)
+            dense = lorentz_pnorm_pow(x, params)
+            assert type(dense) is float
+            ones = np.ones(mags.size, np.int64)
+            assert dense.hex() == lorentz_pnorm_pow_runlength(mags, ones, params).hex()
+
 
 class TestRunLengthNorm:
     def test_values_and_lengths_pair_up(self, half):
         with pytest.raises(ValueError, match="^values and lengths must have equal length$"):
             lorentz_pnorm_pow_runlength([[1.0, 2.0]], [1, 1, 1], SpaceParams(1.0, half))
+
+    @pytest.mark.parametrize("rows", [2, None])
+    def test_row_counts_pair_up(self, half, rows):
+        # 3-row lengths against 2-row or 1-D values: refused, not broadcast
+        params = SpaceParams(1.0, half)
+        values = np.ones(3) if rows is None else np.ones((rows, 3))
+        with pytest.raises(ValueError, match="^values and lengths must have equal length$"):
+            lorentz_pnorm_pow_runlength(values, np.ones((3, 3), np.int64), params)
+        # one row of lengths is shared by every row
+        shared = lorentz_pnorm_pow_runlength(values, [1, 2, 3], params)
+        assert np.array_equal(lorentz_pnorm_pow_runlength(values, [[1, 2, 3]], params), shared)
 
     def test_matches_materialized(self, half):
         params = SpaceParams(p=2.0, weights=half)

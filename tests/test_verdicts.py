@@ -86,6 +86,35 @@ VERDICTS = [
                       "Lorentz norm power underflows float64 at p=300.0, theta=0.5"),
         id="remark-3-3-p300-underflow",
     ),
+    pytest.param(
+        # ROADMAP item 12 (norms past p = 1022) would evaluate it instead
+        refusal_entry("norm --theta 0.5 --p 1074 --dense 1,1", 2,
+                      "Lorentz norm cannot be evaluated in float64 at p=1074.0: "
+                      "its scaled power sum underflows"),
+        id="norm-p1074-underflow",
+    ),
+    pytest.param(
+        # ROADMAP item 10 (indices past 2**53) would run the whole scheme
+        refusal_entry("verify theorem-3-5 --corollary-K 18 --trials 1", 2,
+                      "weight sums reach index 54420176498688000, beyond the limit "
+                      "2**53 = 9007199254740992 up to which float64 holds every index exactly"),
+        id="theorem-3-5-K18-index-limit",
+    ),
+    pytest.param(
+        # ROADMAP items 16 (section sizes from the root of the sum) and 10
+        # (indices past 2**53) would search past the cutoff
+        refusal_entry("construct --select-counts-K 2 --theta 0.01 --p 1", 2,
+                      "level 2: no section below the growth cutoff 4503599627370496 escapes "
+                      "2-equivalence; the weights decay too slowly for this selection"),
+        id="select-counts-theta0.01-cutoff",
+    ),
+    pytest.param(
+        # ROADMAP item 2's stretch (W read only at the products i*k, scattered
+        # out of each segment) would run it and drop the cap
+        refusal_entry("verify lemma-3-2 --i-max 6000 --k-max 6000", 2,
+                      "partial-sum arrays are limited to 33554432 entries"),
+        id="lemma-3-2-prefix-cap",
+    ),
 ]
 
 
